@@ -26,6 +26,7 @@ from .linalg import (
     eig_normal,
     is_unitary,
     operator_norm,
+    twisted_commutator,
 )
 from .minima import TwistedPair, excluded_dimensions, lambda_min
 from .shared_eig import shared_approx_eigenvector_normal
@@ -48,6 +49,7 @@ __all__ = [
     "orbit_expectations",
     "overlap_bound",
     "gram_independent",
+    "pair_values",
     "verify_double_witness",
 ]
 
@@ -122,11 +124,9 @@ def eigenvalue_arc(zeta: float, theta: float) -> Arc:
                index=0)
 
 
-def build_arcs(alpha: float, delta: float) -> list[Arc]:
-    """Nontrivial eigenvalue arcs for orbit powers j != 0: centered at
-    2 pi alpha j with half-width arccos(1 - |j| delta).  Powers with
-    |j| delta >= 2 give the full circle and are excluded; |j| <= floor(2/delta)
-    suffices.  The j = 0 arc is the single point +1 (handled by the caller)."""
+def _arc_arrays(alpha: float, delta: float):
+    """Orbit powers j != 0 with |j| delta < 2, with their arc half-widths
+    arccos(1 - |j| delta) and centers 2 pi alpha j (mod 2 pi)."""
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     jmax = int(math.floor(2.0 / delta))
@@ -134,9 +134,16 @@ def build_arcs(alpha: float, delta: float) -> list[Arc]:
     js = js[js != 0]
     z = np.abs(js) * delta
     keep = z < 2.0
-    js, z = js[keep], z[keep]
-    half = np.arccos(1.0 - z)
-    centers = (TWO_PI * alpha * js) % TWO_PI
+    js = js[keep]
+    return js, np.arccos(1.0 - z[keep]), (TWO_PI * alpha * js) % TWO_PI
+
+
+def build_arcs(alpha: float, delta: float) -> list[Arc]:
+    """Nontrivial eigenvalue arcs for orbit powers j != 0: centered at
+    2 pi alpha j with half-width arccos(1 - |j| delta).  Powers with
+    |j| delta >= 2 give the full circle and are excluded; |j| <= floor(2/delta)
+    suffices.  The j = 0 arc is the single point +1 (handled by the caller)."""
+    js, half, centers = _arc_arrays(alpha, delta)
     return [Arc(float(c), float(h), int(j)) for c, h, j in zip(centers, half, js)]
 
 
@@ -147,16 +154,7 @@ def minimal_intervals(alpha: float, delta: float,
     unfolded at 0, duplicates are merged, and intervals containing another
     interval are dropped (stabbing the inner one stabs them both)."""
     merge_tol = DEFAULT_TOL.angle_merge if merge_tol is None else merge_tol
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    jmax = int(math.floor(2.0 / delta))
-    js = np.arange(-jmax, jmax + 1)
-    js = js[js != 0]
-    z = np.abs(js) * delta
-    nontrivial = z < 2.0
-    js, z = js[nontrivial], z[nontrivial]
-    half = np.arccos(1.0 - z)
-    centers = (TWO_PI * alpha * js) % TWO_PI
+    _, half, centers = _arc_arrays(alpha, delta)
     dist0 = np.minimum(centers, TWO_PI - centers)
     away = dist0 > half + merge_tol  # arcs through the forced point drop out
     half, centers = half[away], centers[away]
@@ -277,6 +275,14 @@ def certify_single(alpha: float, delta: float, compute_slack: bool = True,
     )
 
 
+def _double_threshold(d1: int, d2: int, gamma: float,
+                      delta: float) -> tuple[float, float]:
+    """Both sides of the two-pair condition lhs < rhs of certify_double."""
+    lhs = math.sqrt(gamma) * d1 * d2 + (d1 + d2) * delta
+    rhs = float(np.sin(np.pi / (2 * d1)) ** 2 / (d1 * d2 - 1) ** 2)
+    return lhs, rhs
+
+
 def certify_double(d1: int, d2: int, gamma: float, delta: float,
                    compute_slack: bool = True) -> Certificate:
     """Certified dimension for two twisted pairs (twists 1/d1 and 1/d2) whose
@@ -292,8 +298,7 @@ def certify_double(d1: int, d2: int, gamma: float, delta: float,
         raise ValueError(f"need 2 <= d1 <= d2, got d1={d1}, d2={d2}")
     if gamma < 0 or delta < 0:
         raise ValueError("gamma and delta must be nonnegative")
-    lhs = math.sqrt(gamma) * d1 * d2 + (d1 + d2) * delta
-    rhs = float(np.sin(np.pi / (2 * d1)) ** 2 / (d1 * d2 - 1) ** 2)
+    lhs, rhs = _double_threshold(d1, d2, gamma, delta)
     inputs = {"d1": d1, "d2": d2, "gamma": gamma, "delta": delta}
     if lhs < rhs:
         return Certificate(
@@ -351,12 +356,34 @@ class OrbitExpectation(NamedTuple):
 def _phase_normalize(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
     """Multiply u by the conjugate phase of its most-positive eigenvalue
     (maximal real part, ties by smaller |imaginary part|), so the returned
-    operator has an exact +1 eigenvector.  Returns (u', eigenvector, phase)."""
+    operator has an exact +1 eigenvector (up to the modulus of that
+    eigenvalue).  Returns (u', eigenvector, its eigenvalue under u')."""
     dec = eig_normal(u)
     vals = dec.eigenvalues
     idx = min(range(len(vals)), key=lambda i: (-vals[i].real, abs(vals[i].imag)))
     lam = vals[idx] / abs(vals[idx])
-    return np.conj(lam) * u, dec.eigenvectors[:, idx], complex(lam)
+    return np.conj(lam) * u, dec.eigenvectors[:, idx], complex(np.conj(lam) * vals[idx])
+
+
+def _orbit_range(d: int) -> range:
+    """The d orbit powers j = -floor((d-1)/2) .. ceil((d-1)/2)."""
+    return range(-((d - 1) // 2), d // 2 + 1)
+
+
+def _orbit(m: np.ndarray, js, x: np.ndarray) -> dict:
+    """m^j x for every j between min(js, 0) and max(js, 0), built by repeated
+    products with m (j > 0) or m^dag (j < 0)."""
+    out = {0: x}
+    cur = x
+    for j in range(1, max(js, default=0) + 1):
+        cur = m @ cur
+        out[j] = cur
+    cur = x
+    mdag = m.conj().T
+    for j in range(-1, min(js, default=0) - 1, -1):
+        cur = mdag @ cur
+        out[j] = cur
+    return out
 
 
 def orbit_expectations(pair: TwistedPair, j_range=None,
@@ -373,20 +400,9 @@ def orbit_expectations(pair: TwistedPair, j_range=None,
     if j_range is None:
         if pair.alpha <= 0.0:
             raise ValueError("j_range is required when alpha = 0")
-        d = max(1, round(1.0 / pair.alpha))
-        j_range = range(-((d - 1) // 2), (d - 1) // 2 + (d - 1) % 2 + 1)
+        j_range = _orbit_range(max(1, round(1.0 / pair.alpha)))
     js = sorted(set(int(j) for j in j_range))
-
-    states = {0: psi}
-    cur = psi
-    for j in range(1, max(js, default=0) + 1):
-        cur = pair.v @ cur
-        states[j] = cur
-    cur = psi
-    vdag = pair.v.conj().T
-    for j in range(-1, min(js, default=0) - 1, -1):
-        cur = vdag @ cur
-        states[j] = cur
+    states = _orbit(pair.v, js, psi)
 
     out = []
     for j in js:
@@ -473,6 +489,20 @@ class DoubleWitnessReport:
         return not self.failures
 
 
+def pair_values(u1, u2, v1, v2, d1: int, d2: int) -> tuple[float, dict]:
+    """The five commutation values of two twisted pairs (u1, v1) at twist
+    1/d1 and (u2, v2) at twist 1/d2: gamma = ||[u1, u2]|| and the four deltas
+    (both twisted commutators and the cross commutators [u1, v2], [u2, v1])."""
+    gamma = operator_norm(twisted_commutator(u1, u2, 0.0))
+    deltas = {
+        "u1v1_twist": operator_norm(twisted_commutator(u1, v1, 1.0 / d1)),
+        "u2v2_twist": operator_norm(twisted_commutator(u2, v2, 1.0 / d2)),
+        "u1v2": operator_norm(twisted_commutator(u1, v2, 0.0)),
+        "u2v1": operator_norm(twisted_commutator(u2, v1, 0.0)),
+    }
+    return gamma, deltas
+
+
 def verify_double_witness(u1, u2, v1, v2, d1: int, d2: int,
                           tol: float = 1e-8) -> DoubleWitnessReport:
     """Construct and check the two-pair dimension witness directly.
@@ -496,28 +526,15 @@ def verify_double_witness(u1, u2, v1, v2, d1: int, d2: int,
         if not is_unitary(m, 100 * DEFAULT_TOL.unitarity):
             raise ValueError(f"{name} is not unitary to tolerance")
 
-    comm = lambda a, b: a @ b - b @ a
-    gamma = operator_norm(comm(u1, u2))
-    delta_parts = {
-        "u1v1_twist": operator_norm(u1 @ v1 - np.exp(2j * np.pi / d1) * (v1 @ u1)),
-        "u2v2_twist": operator_norm(u2 @ v2 - np.exp(2j * np.pi / d2) * (v2 @ u2)),
-        "u1v2": operator_norm(comm(u1, v2)),
-        "u2v1": operator_norm(comm(u2, v1)),
-    }
+    gamma, delta_parts = pair_values(u1, u2, v1, v2, d1, d2)
     delta = max(delta_parts.values())
-
-    lhs = math.sqrt(gamma) * d1 * d2 + (d1 + d2) * delta
-    rhs = float(np.sin(np.pi / (2 * d1)) ** 2 / (d1 * d2 - 1) ** 2)
+    lhs, rhs = _double_threshold(d1, d2, gamma, delta)
 
     failures: list[str] = []
     if lhs >= rhs:
         failures.append(f"double-pair threshold: lhs {lhs:.3e} >= rhs {rhs:.3e}")
 
-    u1p, _, _ = _phase_normalize(u1)
-    # seed with the solver's own copy of the +1 eigenvalue so the cluster
-    # construction matches it exactly
-    u1p_eigs = eig_normal(u1p).eigenvalues
-    seed = complex(u1p_eigs[int(np.argmin(np.abs(u1p_eigs - 1.0)))])
+    u1p, _, seed = _phase_normalize(u1)
     shared = shared_approx_eigenvector_normal(u1p, u2, seed_lambda=seed)
     psi = shared.vector
     nu = shared.eigenvalue_b / abs(shared.eigenvalue_b)
@@ -530,17 +547,13 @@ def verify_double_witness(u1, u2, v1, v2, d1: int, d2: int,
     if resid2 > eig_bound + tol:
         failures.append(f"shared eigenvector residual (u2) {resid2:.3e} > {eig_bound:.3e}")
 
-    range1 = range(-((d1 - 1) // 2), (d1 - 1) // 2 + (d1 - 1) % 2 + 1)
-    range2 = range(-((d2 - 1) // 2), (d2 - 1) // 2 + (d2 - 1) % 2 + 1)
+    range1, range2 = _orbit_range(d1), _orbit_range(d2)
     eta1 = np.exp(2j * np.pi / d1)
     eta2 = np.exp(2j * np.pi / d2)
 
-    pow1 = _power_chain(v1, range1)
-    states = {}
-    for j in range2:
-        col = _apply_power(v2, j, psi)
-        for i in range1:
-            states[(i, j)] = pow1[i] @ col
+    pow1 = _orbit(v1, range1, np.eye(n, dtype=complex))
+    cols = _orbit(v2, range2, psi)
+    states = {(i, j): pow1[i] @ cols[j] for j in range2 for i in range1}
 
     expectation_failures = []
     for (i, j), state in states.items():
@@ -585,30 +598,3 @@ def verify_double_witness(u1, u2, v1, v2, d1: int, d2: int,
         failures=failures,
     )
 
-
-def _apply_power(m: np.ndarray, j: int, x: np.ndarray) -> np.ndarray:
-    if j >= 0:
-        for _ in range(j):
-            x = m @ x
-    else:
-        md = m.conj().T
-        for _ in range(-j):
-            x = md @ x
-    return x
-
-
-def _power_chain(m: np.ndarray, js) -> dict:
-    """Matrix powers m^j for the (small) index ranges used in orbits."""
-    out = {0: np.eye(m.shape[0], dtype=complex)}
-    top = max(js, default=0)
-    bot = min(js, default=0)
-    cur = out[0]
-    for j in range(1, top + 1):
-        cur = m @ cur
-        out[j] = cur
-    cur = out[0]
-    md = m.conj().T
-    for j in range(-1, bot - 1, -1):
-        cur = md @ cur
-        out[j] = cur
-    return out

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .certify import (
+    _MIN_DELTA,
     Certificate,
     certify_double,
     certify_lambda_exclusion,
@@ -27,7 +28,7 @@ from .certify import (
     single_pair_threshold,
     verify_double_witness,
 )
-from .linalg import NormSpec, OPERATOR, eig_normal
+from .linalg import NormSpec, OPERATOR
 from .matio import certificate_from_dict, certificate_to_dict, jsonable, load_matrix
 from .minima import lambda_min
 from .models import ModelSpec, clock_model, tensor_double_model
@@ -43,7 +44,7 @@ EXIT_NUMERICAL = 3
 
 # Certified bounds below the arc-sweep floor are rounded up to it before
 # certification; certifying at a larger delta is always sound.
-_CERT_DELTA_FLOOR = 1e-6
+_CERT_DELTA_FLOOR = _MIN_DELTA
 
 
 class CliIOError(Exception):
@@ -191,7 +192,8 @@ def cmd_minima(args) -> int:
 
 def _mountain_row(cell) -> str:
     alpha, delta = cell
-    cert = certify_single(alpha, delta, compute_slack=False)
+    # the twist enters only through exp(2 pi i alpha): certify alpha mod 1
+    cert = certify_single(alpha % 1.0, delta, compute_slack=False)
     return f"{_fmt(alpha)},{_fmt(delta)},{cert.d_min}"
 
 
@@ -353,8 +355,6 @@ def cmd_restrict(args) -> int:
         raise CliIOError("restrict reports cover single-pair models")
     band = model.band
     res = restrict_pair(model.u, model.v, band, model.alpha)
-    gs_u = ground_symmetry(model.u, band)
-    gs_v = ground_symmetry(model.v, band)
     payload = {
         "model": json.loads(spec.to_json()),
         "band": {"dim": band.dim, "rank": band.rank, "gap": band.gap,
@@ -367,8 +367,8 @@ def cmd_restrict(args) -> int:
             "delta_out_bound": res.delta_out_bound,
             "delta_out_measured": res.delta_out_measured,
         },
-        "ground_symmetry_u": _gs_table(gs_u),
-        "ground_symmetry_v": _gs_table(gs_v),
+        "ground_symmetry_u": _gs_table(res.ground_u),
+        "ground_symmetry_v": _gs_table(res.ground_v),
     }
     manifest = RunManifest.build("restrict", {"manifest": args.manifest},
                                  seed=spec.seed)
@@ -393,15 +393,12 @@ def cmd_eigshare(args) -> int:
         raise CliIOError("eigshare reports cover single-pair models")
     h, u = model.band.h, model.u
     evals = np.linalg.eigvalsh(h)
-    seed_target = float(evals[int(np.argmin(np.abs(evals)))])
-    # snap to the solver's own spectrum copy so the seed matches exactly
-    dec = eig_normal(h)
-    seed_lambda = complex(dec.eigenvalues[int(np.argmin(np.abs(dec.eigenvalues - seed_target)))])
-    general = shared_approx_eigenvector(h, u, seed_lambda)
-    normal = shared_approx_eigenvector_normal(h, u, seed_lambda)
+    seed = float(evals[int(np.argmin(np.abs(evals)))])
+    general = shared_approx_eigenvector(h, u, seed)
+    normal = shared_approx_eigenvector_normal(h, u, seed)
     payload = {
         "model": json.loads(spec.to_json()),
-        "seed_eigenvalue": seed_lambda,
+        "seed_eigenvalue": general.eigenvalue_a,
         "general": _eigshare_table(general),
         "normal_variant": _eigshare_table(normal),
     }
@@ -431,29 +428,47 @@ def _eigshare_table(res) -> dict:
 # certificate re-validation
 
 
+def _finite(value, name: str) -> float:
+    """A certificate number as a finite float; a missing, non-numeric or
+    non-finite value makes the certificate malformed."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise CliIOError(f"malformed certificate: {name} must be a finite number, "
+                         f"got {value!r}")
+    return x
+
+
 def recheck_certificate(cert: Certificate) -> tuple[bool, str]:
-    """Recompute the certificate's inequalities from its echoed inputs."""
+    """Recompute the certificate's inequalities from its echoed inputs.
+    Raises CliIOError when a number it needs is missing or not finite."""
     inputs = cert.inputs
+    if not isinstance(inputs, dict):
+        raise CliIOError("malformed certificate: inputs must be an object")
+
+    def num(key: str, default=None) -> float:
+        return _finite(inputs.get(key, default), f"inputs.{key}")
+
+    slack = None if cert.slack is None else _finite(cert.slack, "slack")
     if {"d1", "d2", "gamma", "delta"} <= set(inputs):
-        fresh = certify_double(
-            int(inputs["d1"]), int(inputs["d2"]),
-            float(inputs["gamma"]), float(inputs["delta"]),
-        )
+        fresh = certify_double(int(num("d1")), int(num("d2")), num("gamma"), num("delta"))
     elif cert.method == "lambda-exclusion":
         fresh = certify_lambda_exclusion(
-            float(inputs["alpha"]), float(inputs["delta"]),
-            g_max=int(inputs.get("g_max", 64)),
-            spec=NormSpec(_parse_p(str(inputs.get("p", "inf"))), int(inputs.get("k", 1))),
+            num("alpha"), num("delta"),
+            g_max=int(num("g_max", 64)),
+            spec=NormSpec(_parse_p(str(inputs.get("p", "inf"))), int(num("k", 1))),
         )
     else:
-        fresh = certify_single(float(inputs["alpha"]), float(inputs["delta"]))
+        fresh = certify_single(num("alpha"), num("delta"))
     if fresh.d_min != cert.d_min or fresh.method != cert.method:
         return False, (
             f"recomputation gives d_min={fresh.d_min} via {fresh.method}, "
             f"certificate claims d_min={cert.d_min} via {cert.method}"
         )
-    if cert.slack is not None and fresh.slack is not None:
-        if abs(cert.slack - fresh.slack) > 1e-9 + 1e-6 * abs(fresh.slack):
+    if slack is not None and fresh.slack is not None:
+        if abs(slack - fresh.slack) > 1e-9 + 1e-6 * abs(fresh.slack):
             return False, f"slack mismatch: {cert.slack} vs {fresh.slack}"
     return True, "certificate re-verified"
 

@@ -11,7 +11,10 @@ class Tolerances:
 
     unitarity     : ||U^dag U - I||_2 threshold for accepting a unitary.
     normality     : relative defect ||A^*A - AA^*||_F / ||A||_F^2 threshold.
-    eig_residual  : max ||A x - lam x||_2 accepted from the normal eigensolver.
+    eig_residual  : max ||A x - lam x||_2 accepted from the normal eigensolver,
+                    relative to max(1, ||A||_2).  The shared-eigenvector
+                    routines also snap a seed eigenvalue lying within this
+                    times max(1, max |lambda|) of the spectrum onto it.
     projector     : ||P^2 - P||_2 and ||P - P^dag||_2 threshold.
     hermiticity   : ||H - H^dag||_2 threshold, relative to ||H||_2.
     spectral_rel  : relative tolerance when verifying a stated gap/width

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .certify import pair_values
 from .linalg import haar_unitary, operator_norm, twisted_commutator
 from .minima import clock_matrix, shift_matrix
 from .restriction import BandSpec
@@ -235,17 +236,8 @@ def tensor_double_model(spec: ModelSpec) -> TensorDoubleModel:
     ]
     h, p, (u1, u2, v1, v2), gap_eff, width_eff = _assemble(spec, code_ops)
 
-    comm = lambda a, b: a @ b - b @ a
-    gamma = operator_norm(comm(u1, u2))
-    deltas = {
-        "u1v1_twist": operator_norm(twisted_commutator(u1, v1, 1.0 / g)),
-        "u2v2_twist": operator_norm(twisted_commutator(u2, v2, 1.0 / g2)),
-        "u1v2": operator_norm(comm(u1, v2)),
-        "u2v1": operator_norm(comm(u2, v1)),
-    }
-    eps_max = max(
-        operator_norm(comm(op, h)) for op in (u1, u2, v1, v2)
-    )
+    gamma, deltas = pair_values(u1, u2, v1, v2, g, g2)
+    eps_max = max(operator_norm(op @ h - h @ op) for op in (u1, u2, v1, v2))
     xi = (eps_max + width_eff) / gap_eff
     band = BandSpec(h, p, gap=gap_eff, width=width_eff)
     return TensorDoubleModel(

@@ -129,8 +129,7 @@ class BandSpec:
         self.width = float(width)
 
         # operational invariants
-        hp = np.linalg.norm(self.h @ self.p, 2)
-        if hp > self.width * (1.0 + rel) + rel * scale:
+        if width_actual > self.width * (1.0 + rel) + rel * scale:
             raise ValueError("||H P|| exceeds the stated width")
         h2 = self.h @ self.h - self.gap ** 2 * (np.eye(self.dim) - self.p)
         min_eig = float(np.min(np.linalg.eigvalsh((h2 + h2.conj().T) / 2.0)))
@@ -224,9 +223,9 @@ def ground_symmetry(u, band: BandSpec, spec: NormSpec = OPERATOR,
     with k above the band rank is clamped so the same norm applies on the
     band.
     """
-    u = _require_unitary(u, band.tol)
+    u = as_matrix(u, square=True)
     spec = _band_norm(spec, band)
-    eps = commutator_epsilon(u, band, spec)
+    eps = commutator_epsilon(u, band, spec)  # also checks that U is unitary
     xi = (eps + band.width) / band.gap
     if xi >= 1.0:
         raise ValueError(
@@ -263,8 +262,9 @@ def ground_symmetry(u, band: BandSpec, spec: NormSpec = OPERATOR,
 
 @dataclass
 class RestrictionResult:
-    """Band restrictions u, v of two approximate symmetries and the twisted
-    commutation bookkeeping of the restriction."""
+    """Band restrictions u, v of two approximate symmetries, the ground
+    symmetries they come from, and the twisted commutation bookkeeping of the
+    restriction."""
 
     u: np.ndarray
     v: np.ndarray
@@ -275,6 +275,8 @@ class RestrictionResult:
     delta_in: float
     delta_out_bound: float
     delta_out_measured: float
+    ground_u: GroundSymmetry
+    ground_v: GroundSymmetry
 
 
 def restrict_pair(u, v, band: BandSpec, alpha: float, spec: NormSpec = OPERATOR,
@@ -313,6 +315,8 @@ def restrict_pair(u, v, band: BandSpec, alpha: float, spec: NormSpec = OPERATOR,
         delta_in=delta_in,
         delta_out_bound=bound,
         delta_out_measured=measured,
+        ground_u=gs_u,
+        ground_v=gs_v,
     )
 
 

@@ -137,12 +137,38 @@ class SharedEigenResult:
     eigvec_residual: float
 
 
-def _shared_core(a, b, seed_lambda, r: float, tol: Tolerances):
-    """Cluster subspace V of A around the seed, the eigenpair of B_VV with the
-    best-separated eigenvalue, and the block diagnostics."""
-    dec = eig_normal(a, tol)
+def _snap_seed(eigs: np.ndarray, seed_lambda: complex, tol: Tolerances) -> complex:
+    """The eigenvalue nearest seed_lambda, provided it lies within
+    tol.eig_residual * max(1, max |lambda|) of the seed."""
+    dist = np.abs(eigs - seed_lambda)
+    idx = int(np.argmin(dist))
+    window = tol.eig_residual * max(1.0, float(np.max(np.abs(eigs))))
+    if dist[idx] > window:
+        raise ValueError(
+            f"seed {seed_lambda} is not an eigenvalue of A (closest at distance "
+            f"{dist[idx]:.3e}, snap window {window:.1e})"
+        )
+    return complex(eigs[idx])
+
+
+def _shared(a, b, seed_lambda, tol: Tolerances, normal_b: bool) -> SharedEigenResult:
+    """Both variants: cluster subspace V of A around the (snapped) seed, the
+    eigenpair of B_VV with the best-separated eigenvalue, and the residuals and
+    block diagnostics.  normal_b selects the chain radius sqrt(eps) and snaps
+    the eigenvalue of B to spec(B); otherwise the radius is sqrt(eps/2)."""
+    a = as_matrix(a, square=True)
+    b = as_matrix(b, square=True)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     n = a.shape[0]
-    cl = cluster(dec.eigenvalues, seed_lambda, r)
+    b_dec = eig_normal(b, tol) if normal_b else None  # also enforces normality of B
+    eps = operator_norm(a @ b - b @ a)
+    radius = math.sqrt(eps if normal_b else eps / 2.0)
+    r = max(radius, _RADIUS_FLOOR)
+
+    dec = eig_normal(a, tol)
+    seed = _snap_seed(dec.eigenvalues, seed_lambda, tol)
+    cl = cluster(dec.eigenvalues, seed, r)
     idx = np.asarray(cl.indices)
     basis = dec.eigenvectors[:, idx]
     cl.basis = basis
@@ -159,14 +185,27 @@ def _shared_core(a, b, seed_lambda, r: float, tol: Tolerances):
         ]
         chosen = complex(block_vals[int(np.argmax(seps))])
     mu, x_v, eig_resid = right_eigenvector(b_vv, chosen)
+    mu = complex(mu)
+    if b_dec is not None:
+        mu = complex(b_dec.eigenvalues[int(np.argmin(np.abs(b_dec.eigenvalues - mu)))])
     vec = basis @ x_v
 
     comp = np.eye(n) - basis @ basis.conj().T
-    b_offdiag = float(np.linalg.norm(comp @ b @ basis, 2))
-    a_block_dev = float(
-        np.max(np.abs(dec.eigenvalues[idx] - seed_lambda))
+    return SharedEigenResult(
+        vector=vec,
+        eigenvalue_a=seed,
+        eigenvalue_b=mu,
+        residual_a=float(np.linalg.norm(a @ vec - seed * vec)),
+        residual_b=float(np.linalg.norm(b @ vec - mu * vec)),
+        bound=n * radius,
+        epsilon=eps,
+        cluster=cl,
+        a_block_deviation=float(np.max(np.abs(dec.eigenvalues[idx] - seed))),
+        a_block_bound=n * r,
+        b_offdiag_norm=float(np.linalg.norm(comp @ b @ basis, 2)),
+        b_offdiag_bound=n * eps / (2.0 * r),
+        eigvec_residual=eig_resid,
     )
-    return dec, cl, vec, complex(mu), eig_resid, a_block_dev, b_offdiag
 
 
 def shared_approx_eigenvector(a, b, seed_lambda: complex,
@@ -176,36 +215,17 @@ def shared_approx_eigenvector(a, b, seed_lambda: complex,
 
         ||A x - seed x||, ||B x - mu x|| <= n sqrt(eps/2).
 
+    seed_lambda is snapped to the nearest eigenvalue of A as computed here
+    when it lies within tol.eig_residual * max(1, max |lambda|) of it, and
+    that eigenvalue is reported as eigenvalue_a; a seed farther from the
+    spectrum raises ValueError.
+
     Exactly commuting inputs collapse to a joint block diagonalization and the
     residuals vanish to machine precision.  mu comes from the best-separated
     eigenvalue of the block of B on the cluster subspace; the block need not
     be normal, so the eigenvector residual is reported on the result.
     """
-    a = as_matrix(a, square=True)
-    b = as_matrix(b, square=True)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    n = a.shape[0]
-    eps = operator_norm(a @ b - b @ a)
-    r = max(math.sqrt(eps / 2.0), _RADIUS_FLOOR)
-    dec, cl, vec, mu, eig_resid, a_dev, b_off = _shared_core(a, b, seed_lambda, r, tol)
-    resid_a = float(np.linalg.norm(a @ vec - seed_lambda * vec))
-    resid_b = float(np.linalg.norm(b @ vec - mu * vec))
-    return SharedEigenResult(
-        vector=vec,
-        eigenvalue_a=complex(seed_lambda),
-        eigenvalue_b=mu,
-        residual_a=resid_a,
-        residual_b=resid_b,
-        bound=n * math.sqrt(eps / 2.0),
-        epsilon=eps,
-        cluster=cl,
-        a_block_deviation=a_dev,
-        a_block_bound=n * r,
-        b_offdiag_norm=b_off,
-        b_offdiag_bound=n * eps / (2.0 * r),
-        eigvec_residual=eig_resid,
-    )
+    return _shared(a, b, seed_lambda, tol, normal_b=False)
 
 
 def shared_approx_eigenvector_normal(a, b, seed_lambda: complex,
@@ -214,31 +234,8 @@ def shared_approx_eigenvector_normal(a, b, seed_lambda: complex,
     nearest exact eigenvalue of B, at chain radius r = sqrt(eps):
 
         ||A x - seed x||, ||B x - nu x|| <= n sqrt(eps),   nu in spec(B).
+
+    seed_lambda is snapped to the spectrum of A exactly as in
+    shared_approx_eigenvector.
     """
-    a = as_matrix(a, square=True)
-    b = as_matrix(b, square=True)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    n = a.shape[0]
-    b_dec = eig_normal(b, tol)  # also enforces normality of B
-    eps = operator_norm(a @ b - b @ a)
-    r = max(math.sqrt(eps), _RADIUS_FLOOR)
-    dec, cl, vec, mu, eig_resid, a_dev, b_off = _shared_core(a, b, seed_lambda, r, tol)
-    nu = complex(b_dec.eigenvalues[int(np.argmin(np.abs(b_dec.eigenvalues - mu)))])
-    resid_a = float(np.linalg.norm(a @ vec - seed_lambda * vec))
-    resid_b = float(np.linalg.norm(b @ vec - nu * vec))
-    return SharedEigenResult(
-        vector=vec,
-        eigenvalue_a=complex(seed_lambda),
-        eigenvalue_b=nu,
-        residual_a=resid_a,
-        residual_b=resid_b,
-        bound=n * math.sqrt(eps),
-        epsilon=eps,
-        cluster=cl,
-        a_block_deviation=a_dev,
-        a_block_bound=n * r,
-        b_offdiag_norm=b_off,
-        b_offdiag_bound=n * eps / (2.0 * r),
-        eigvec_residual=eig_resid,
-    )
+    return _shared(a, b, seed_lambda, tol, normal_b=True)

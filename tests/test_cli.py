@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from twistcert import ModelSpec, clock_model
+from twistcert import ModelSpec, clock_model, ground_symmetry
 from twistcert.cli import main
 from twistcert.matio import save_matrix_text
 
@@ -97,6 +97,19 @@ class TestMountains:
         for pairs in by_alpha.values():
             dims = [d for _, d in sorted(pairs)]
             assert dims == sorted(dims, reverse=True)
+
+    def test_alpha_grid_through_one(self, tmp_path):
+        # alpha = 1 is the twist alpha = 0; the sweep must not stop there
+        out = tmp_path / "m.csv"
+        rc = main(["mountains", "--alpha-grid", "0:1:3", "--delta-grid", "0.1:2:5",
+                   "--out", str(out)])
+        assert rc == 0
+        _, _, rows = read_csv(out)
+        dims = {}
+        for alpha, delta, dim in (r.split(",") for r in rows):
+            dims.setdefault(alpha, {})[delta] = dim
+        assert len(dims["1"]) == 5
+        assert dims["1"] == dims["0"]
 
 
 class TestCertify:
@@ -197,10 +210,15 @@ class TestReports:
         doc = json.loads(out.read_text())
         r = doc["restriction"]
         assert r["delta_out_measured"] <= r["delta_out_bound"] + 1e-8
-        for key in ("ground_symmetry_u", "ground_symmetry_v"):
+        model = clock_model(spec)
+        for key, op in (("ground_symmetry_u", model.u), ("ground_symmetry_v", model.v)):
             table = doc[key]
             assert table["dist_full_measured"] <= table["dist_full_bound"] + 1e-9
             assert table["dist_band_measured"] <= table["dist_band_bound"] + 1e-9
+            fresh = ground_symmetry(op, model.band)
+            assert table == {name: getattr(fresh, name) for name in (
+                "xi", "epsilon", "dist_full_measured", "dist_full_bound",
+                "dist_band_measured", "dist_band_bound")}
 
     def test_eigshare_report(self, tmp_path):
         spec = ModelSpec(kind="clock-block", g=3, n_excited=6, gap=1.0, seed=11,
@@ -238,3 +256,22 @@ class TestCheck:
         doc["certificate"]["d_min"] += 1
         out.write_text(json.dumps(doc))
         assert main(["check", str(out)]) == 3
+
+    @pytest.mark.parametrize("mutate", [
+        lambda cert: cert["inputs"].pop("alpha"),
+        lambda cert: cert.update(slack="wide"),
+        lambda cert: cert["inputs"].update(delta="nan"),
+    ], ids=["missing-alpha", "non-numeric-slack", "nan-delta"])
+    def test_malformed_certificate_exits_1(self, tmp_path, capsys, mutate):
+        out = tmp_path / "direct.json"
+        assert main(["certify", "--alpha", "0.25", "--delta", "0.5",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["certificate"]["slack"] is not None
+        mutate(doc["certificate"])
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["check", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: malformed certificate: ")

@@ -183,3 +183,36 @@ class TestSharedNormal:
             cap = np.sqrt(gamma) * d1 * d2 / 2.0
             assert res.residual_a <= cap + 1e-10
             assert res.residual_b <= cap + 1e-10
+
+
+class TestSeedSnap:
+    """A seed within the eigensolver tolerance of an eigenvalue of A is
+    snapped to the solver's own copy of it; a seed farther out is rejected."""
+
+    @staticmethod
+    def normal_pair():
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(7)
+        w = haar_unitary(6, rng)
+        a = w @ clock_matrix(6) @ w.conj().T
+        b = w @ np.diag(np.exp(2j * np.pi * rng.uniform(size=6))) @ w.conj().T
+        b = b @ expm(1e-4j * hermitian_perturbation(6, rng))
+        return a, b, complex(eig_normal(a).eigenvalues[2])
+
+    @pytest.mark.parametrize("fn", [shared_approx_eigenvector,
+                                    shared_approx_eigenvector_normal])
+    def test_nearby_seed_snaps(self, fn):
+        a, b, lam = self.normal_pair()
+        exact = fn(a, b, lam)
+        near = fn(a, b, lam + 1e-11)
+        assert near.eigenvalue_a == exact.eigenvalue_a == lam
+        np.testing.assert_array_equal(near.vector, exact.vector)
+        assert near.residual_a == exact.residual_a
+
+    @pytest.mark.parametrize("fn", [shared_approx_eigenvector,
+                                    shared_approx_eigenvector_normal])
+    def test_distant_seed_raises(self, fn):
+        a, b, lam = self.normal_pair()
+        with pytest.raises(ValueError):
+            fn(a, b, lam + 1e-3)
