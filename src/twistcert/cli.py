@@ -8,6 +8,7 @@ example xi >= 1), 3 numerical failure or failed certificate re-validation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -257,8 +258,9 @@ def double_pipeline(model, tol: float = 1e-8) -> dict:
     closed-form two-pair certificate and the direct witness verification."""
     band = model.band
     d1, d2 = model.spec.g, model.spec.g2
-    ops = {name: ground_symmetry(getattr(model, name), band).on_band
-           for name in ("u1", "u2", "v1", "v2")}
+    ground = [ground_symmetry(getattr(model, name), band)
+              for name in ("u1", "u2", "v1", "v2")]
+    ops = dict(zip(("u1", "u2", "v1", "v2"), (gs.on_band for gs in ground)))
     if d1 > d2:
         d1, d2 = d2, d1
         ops = {"u1": ops["u2"], "u2": ops["u1"], "v1": ops["v2"], "v2": ops["v1"]}
@@ -269,7 +271,7 @@ def double_pipeline(model, tol: float = 1e-8) -> dict:
         "measured": {
             "ambient_gamma": model.gamma,
             "ambient_deltas": model.deltas,
-            "xi": model.xi,
+            "xi": max(gs.xi for gs in ground),
             "band_gamma": report.gamma,
             "band_delta": report.delta,
             "band_delta_parts": report.delta_parts,
@@ -319,7 +321,7 @@ def cmd_certify(args) -> int:
         else:
             norm = _norm_spec(args, model.band.dim)
             payload = single_pipeline(model.band, model.u, model.v, model.alpha, norm)
-            payload["measured"]["flagged"] = model.flagged
+            payload["measured"]["flagged"] = payload["measured"]["xi"] >= 1.0
     else:
         required = [args.hamiltonian, args.projector, args.u, args.v, args.alpha]
         if any(x is None for x in required):
@@ -489,7 +491,10 @@ def cmd_check(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each parse_args call
+    returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="twistcert",
         description="Twisted-commutator diagnostics and certified degeneracy bounds",

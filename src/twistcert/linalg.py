@@ -29,6 +29,7 @@ __all__ = [
     "eig_general",
     "right_eigenvector",
     "polar_unitary",
+    "norm_at_most",
     "is_unitary",
     "haar_unitary",
 ]
@@ -205,13 +206,28 @@ def polar_unitary(m) -> np.ndarray:
     return u @ vh
 
 
+def norm_at_most(x, t: float) -> bool:
+    """Whether ||X||_2 <= t.
+
+    The Frobenius norm bounds the 2-norm, so a Frobenius norm at most t
+    settles the question without a factorization; only otherwise is the
+    2-norm computed by SVD.  The answer is the one the SVD alone would give.
+    """
+    if np.linalg.norm(x) <= t:
+        return True
+    return bool(np.linalg.norm(x, 2) <= t)
+
+
 def is_unitary(m, tol: float | None = None) -> bool:
+    """Whether M is square with ||M^dag M - I||_2 <= tol (default
+    tol.unitarity), decided by `norm_at_most`: an SVD runs only when the
+    Frobenius norm of the defect exceeds tol."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
     tol = DEFAULT_TOL.unitarity if tol is None else tol
     eye = np.eye(m.shape[0])
-    return bool(np.linalg.norm(m.conj().T @ m - eye, 2) <= tol)
+    return norm_at_most(m.conj().T @ m - eye, tol)
 
 
 def haar_unitary(n: int, seed) -> np.ndarray:

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .certify import pair_values
 from .linalg import haar_unitary, operator_norm, twisted_commutator
 from .minima import clock_matrix, shift_matrix
-from .restriction import BandSpec
+from .restriction import BandSpec, commutator_epsilon
 
 __all__ = [
     "ModelSpec",
@@ -161,18 +162,40 @@ def _assemble(spec: ModelSpec, code_ops: list[np.ndarray]):
 @dataclass
 class ClockModel:
     """A clock/shift pair embedded as approximate symmetries of a gapped
-    Hamiltonian, with every figure of merit measured on the instance."""
+    Hamiltonian, with every figure of merit measured on the instance.
+
+    eps_u, eps_v (||[U, H]||, ||[V, H]||), delta (the ambient twisted
+    commutation value), xi = (max epsilon + width) / gap and flagged
+    (xi >= 1: restriction hypotheses void; kept for negative tests) are
+    operator-norm measurements taken on first access and then kept, so a
+    pipeline that measures them itself pays for none of them.
+    """
 
     spec: ModelSpec
     band: BandSpec
     u: np.ndarray
     v: np.ndarray
     alpha: float
-    eps_u: float
-    eps_v: float
-    delta: float
-    xi: float
-    flagged: bool  # xi >= 1: restriction hypotheses void; kept for negative tests
+
+    @cached_property
+    def eps_u(self) -> float:
+        return commutator_epsilon(self.u, self.band)
+
+    @cached_property
+    def eps_v(self) -> float:
+        return commutator_epsilon(self.v, self.band)
+
+    @cached_property
+    def delta(self) -> float:
+        return operator_norm(twisted_commutator(self.u, self.v, self.alpha))
+
+    @cached_property
+    def xi(self) -> float:
+        return (max(self.eps_u, self.eps_v) + self.band.width) / self.band.gap
+
+    @cached_property
+    def flagged(self) -> bool:
+        return self.xi >= 1.0
 
 
 def clock_model(spec: ModelSpec) -> ClockModel:
@@ -185,26 +208,19 @@ def clock_model(spec: ModelSpec) -> ClockModel:
     if spec.kind not in ("clock-block", "flat-band"):
         raise ValueError(f"clock_model got kind {spec.kind!r}")
     g = spec.g
-    alpha = 1.0 / g
     h, p, (u, v), gap_eff, width_eff = _assemble(
         spec, [clock_matrix(g), shift_matrix(g)]
     )
-    eps_u = operator_norm(u @ h - h @ u)
-    eps_v = operator_norm(v @ h - h @ v)
-    delta = operator_norm(twisted_commutator(u, v, alpha))
-    xi = (max(eps_u, eps_v) + width_eff) / gap_eff
     band = BandSpec(h, p, gap=gap_eff, width=width_eff)
-    return ClockModel(
-        spec=spec, band=band, u=u, v=v, alpha=alpha,
-        eps_u=eps_u, eps_v=eps_v, delta=delta, xi=xi, flagged=xi >= 1.0,
-    )
+    return ClockModel(spec=spec, band=band, u=u, v=v, alpha=1.0 / g)
 
 
 @dataclass
 class TensorDoubleModel:
     """Two mutually compatible twisted pairs on a tensor-product code space,
     embedded as approximate symmetries; gamma and the four deltas are the
-    measured ambient values."""
+    measured ambient values.  eps_max (the largest ||[op, H]||), xi and
+    flagged are measured on first access, as in ClockModel."""
 
     spec: ModelSpec
     band: BandSpec
@@ -216,9 +232,19 @@ class TensorDoubleModel:
     alpha2: float
     gamma: float
     deltas: dict
-    eps_max: float
-    xi: float
-    flagged: bool
+
+    @cached_property
+    def eps_max(self) -> float:
+        return max(commutator_epsilon(op, self.band)
+                   for op in (self.u1, self.u2, self.v1, self.v2))
+
+    @cached_property
+    def xi(self) -> float:
+        return (self.eps_max + self.band.width) / self.band.gap
+
+    @cached_property
+    def flagged(self) -> bool:
+        return self.xi >= 1.0
 
 
 def tensor_double_model(spec: ModelSpec) -> TensorDoubleModel:
@@ -237,11 +263,8 @@ def tensor_double_model(spec: ModelSpec) -> TensorDoubleModel:
     h, p, (u1, u2, v1, v2), gap_eff, width_eff = _assemble(spec, code_ops)
 
     gamma, deltas = pair_values(u1, u2, v1, v2, g, g2)
-    eps_max = max(operator_norm(op @ h - h @ op) for op in (u1, u2, v1, v2))
-    xi = (eps_max + width_eff) / gap_eff
     band = BandSpec(h, p, gap=gap_eff, width=width_eff)
     return TensorDoubleModel(
         spec=spec, band=band, u1=u1, u2=u2, v1=v1, v2=v2,
-        alpha1=1.0 / g, alpha2=1.0 / g2,
-        gamma=gamma, deltas=deltas, eps_max=eps_max, xi=xi, flagged=xi >= 1.0,
+        alpha1=1.0 / g, alpha2=1.0 / g2, gamma=gamma, deltas=deltas,
     )

@@ -21,8 +21,8 @@ from .linalg import (
     NormSpec,
     OPERATOR,
     as_matrix,
-    eig_normal,
     is_unitary,
+    norm_at_most,
     polar_unitary,
     schatten_kyfan_norm,
     twisted_commutator,
@@ -59,6 +59,10 @@ class BandSpec:
       * each eigenvector of H lies in range(P) or its complement,
       * ||H P||_2 <= width  and  H^2 >= gap^2 (I - P).
 
+    Relative tolerances scale with max(1, ||H||_2), read off the spectrum of
+    (H + H^dag) / 2; each "||X||_2 <= t" check runs an SVD only when the
+    Frobenius norm of X exceeds t.
+
     When `gap` or `width` is omitted it is computed from the spectrum.  A
     supplied gap may understate but never overstate the actual gap (the
     restriction bounds are vacuous otherwise); a supplied width may overstate
@@ -71,15 +75,20 @@ class BandSpec:
         p = as_matrix(p, square=True)
         if h.shape != p.shape:
             raise ValueError(f"dimension mismatch: H {h.shape} vs P {p.shape}")
-        scale = max(1.0, float(np.linalg.norm(h, 2)))
-        if np.linalg.norm(h - h.conj().T, 2) > tol.hermiticity * scale:
+        self.h = (h + h.conj().T) / 2.0
+        evals, evecs = np.linalg.eigh(self.h)
+        scale = max(1.0, float(np.max(np.abs(evals))))
+        skew = h - h.conj().T
+        # ||sym(H)||_2 <= ||H||_2: passing against the eigenvalue scale passes
+        # against max(1, ||H||_2), which decides the check otherwise
+        if not (norm_at_most(skew, tol.hermiticity * scale) or norm_at_most(
+                skew, tol.hermiticity * max(1.0, float(np.linalg.norm(h, 2))))):
             raise ValueError("H is not Hermitian to tolerance")
-        if np.linalg.norm(p - p.conj().T, 2) > tol.projector:
+        if not norm_at_most(p - p.conj().T, tol.projector):
             raise ValueError("P is not Hermitian to tolerance")
-        if np.linalg.norm(p @ p - p, 2) > tol.projector:
+        if not norm_at_most(p @ p - p, tol.projector):
             raise ValueError("P is not idempotent to tolerance")
 
-        self.h = (h + h.conj().T) / 2.0
         self.p = (p + p.conj().T) / 2.0
         self.tol = tol
         self.dim = h.shape[0]
@@ -87,7 +96,6 @@ class BandSpec:
         if self.rank < 1:
             raise ValueError("band projector has rank 0")
 
-        evals, evecs = np.linalg.eigh(self.h)
         weights = np.linalg.norm(self.p @ evecs, axis=0) ** 2
         mix = np.minimum(weights, 1.0 - weights)
         if np.max(mix) > 1e-6:
@@ -100,6 +108,7 @@ class BandSpec:
             raise ValueError("band eigenvector count does not match rank of P")
 
         self._band_evals = evals[in_band]
+        self._band_evecs = evecs[:, in_band]
         self._excited_evals = evals[~in_band]
 
         width_actual = float(np.linalg.norm(self.h @ self.p, 2))
@@ -138,13 +147,16 @@ class BandSpec:
 
     @cached_property
     def band_basis(self) -> np.ndarray:
-        """Orthonormal basis of range(P): the eigenvalue-1 eigenvectors of P
-        in deterministic order.  All band restrictions use this basis."""
-        dec = eig_normal(self.p, self.tol)
-        cols = np.abs(dec.eigenvalues - 1.0) < 0.5
-        basis = dec.eigenvectors[:, cols]
-        if basis.shape[1] != self.rank:
-            raise ArithmeticError("projector eigenbasis does not match rank")
+        """Orthonormal basis of range(P), dim x rank: the QR factor of P V,
+        where V holds the in-band eigenvectors of H found on construction.
+        All band restrictions use this basis; they depend on it only up to a
+        unitary change of basis within the band.
+
+        Checked by ||P B - B||_2 <= tol.eig_residual, the residual bound the
+        normal eigensolver applies (||P||_2 is 1 up to tol.projector)."""
+        basis, _ = np.linalg.qr(self.p @ self._band_evecs)
+        if not norm_at_most(self.p @ basis - basis, self.tol.eig_residual):
+            raise ArithmeticError("band basis is not invariant under P to tolerance")
         return basis
 
     @property
@@ -190,6 +202,10 @@ class GroundSymmetry:
     epsilon   : measured ||[U, H]||
     dist_full_measured / dist_full_bound   : ||U - full|| vs xi + f(xi^2)
     dist_band_measured / dist_band_bound   : ||P (U - full) P|| vs f(xi^2)
+
+    The measured distances are norms of the dense differences, evaluated on
+    the rank x rank and 2 rank x 2 rank blocks that carry all their singular
+    values (see `ground_symmetry`).
     """
 
     full: np.ndarray
@@ -222,6 +238,15 @@ def ground_symmetry(u, band: BandSpec, spec: NormSpec = OPERATOR,
     measured distances are checked against their certified bounds.  A spec
     with k above the band rank is clamped so the same norm applies on the
     band.
+
+    With B the band basis, A = B^dag U B, W its polar factor and thin QRs
+    Pbar U B = Q_f R_f and Pbar U^dag B = Q_e R_e,
+
+        U - full = [B, Q_f] [[A - W, R_e^dag], [R_f, 0]] [B, Q_e]^dag.
+
+    The core's singular values depend on R_f and R_e only through R^dag R,
+    so the outer factors may be taken with orthonormal columns: ||U - full||
+    is the norm of the 2 rank x 2 rank core and ||P (U - full) P|| = ||A - W||.
     """
     u = as_matrix(u, square=True)
     spec = _band_norm(spec, band)
@@ -232,14 +257,21 @@ def ground_symmetry(u, band: BandSpec, spec: NormSpec = OPERATOR,
             f"xi = (epsilon + width)/gap = {xi:.6g} >= 1; restriction bounds are void"
         )
     basis = band.band_basis
-    block = basis.conj().T @ u @ basis
+    ub = u @ basis
+    block = basis.conj().T @ ub
     w = polar_unitary(block)
     pb = band.p_bar
     full = basis @ w @ basis.conj().T + pb @ u @ pb
 
+    g = band.rank
+    core = np.zeros((2 * g, 2 * g), dtype=complex)
+    core[:g, :g] = block - w
+    core[:g, g:] = np.linalg.qr(pb @ (u.conj().T @ basis), mode="r").conj().T
+    core[g:, :g] = np.linalg.qr(pb @ ub, mode="r")
+
     fx = sqrt_defect(xi ** 2)
-    dist_full = schatten_kyfan_norm(u - full, spec)
-    dist_band = schatten_kyfan_norm(band.p @ (u - full) @ band.p, spec)
+    dist_full = schatten_kyfan_norm(core, spec)
+    dist_band = schatten_kyfan_norm(core[:g, :g], spec)
     bound_full = xi + fx
     bound_band = fx
     if dist_full > bound_full + slack or dist_band > bound_band + slack:

@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from twistcert import ModelSpec, clock_model, ground_symmetry
 from twistcert.cli import main
@@ -52,6 +53,17 @@ class TestMinima:
         main(args + ["--out", str(a)])
         main(args + ["--out", str(b)])
         assert a.read_text() == b.read_text()
+
+    def test_successive_calls_share_no_options(self, tmp_path, capsys):
+        # the parser is built once per process; each call parses afresh
+        out = tmp_path / "minima.csv"
+        args = ["minima", "--g", "3", "--grid", "0:1:3"]
+        assert main(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        assert printed == out.read_text()
+        assert "g,alpha,p,k,lambda" in printed
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "minima.json"
@@ -196,6 +208,38 @@ class TestCertify:
         rc = main(["certify", "--hamiltonian", str(bad), "--projector", str(bad),
                    "--u", str(bad), "--v", str(bad), "--alpha", "0.5"])
         assert rc == 1
+
+
+class TestFactorizationBudget:
+    def test_single_pair_certify(self, tmp_path, monkeypatch):
+        """certify --manifest on a single pair runs at most five dense n x n
+        SVDs (perturbation scale, ||H P||, two epsilons, ambient delta) and
+        no Schur reduction."""
+        n = 63
+        spec = ModelSpec(kind="clock-block", g=3, n_excited=n - 3, gap=1.0, seed=9,
+                         width=0.02, perturbation_strength=0.01)
+        manifest = tmp_path / "model.json"
+        manifest.write_text(spec.to_json())
+        counts = {"svd": 0, "schur": 0}
+
+        def counting(kind, fn, square_only):
+            def wrapper(a, *args, **kwargs):
+                if not square_only or np.shape(a) == (n, n):
+                    counts[kind] += 1
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        svd = counting("svd", np.linalg.svd, square_only=True)
+        inner = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+        monkeypatch.setattr(inner, "svd", svd)  # reached by np.linalg.norm(x, 2)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(scipy.linalg, "schur",
+                            counting("schur", scipy.linalg.schur, square_only=False))
+        rc = main(["certify", "--manifest", str(manifest),
+                   "--out", str(tmp_path / "cert.json")])
+        assert rc == 0
+        assert counts["svd"] <= 5
+        assert counts["schur"] == 0
 
 
 class TestReports:

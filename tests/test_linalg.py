@@ -20,6 +20,7 @@ from twistcert import (
     spectral_distance,
     twisted_commutator,
 )
+from twistcert.linalg import norm_at_most
 
 
 def random_normal_matrix(n, rng):
@@ -220,6 +221,40 @@ class TestUnitaryHelpers:
     def test_is_normal(self):
         assert is_normal(clock_matrix(4))
         assert not is_normal(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+class TestNormAtMost:
+    """The Frobenius fast path never changes a decision: with the Frobenius
+    norm above t and the 2-norm just below or just above it, the answer is
+    the SVD's."""
+
+    @pytest.mark.parametrize("t", [1e-3, 0.7, 40.0])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_matches_svd_near_threshold(self, t, sign):
+        rng = np.random.default_rng(8)
+        w1, w2 = haar_unitary(3, rng), haar_unitary(3, rng)
+        x = w1 @ np.diag([t * (1.0 + sign * 1e-9), t / 2, t / 2]) @ w2
+        assert np.linalg.norm(x) > t
+        assert norm_at_most(x, t) == bool(np.linalg.norm(x, 2) <= t)
+        assert norm_at_most(x, t) == (sign < 0)
+
+    def test_frobenius_below_threshold(self):
+        x = np.diag([0.3, 0.4])  # Frobenius 0.5
+        assert norm_at_most(x, 0.5 + 1e-12)
+        assert not norm_at_most(x, 0.39)
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_is_unitary_matches_svd_near_tolerance(self, sign):
+        tol = 1e-2
+        defect = np.array([tol * (1.0 + sign * 1e-9), tol / 2, tol / 2])
+        # M^dag M - I = W2^dag diag(defect) W2 for M = W1 diag(sqrt(1 + defect)) W2
+        rng = np.random.default_rng(9)
+        w1, w2 = haar_unitary(3, rng), haar_unitary(3, rng)
+        m = w1 @ np.diag(np.sqrt(1.0 + defect)) @ w2
+        gram_defect = m.conj().T @ m - np.eye(3)
+        assert np.linalg.norm(gram_defect) > tol
+        assert is_unitary(m, tol) == bool(np.linalg.norm(gram_defect, 2) <= tol)
+        assert is_unitary(m, tol) == (sign < 0)
 
 
 class TestSpectralDistance:

@@ -2,6 +2,8 @@
 certified distances, the restricted twisted commutation bound, and the Gibbs
 reparametrization of the gap."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,9 @@ from twistcert import (
     offdiag_norm,
     operator_norm,
     restrict_pair,
+    schatten_kyfan_norm,
     sqrt_defect,
+    tensor_double_model,
     twisted_commutator,
 )
 
@@ -210,6 +214,76 @@ class TestGroundSymmetry:
         band = two_level_band(1.0)
         with pytest.raises(ValueError):
             ground_symmetry(rotation(np.pi / 2.0), band)
+
+
+def hand_built_band(g, ne, seed):
+    """A band whose projector is formed from a Haar basis separately from H,
+    and a unitary near a symmetry of it: block diagonal in that basis, times
+    exp(i t K) for a small Hermitian K."""
+    rng = np.random.default_rng(seed)
+    n = g + ne
+    w = haar_unitary(n, rng)
+    levels = np.concatenate([rng.uniform(-0.05, 0.05, g), rng.uniform(1.0, 2.0, ne)])
+    h = (w * levels) @ w.conj().T
+    p = w[:, :g] @ w[:, :g].conj().T
+    blocks = np.zeros((n, n), dtype=complex)
+    blocks[:g, :g] = haar_unitary(g, rng)
+    blocks[g:, g:] = haar_unitary(ne, rng)
+    k = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    evals, evecs = np.linalg.eigh((k + k.conj().T) / 2.0)
+    kick = (evecs * np.exp(0.03j * evals)) @ evecs.conj().T
+    u = w @ blocks @ w.conj().T @ kick
+    return BandSpec(h, p), u
+
+
+FACTOR_ONCE_CASES = ("clock-block", "tensor-double", "hand-built", "hand-built-narrow")
+
+
+@functools.cache
+def factor_once_case(name):
+    """(band, u) for one of FACTOR_ONCE_CASES."""
+    if name == "clock-block":
+        model = clock_model(
+            ModelSpec(kind="clock-block", g=3, n_excited=60, gap=1.0, seed=21,
+                      width=0.02, perturbation_strength=0.03)
+        )
+        return model.band, model.u
+    if name == "tensor-double":
+        model = tensor_double_model(
+            ModelSpec(kind="tensor-double", g=2, g2=3, n_excited=18, gap=1.0,
+                      seed=22, perturbation_strength=0.02)
+        )
+        return model.band, model.v2
+    if name == "hand-built":
+        return hand_built_band(3, 5, seed=23)
+    # band rank above the complement dimension: the core's blocks are rank deficient
+    return hand_built_band(4, 2, seed=24)
+
+
+class TestFactorOnceForms:
+    """The small-block forms of the band basis and of the ground-symmetry
+    distances agree with their dense definitions."""
+
+    @pytest.mark.parametrize("name", FACTOR_ONCE_CASES)
+    def test_band_basis_orthonormal_and_invariant(self, name):
+        band, _ = factor_once_case(name)
+        b = band.band_basis
+        assert b.shape == (band.dim, band.rank)
+        assert np.linalg.norm(b.conj().T @ b - np.eye(band.rank), 2) <= 1e-12
+        assert np.linalg.norm(band.p @ b - b, 2) <= 1e-12
+
+    @pytest.mark.parametrize("name", FACTOR_ONCE_CASES)
+    def test_distances_equal_dense_norms(self, name):
+        band, u = factor_once_case(name)
+        p = band.p
+        for spec in (NormSpec(np.inf, 1), NormSpec(2.0, band.rank), NormSpec(3.0, 2)):
+            gs = ground_symmetry(u, band, spec)
+            diff = u - gs.full
+            assert gs.dist_full_measured == pytest.approx(
+                schatten_kyfan_norm(diff, spec), abs=1e-12)
+            assert gs.dist_band_measured == pytest.approx(
+                schatten_kyfan_norm(p @ diff @ p, spec), abs=1e-12)
+            assert gs.dist_full_measured > 1e-6  # a nontrivial instance
 
 
 class TestRestrictPair:
