@@ -220,6 +220,8 @@ def certify_single(alpha: float, delta: float, compute_slack: bool = True,
     """
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     merge_tol = DEFAULT_TOL.angle_merge if merge_tol is None else merge_tol

@@ -175,6 +175,10 @@ def _minima_row(cell) -> str:
 
 def cmd_minima(args) -> int:
     gs = [int(t) for t in args.g.split(",") if t]
+    for g in gs:
+        # checked before k is clamped to g, which would blame k for g < 1
+        if g < 1:
+            raise ValueError(f"dimension must be positive, got {g}")
     grid = _parse_grid(args.grid)
     p = _parse_p(args.p)
     k = int(args.k)

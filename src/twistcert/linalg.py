@@ -40,9 +40,22 @@ def as_matrix(a, square: bool = False) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    return _checked(m, square)
+
+
+def _as_square_stack(a) -> np.ndarray:
+    """Coerce to a complex (..., n, n) array, a matrix or a stack of them,
+    and validate finiteness and squareness."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got shape {m.shape}")
+    return _checked(m, True)
+
+
+def _checked(m: np.ndarray, square: bool) -> np.ndarray:
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
-    if square and m.shape[0] != m.shape[1]:
+    if square and m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
@@ -82,10 +95,12 @@ OPERATOR = NormSpec.operator()
 def twisted_commutator(x, y, alpha: float) -> np.ndarray:
     """X @ Y - exp(2 pi i alpha) * Y @ X.
 
-    alpha = 0 is the commutator, alpha = 1/2 the anticommutator.
+    alpha = 0 is the commutator, alpha = 1/2 the anticommutator.  X and Y may
+    also be equal-shape (..., n, n) stacks; the result is then the stack of
+    the slice-wise commutators, each equal to the 2-D call on its slices.
     """
-    x = as_matrix(x, square=True)
-    y = as_matrix(y, square=True)
+    x = _as_square_stack(x)
+    y = _as_square_stack(y)
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     return x @ y - np.exp(2j * np.pi * alpha) * (y @ x)
@@ -199,9 +214,11 @@ def polar_unitary(m) -> np.ndarray:
 
     W^dag M is positive semidefinite.  For singular M the null-space
     completion is the one induced by the SVD ordering (descending singular
-    values), which is deterministic for a fixed input.
+    values), which is deterministic for a fixed input.  M may also be a
+    (..., n, n) stack: one batched SVD then gives the stack of unitary
+    factors, each equal to the 2-D call on its slice.
     """
-    m = as_matrix(m, square=True)
+    m = _as_square_stack(m)
     u, _, vh = np.linalg.svd(m)
     return u @ vh
 

@@ -180,37 +180,66 @@ def permutation_cost(angles, alpha: float, perm=None) -> float:
     return float(np.sum(4.0 * np.sin((theta[perm] - theta - 2.0 * np.pi * alpha) / 2.0) ** 2))
 
 
+def _fro2(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of an (..., n, n) stack."""
+    return np.sum(x.real ** 2 + x.imag ** 2, axis=(-2, -1))
+
+
 def _descend(u: np.ndarray, v: np.ndarray, alpha: float, iters: int,
              step0: float) -> tuple[np.ndarray, np.ndarray]:
     """Projected gradient descent on the smooth Frobenius-squared objective
     ||u v - eta v u||_F^2, with polar retraction to the unitary group and a
-    backtracking line search.  Frobenius minimizers have flat-spectrum twisted
-    commutators, so they minimize every (p, k) norm simultaneously."""
+    backtracking line search, run on every pair of the (R, g, g) stacks u, v
+    at once.  Frobenius minimizers have flat-spectrum twisted commutators,
+    so they minimize every (p, k) norm simultaneously.
+
+    Each restart keeps its own step, accepted-step count, value and
+    gradient.  A round gives every active restart one trial: all trials of
+    the round share one polar retraction (a batched SVD), one commutator and
+    one Armijo test.  An accepted trial grows the step by 1.3 (capped at 1)
+    and refreshes that restart's gradient; a rejected one halves the step.
+    A restart stops after `iters` accepted steps, at a vanishing gradient,
+    or once its step falls to 1e-14.  Every slice is computed on its own, so
+    a restart follows the same path whichever restarts share the stacks.
+    Returns new stacks; the inputs are not modified.
+    """
     eta = np.exp(2j * np.pi * alpha)
-    step = step0
+    u, v = u.copy(), v.copy()
     t = twisted_commutator(u, v, alpha)
-    fval = float(np.linalg.norm(t) ** 2)
-    for _ in range(iters):
-        gu = t @ v.conj().T - np.conj(eta) * (v.conj().T @ t)
-        gv = u.conj().T @ t - np.conj(eta) * (t @ u.conj().T)
-        gnorm2 = float(np.linalg.norm(gu) ** 2 + np.linalg.norm(gv) ** 2)
-        if gnorm2 < 1e-30:
-            break
-        improved = False
-        while step > 1e-14:
-            u2 = polar_unitary(u - step * gu)
-            v2 = polar_unitary(v - step * gv)
-            t2 = twisted_commutator(u2, v2, alpha)
-            f2 = float(np.linalg.norm(t2) ** 2)
-            if f2 <= fval - 1e-4 * step * gnorm2:
-                u, v, t, fval = u2, v2, t2, f2
-                step = min(step * 1.3, 1.0)
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return u, v
+    fval = _fro2(t)
+    step = np.full(u.shape[0], float(step0))
+    taken = np.zeros(u.shape[0], dtype=int)
+    gu, gv = np.empty_like(u), np.empty_like(v)
+    gnorm2 = np.empty(u.shape[0])
+    active = np.ones(u.shape[0], dtype=bool)
+    stale = active.copy()  # gradient out of date: the last trial was accepted
+    while True:
+        active &= taken < iters
+        new = np.flatnonzero(active & stale)
+        if new.size:
+            tn = t[new]
+            uh = u[new].conj().swapaxes(-1, -2)
+            vh = v[new].conj().swapaxes(-1, -2)
+            gu[new] = tn @ vh - np.conj(eta) * (vh @ tn)
+            gv[new] = uh @ tn - np.conj(eta) * (tn @ uh)
+            gnorm2[new] = _fro2(gu[new]) + _fro2(gv[new])
+            active[new] = gnorm2[new] >= 1e-30
+        active &= step > 1e-14
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            return u, v
+        s = step[idx, None, None]
+        w = polar_unitary(np.stack((u[idx] - s * gu[idx], v[idx] - s * gv[idx])))
+        t2 = twisted_commutator(w[0], w[1], alpha)
+        f2 = _fro2(t2)
+        ok = f2 <= fval[idx] - 1e-4 * step[idx] * gnorm2[idx]
+        acc = idx[ok]
+        u[acc], v[acc], t[acc], fval[acc] = w[0, ok], w[1, ok], t2[ok], f2[ok]
+        step[acc] = np.minimum(step[acc] * 1.3, 1.0)
+        step[idx[~ok]] *= 0.5
+        taken[acc] += 1
+        stale[:] = False
+        stale[acc] = True
 
 
 def brute_min(g: int, alpha: float, spec: NormSpec = OPERATOR,
@@ -221,28 +250,35 @@ def brute_min(g: int, alpha: float, spec: NormSpec = OPERATOR,
 
     One-sided oracle for the closed form: the returned value can never fall
     below lambda_min (up to numerical tolerance).  Restart r starts from Haar
-    unitaries drawn from default_rng([seed, r]), so runs are reproducible.
-    Restricted to g <= 4; the cost grows quickly beyond desk scale.
+    unitaries u0, v0 drawn in that order from default_rng([seed, r]), so runs
+    are reproducible.  All restarts descend together as one (restarts, g, g)
+    stack, but independently: restart r ends on the same pair whatever the
+    number of restarts.  Restricted to 1 <= g <= 4; the cost grows quickly
+    beyond desk scale.
 
     Returns the best value found in the requested norm; with trace=True also
-    returns the list of final (u, v) pairs, one per restart.
+    returns the list of final (u, v) pairs, one per restart, as views into
+    one stack.
     """
-    if g > 4:
-        raise ValueError("brute_min is restricted to g <= 4")
+    if not 1 <= g <= 4:
+        raise ValueError(f"brute_min is restricted to 1 <= g <= 4, got {g}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    best = math.inf
-    finals = []
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
+    if not (math.isfinite(step0) and step0 > 0):
+        raise ValueError(f"step0 must be finite and positive, got {step0}")
+    if spec.k > g:
+        raise ValueError(f"k = {spec.k} exceeds dimension {g}")
+    u0 = np.empty((restarts, g, g), dtype=np.complex128)
+    v0 = np.empty_like(u0)
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        u0 = haar_unitary(g, rng)
-        v0 = haar_unitary(g, rng)
-        u, v = _descend(u0, v0, alpha, iters=iters, step0=step0)
-        val = schatten_kyfan_norm(twisted_commutator(u, v, alpha), spec)
-        if val < best:
-            best = val
-        if trace:
-            finals.append((u, v))
+        u0[r] = haar_unitary(g, rng)
+        v0[r] = haar_unitary(g, rng)
+    u, v = _descend(u0, v0, alpha, iters=iters, step0=step0)
+    t = twisted_commutator(u, v, alpha)
+    best = min(schatten_kyfan_norm(t_r, spec) for t_r in t)
     if trace:
-        return best, finals
+        return best, list(zip(u, v))
     return best

@@ -155,6 +155,11 @@ class TestCertifySingle:
         with pytest.raises(ValueError):
             certify_single(0.3, -0.1)
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            certify_single(0.3, delta)
+
     def test_slack_is_distance_to_weaker_certificate(self):
         cert = certify_single(0.25, 0.5)
         assert cert.slack is not None

@@ -75,6 +75,14 @@ class TestMinima:
         assert len(doc["rows"]) == 5
         assert doc["manifest"]["command"] == "minima"
 
+    @pytest.mark.parametrize("gs", ["0", "3,-2"])
+    def test_bad_dimension_named(self, capsys, gs):
+        rc = main(["minima", "--g", gs, "--grid", "0:1:3"])
+        assert rc == 2
+        bad = gs.split(",")[-1]
+        assert capsys.readouterr().err.strip() == (
+            f"precondition violated: dimension must be positive, got {bad}")
+
     def test_worker_pool_matches_serial(self, tmp_path):
         serial, pooled = tmp_path / "s.csv", tmp_path / "p.csv"
         args = ["minima", "--g", "2,3", "--grid", "0:1:9"]
@@ -197,6 +205,15 @@ class TestCertify:
         doc = json.loads(out.read_text())
         assert doc["certificate"]["d_min"] == 3
         assert main(["check", str(out)]) == 0
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_exits_2(self, tmp_path, capsys, delta):
+        out = tmp_path / "direct.json"
+        rc = main(["certify", "--alpha", "0.3", "--delta", delta, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip()
+        assert err == f"precondition violated: delta must be finite, got {delta}"
 
     def test_missing_file_exits_1(self, tmp_path):
         rc = main(["certify", "--manifest", str(tmp_path / "nope.json")])

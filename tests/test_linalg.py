@@ -203,6 +203,39 @@ class TestPolar:
         assert np.min(np.linalg.eigvalsh((pos + pos.conj().T) / 2)) > -1e-12
 
 
+def random_stack(shape, rng):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestStacks:
+    @pytest.mark.parametrize("shape", [(7, 3, 3), (2, 5, 4, 4), (1, 6, 6)])
+    def test_equal_to_slice_wise_calls(self, shape):
+        rng = np.random.default_rng(21)
+        x, y = random_stack(shape, rng), random_stack(shape, rng)
+        w = polar_unitary(x)
+        t = twisted_commutator(x, y, 0.37)
+        assert w.shape == t.shape == shape
+        for i in np.ndindex(shape[:-2]):
+            assert np.array_equal(w[i], polar_unitary(x[i]))
+            assert np.array_equal(t[i], twisted_commutator(x[i], y[i], 0.37))
+
+    def test_rejects_non_square_mismatched_and_non_finite(self):
+        rng = np.random.default_rng(22)
+        good = random_stack((4, 3, 3), rng)
+        bad = good.copy()
+        bad[2, 1, 0] = np.nan
+        for m in (random_stack((4, 3, 2), rng), bad, np.ones(3)):
+            with pytest.raises(ValueError):
+                polar_unitary(m)
+            with pytest.raises(ValueError):
+                twisted_commutator(m, m, 0.2)
+        for other in (bad, random_stack((5, 3, 3), rng), good[0]):
+            with pytest.raises(ValueError):
+                twisted_commutator(good, other, 0.2)
+            with pytest.raises(ValueError):
+                twisted_commutator(other, good, 0.2)
+
+
 class TestUnitaryHelpers:
     def test_is_unitary(self):
         assert is_unitary(np.eye(3), 1e-12)

@@ -2,6 +2,8 @@
 saturating clock/shift family, the minimizing angle family, and the descent
 oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,14 @@ from twistcert import (
     brute_min,
     clock_matrix,
     excluded_dimensions,
+    haar_unitary,
+    is_unitary,
     lambda_min,
     lambda_upper_bound,
     optimal_angles,
     optimal_pair,
     permutation_cost,
+    polar_unitary,
     round_half_away,
     schatten_kyfan_norm,
     shift_matrix,
@@ -200,6 +205,99 @@ class TestBruteMin:
                 lhs = spectral_distance(v.conj().T @ u @ v, eta * u, 2.0)
                 rhs = np.linalg.norm(twisted_commutator(u, v, alpha))
                 assert lhs <= rhs + 1e-9
+
+
+def _descend_one(u, v, alpha, iters, step0):
+    """The descent one restart at a time, as it was before restarts were
+    stacked; kept verbatim as the oracle for the batched descent."""
+    eta = np.exp(2j * np.pi * alpha)
+    step = step0
+    t = twisted_commutator(u, v, alpha)
+    fval = float(np.linalg.norm(t) ** 2)
+    for _ in range(iters):
+        gu = t @ v.conj().T - np.conj(eta) * (v.conj().T @ t)
+        gv = u.conj().T @ t - np.conj(eta) * (t @ u.conj().T)
+        gnorm2 = float(np.linalg.norm(gu) ** 2 + np.linalg.norm(gv) ** 2)
+        if gnorm2 < 1e-30:
+            break
+        improved = False
+        while step > 1e-14:
+            u2 = polar_unitary(u - step * gu)
+            v2 = polar_unitary(v - step * gv)
+            t2 = twisted_commutator(u2, v2, alpha)
+            f2 = float(np.linalg.norm(t2) ** 2)
+            if f2 <= fval - 1e-4 * step * gnorm2:
+                u, v, t, fval = u2, v2, t2, f2
+                step = min(step * 1.3, 1.0)
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+    return u, v
+
+
+def _brute_min_one(g, alpha, spec, restarts=50, seed=0, iters=300, step0=0.25):
+    best = math.inf
+    finals = []
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        u0 = haar_unitary(g, rng)
+        v0 = haar_unitary(g, rng)
+        u, v = _descend_one(u0, v0, alpha, iters=iters, step0=step0)
+        best = min(best, schatten_kyfan_norm(twisted_commutator(u, v, alpha), spec))
+        finals.append((u, v))
+    return best, finals
+
+
+class TestBatchedDescent:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_matches_one_restart_at_a_time(self, g, seed):
+        for alpha in (0.05, 0.21, 0.37, 0.5, 0.73, 0.95):
+            best, finals = brute_min(g, alpha, OP, restarts=12, seed=seed,
+                                     iters=120, trace=True)
+            want, want_finals = _brute_min_one(g, alpha, OP, restarts=12,
+                                               seed=seed, iters=120)
+            assert abs(best - want) <= 1e-9
+            assert len(finals) == len(want_finals) == 12
+            for (u, v), (u1, v1) in zip(finals, want_finals):
+                assert np.max(np.abs(u - u1)) <= 1e-8
+                assert np.max(np.abs(v - v1)) <= 1e-8
+                assert is_unitary(u, 1e-10) and is_unitary(v, 1e-10)
+
+    def test_restarts_are_independent(self):
+        for g, alpha in ((2, 0.3), (3, 0.61), (4, 0.12)):
+            _, few = brute_min(g, alpha, OP, restarts=7, seed=11, trace=True)
+            _, many = brute_min(g, alpha, OP, restarts=50, seed=11, trace=True)
+            for (u, v), (u1, v1) in zip(few, many[:7]):
+                assert np.array_equal(u, u1) and np.array_equal(v, v1)
+
+    def test_finals_are_views_into_one_stack(self):
+        _, finals = brute_min(3, 0.4, OP, restarts=5, seed=1, iters=20, trace=True)
+        base = finals[0][0].base
+        assert base is not None
+        assert all(u.base is base for u, _ in finals)
+
+    def test_zero_iterations_returns_the_starts(self):
+        _, finals = brute_min(2, 0.3, OP, restarts=3, seed=4, iters=0, trace=True)
+        for r, (u, v) in enumerate(finals):
+            rng = np.random.default_rng([4, r])
+            assert np.array_equal(u, haar_unitary(2, rng))
+            assert np.array_equal(v, haar_unitary(2, rng))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"iters": -5}, {"step0": -1.0}, {"step0": 0.0}, {"step0": math.nan},
+        {"step0": math.inf}, {"spec": NormSpec(2.0, 3)}, {"restarts": 0},
+    ])
+    def test_rejects_bad_arguments(self, kwargs):
+        with pytest.raises(ValueError):
+            brute_min(2, 0.3, **kwargs)
+
+    @pytest.mark.parametrize("g", [0, -1, 5])
+    def test_rejects_bad_dimension(self, g):
+        with pytest.raises(ValueError, match="1 <= g <= 4"):
+            brute_min(g, 0.3)
 
 
 class TestExcludedDimensions:
