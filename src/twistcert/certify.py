@@ -298,6 +298,9 @@ def certify_double(d1: int, d2: int, gamma: float, delta: float,
     """
     if not (2 <= d1 <= d2):
         raise ValueError(f"need 2 <= d1 <= d2, got d1={d1}, d2={d2}")
+    for name, value in (("gamma", gamma), ("delta", delta)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if gamma < 0 or delta < 0:
         raise ValueError("gamma and delta must be nonnegative")
     lhs, rhs = _double_threshold(d1, d2, gamma, delta)

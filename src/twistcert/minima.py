@@ -93,6 +93,8 @@ def lambda_min(g: int, alpha: float, spec: NormSpec = OPERATOR) -> float:
         raise ValueError(f"closed form requires p >= 2, got p = {spec.p}")
     if spec.k > g:
         raise ValueError(f"k = {spec.k} exceeds dimension {g}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     m = round_half_away(g * alpha)
     prefactor = 1.0 if math.isinf(spec.p) else spec.k ** (1.0 / spec.p)
     return float(2.0 * prefactor * np.sin(np.pi * abs(m - g * alpha) / g))
@@ -113,6 +115,8 @@ def excluded_dimensions(delta: float, alpha: float, g_max: int,
     The minimum is not monotone in g, so this is a classification rather than
     a single threshold.  For k > g the norm is evaluated with k clamped to g.
     """
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     out = []

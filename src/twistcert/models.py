@@ -108,7 +108,11 @@ def _excited_block(code_ops: list[np.ndarray], spec: ModelSpec,
     phase, tensor the spectrum block with the identity, and conjugate
     everything by one Haar unitary.  All mutual (twisted) commutation
     relations of the code operators are preserved exactly because the diagonal
-    extras commute."""
+    extras commute.
+
+    The tensor factors are never formed: W kron(op, diag(phases)) is W with
+    its columns, grouped as (code, q), mixed by op and scaled by the phases,
+    O(n^2 code) work, so each conjugation costs one n^3 product."""
     code = spec.code_dim
     q = spec.n_excited // code
     w = haar_unitary(spec.n_excited, rng)
@@ -116,20 +120,24 @@ def _excited_block(code_ops: list[np.ndarray], spec: ModelSpec,
         levels = np.full(q, spec.gap)
     else:
         levels = rng.uniform(spec.gap, 2.0 * spec.gap, size=q)
-    d = w @ np.kron(np.eye(code), np.diag(levels)) @ w.conj().T
+    w_h = w.conj().T
+    d = (w * np.tile(levels, code)) @ w_h
+    w3 = w.reshape(spec.n_excited, code, q)  # w3[x, a, i] = w[x, a q + i]
     lifted = []
     for op in code_ops:
         phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=q))
-        lifted.append(w @ np.kron(op, np.diag(phases)) @ w.conj().T)
+        block = op.T @ w3  # block[x, a, i] = sum_b w3[x, b, i] op[b, a]
+        block *= phases
+        lifted.append(block.reshape(spec.n_excited, -1) @ w_h)
     return d, lifted
 
 
 def _assemble(spec: ModelSpec, code_ops: list[np.ndarray]):
-    """Build (H, P, lifted ops, band data) for the perturbed instance.
+    """Build (band, lifted ops) for the perturbed instance.
 
-    The band projector and the effective gap/width are recomputed from the
-    perturbed spectrum (the g lowest eigenvalues), not taken on trust from the
-    nominal parameters."""
+    The band is the g lowest eigenvectors of the perturbed H, with the
+    effective gap and width read off the same spectrum (`BandSpec.lowest`),
+    not taken on trust from the nominal parameters."""
     code = spec.code_dim
     n = code + spec.n_excited
     rng = np.random.default_rng(spec.seed)
@@ -144,19 +152,12 @@ def _assemble(spec: ModelSpec, code_ops: list[np.ndarray]):
         full[:code, :code] = op_code
         full[code:, code:] = op_exc
         ops.append(full)
+    del d_block, lifted  # copied into h and ops: not held through the band's n^3 work
 
     s = spec.perturbation_strength
     if s > 0:
         h = h + s * hermitian_perturbation(n, rng)
-    h = (h + h.conj().T) / 2.0
-
-    evals, evecs = np.linalg.eigh(h)
-    band_vecs = evecs[:, :code]
-    p = band_vecs @ band_vecs.conj().T
-    p = (p + p.conj().T) / 2.0
-    gap_eff = float(np.min(np.abs(evals[code:])))
-    width_eff = float(np.max(np.abs(evals[:code]))) if code else 0.0
-    return h, p, ops, gap_eff, width_eff
+    return BandSpec.lowest(h, code), ops
 
 
 @dataclass
@@ -208,10 +209,7 @@ def clock_model(spec: ModelSpec) -> ClockModel:
     if spec.kind not in ("clock-block", "flat-band"):
         raise ValueError(f"clock_model got kind {spec.kind!r}")
     g = spec.g
-    h, p, (u, v), gap_eff, width_eff = _assemble(
-        spec, [clock_matrix(g), shift_matrix(g)]
-    )
-    band = BandSpec(h, p, gap=gap_eff, width=width_eff)
+    band, (u, v) = _assemble(spec, [clock_matrix(g), shift_matrix(g)])
     return ClockModel(spec=spec, band=band, u=u, v=v, alpha=1.0 / g)
 
 
@@ -260,10 +258,8 @@ def tensor_double_model(spec: ModelSpec) -> TensorDoubleModel:
         np.kron(shift_matrix(g), eye2),
         np.kron(eye1, shift_matrix(g2)),
     ]
-    h, p, (u1, u2, v1, v2), gap_eff, width_eff = _assemble(spec, code_ops)
-
+    band, (u1, u2, v1, v2) = _assemble(spec, code_ops)
     gamma, deltas = pair_values(u1, u2, v1, v2, g, g2)
-    band = BandSpec(h, p, gap=gap_eff, width=width_eff)
     return TensorDoubleModel(
         spec=spec, band=band, u1=u1, u2=u2, v1=v1, v2=v2,
         alpha1=1.0 / g, alpha2=1.0 / g2, gamma=gamma, deltas=deltas,

@@ -49,19 +49,50 @@ def sqrt_defect(x: float) -> float:
     return 1.0 - np.sqrt(1.0 - x)
 
 
+class _LowestBand:
+    """The band argument of `BandSpec.lowest`: the `rank` lowest eigenvectors
+    of H, taken from the constructor's own eigh."""
+
+    def __init__(self, rank: int):
+        self.rank = rank
+
+    def pick(self, evals: np.ndarray, evecs: np.ndarray):
+        """(P, gap, width) of the band from an ascending eigensystem."""
+        n = evals.size
+        if not 0 < self.rank < n:
+            raise ValueError(f"band rank must lie in [1, {n - 1}], got {self.rank}")
+        vecs = evecs[:, :self.rank]
+        p = vecs @ vecs.conj().T
+        return ((p + p.conj().T) / 2.0, float(np.min(np.abs(evals[self.rank:]))),
+                float(np.max(np.abs(evals[:self.rank]))))
+
+
 class BandSpec:
     """A Hermitian H together with an orthogonal projector P onto a gapped
     band, the gap `gap` (distance of the complement spectrum from zero) and
     the width `width` = ||H P||_2 (norm of H on the band).
 
-    Validates on construction:
+    Validates on construction, from one eigh of (H + H^dag) / 2:
       * H Hermitian, P an orthogonal projector (to tolerance),
       * each eigenvector of H lies in range(P) or its complement,
       * ||H P||_2 <= width  and  H^2 >= gap^2 (I - P).
 
     Relative tolerances scale with max(1, ||H||_2), read off the spectrum of
     (H + H^dag) / 2; each "||X||_2 <= t" check runs an SVD only when the
-    Frobenius norm of X exceeds t.
+    Frobenius norm of X exceeds t.  The last two checks are first decided by
+    bounds drawn from the eigensystem, with V the in-band eigenvectors and
+    D = ||P - V V^dag||_F:
+
+        ||H P||_2                       <= ||H V||_2 + ||H||_2 D,
+        lambda_min(H^2 - gap^2 (I - P)) >= min_j (lambda_j^2 - gap^2 [j excited])
+                                           - gap^2 D   (Weyl),
+
+    each widened by a few n u ||H|| eigh backward errors (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 3).  Only when a bound leaves
+    the decision open does the check run its dense form (the n x n SVD of
+    H P, the eigvalsh of H^2 - gap^2 (I - P)), so every accept, reject and
+    message is the one the dense checks give; an omitted width is always
+    measured by that SVD.
 
     When `gap` or `width` is omitted it is computed from the spectrum.  A
     supplied gap may understate but never overstate the actual gap (the
@@ -72,11 +103,14 @@ class BandSpec:
     def __init__(self, h, p, gap: float | None = None, width: float | None = None,
                  tol: Tolerances = DEFAULT_TOL):
         h = as_matrix(h, square=True)
-        p = as_matrix(p, square=True)
-        if h.shape != p.shape:
-            raise ValueError(f"dimension mismatch: H {h.shape} vs P {p.shape}")
         self.h = (h + h.conj().T) / 2.0
         evals, evecs = np.linalg.eigh(self.h)
+        if isinstance(p, _LowestBand):
+            p, gap, width = p.pick(evals, evecs)
+        else:
+            p = as_matrix(p, square=True)
+            if h.shape != p.shape:
+                raise ValueError(f"dimension mismatch: H {h.shape} vs P {p.shape}")
         scale = max(1.0, float(np.max(np.abs(evals))))
         skew = h - h.conj().T
         # ||sym(H)||_2 <= ||H||_2: passing against the eigenvalue scale passes
@@ -96,7 +130,8 @@ class BandSpec:
         if self.rank < 1:
             raise ValueError("band projector has rank 0")
 
-        weights = np.linalg.norm(self.p @ evecs, axis=0) ** 2
+        pe = self.p @ evecs
+        weights = np.linalg.norm(pe, axis=0) ** 2
         mix = np.minimum(weights, 1.0 - weights)
         if np.max(mix) > 1e-6:
             raise ValueError(
@@ -111,12 +146,23 @@ class BandSpec:
         self._band_evecs = evecs[:, in_band]
         self._excited_evals = evals[~in_band]
 
-        width_actual = float(np.linalg.norm(self.h @ self.p, 2))
         if self._excited_evals.size == 0:
             raise ValueError("band covers the whole space; no gapped complement")
         gap_actual = float(np.min(np.abs(self._excited_evals)))
 
         rel = tol.spectral_rel
+        # D = ||P - V V^dag||_F = ||P E - E [in band]||_F for unitary E, and a
+        # margin for the eigh here and the dense check each bound stands in for
+        pe[:, in_band] -= self._band_evecs
+        defect = float(np.linalg.norm(pe))
+        backward = 4.0 * self.dim * np.finfo(float).eps * scale
+        # a stated width settled by ||H V|| + ||H|| D needs no SVD of H P
+        width_actual = None
+        if width is None or not (
+                float(np.linalg.norm(self.h @ self._band_evecs, 2)) + scale * defect
+                + backward <= width * (1.0 + rel) + rel * scale):
+            width_actual = float(np.linalg.norm(self.h @ self.p, 2))
+
         if gap is None:
             gap = gap_actual
         elif gap > gap_actual * (1.0 + rel) + rel * scale:
@@ -125,7 +171,8 @@ class BandSpec:
             )
         if width is None:
             width = width_actual
-        elif width < width_actual * (1.0 - rel) - rel * scale:
+        elif width_actual is not None and width < width_actual * (1.0 - rel) - rel * scale:
+            # implies the "exceeds" failure below, so a settled bound skips both
             raise ValueError(
                 f"stated width {width:.6g} understates the actual ||H P|| "
                 f"{width_actual:.6g}"
@@ -138,12 +185,23 @@ class BandSpec:
         self.width = float(width)
 
         # operational invariants
-        if width_actual > self.width * (1.0 + rel) + rel * scale:
+        if width_actual is not None and width_actual > self.width * (1.0 + rel) + rel * scale:
             raise ValueError("||H P|| exceeds the stated width")
-        h2 = self.h @ self.h - self.gap ** 2 * (np.eye(self.dim) - self.p)
-        min_eig = float(np.min(np.linalg.eigvalsh((h2 + h2.conj().T) / 2.0)))
-        if min_eig < -rel * scale ** 2:
-            raise ValueError("H^2 >= gap^2 (I - P) fails to tolerance")
+        floor = min(float(np.min(self._band_evals ** 2)),
+                    float(np.min(self._excited_evals ** 2 - self.gap ** 2)))
+        if not (floor - self.gap ** 2 * defect - backward * scale >= -rel * scale ** 2):
+            h2 = self.h @ self.h - self.gap ** 2 * (np.eye(self.dim) - self.p)
+            min_eig = float(np.min(np.linalg.eigvalsh((h2 + h2.conj().T) / 2.0)))
+            if min_eig < -rel * scale ** 2:
+                raise ValueError("H^2 >= gap^2 (I - P) fails to tolerance")
+
+    @classmethod
+    def lowest(cls, h, rank: int, tol: Tolerances = DEFAULT_TOL) -> "BandSpec":
+        """The band of the `rank` lowest eigenvalues of (H + H^dag) / 2, with
+        gap = min |lambda| over the rest and width = max |lambda| over the
+        band, all from the constructor's one eigh, then validated like any
+        stated band."""
+        return cls(h, _LowestBand(int(rank)), tol=tol)
 
     @cached_property
     def band_basis(self) -> np.ndarray:
@@ -239,14 +297,18 @@ def ground_symmetry(u, band: BandSpec, spec: NormSpec = OPERATOR,
     with k above the band rank is clamped so the same norm applies on the
     band.
 
-    With B the band basis, A = B^dag U B, W its polar factor and thin QRs
-    Pbar U B = Q_f R_f and Pbar U^dag B = Q_e R_e,
+    With B the band basis (so P = B B^dag), A = B^dag U B, W its polar
+    factor and thin QRs Pbar U B = Q_f R_f and Pbar U^dag B = Q_e R_e,
 
+        full     = B W B^dag + Pbar U Pbar
+                 = U - (U B) B^dag - B (U^dag B)^dag + B (A + W) B^dag,
         U - full = [B, Q_f] [[A - W, R_e^dag], [R_f, 0]] [B, Q_e]^dag.
 
-    The core's singular values depend on R_f and R_e only through R^dag R,
-    so the outer factors may be taken with orthonormal columns: ||U - full||
-    is the norm of the 2 rank x 2 rank core and ||P (U - full) P|| = ||A - W||.
+    Everything is formed from U B, U^dag B and B in O(n^2 rank), with no
+    n x n product.  The core's singular values depend on R_f and R_e only
+    through R^dag R, so the outer factors may be taken with orthonormal
+    columns: ||U - full|| is the norm of the 2 rank x 2 rank core and
+    ||P (U - full) P|| = ||A - W||.
     """
     u = as_matrix(u, square=True)
     spec = _band_norm(spec, band)
@@ -257,17 +319,18 @@ def ground_symmetry(u, band: BandSpec, spec: NormSpec = OPERATOR,
             f"xi = (epsilon + width)/gap = {xi:.6g} >= 1; restriction bounds are void"
         )
     basis = band.band_basis
+    basis_h = basis.conj().T
     ub = u @ basis
-    block = basis.conj().T @ ub
+    udb = u.conj().T @ basis
+    block = basis_h @ ub
     w = polar_unitary(block)
-    pb = band.p_bar
-    full = basis @ w @ basis.conj().T + pb @ u @ pb
+    full = u - ub @ basis_h - basis @ (udb.conj().T - (block + w) @ basis_h)
 
     g = band.rank
     core = np.zeros((2 * g, 2 * g), dtype=complex)
     core[:g, :g] = block - w
-    core[:g, g:] = np.linalg.qr(pb @ (u.conj().T @ basis), mode="r").conj().T
-    core[g:, :g] = np.linalg.qr(pb @ ub, mode="r")
+    core[:g, g:] = np.linalg.qr(udb - basis @ block.conj().T, mode="r").conj().T
+    core[g:, :g] = np.linalg.qr(ub - basis @ block, mode="r")
 
     fx = sqrt_defect(xi ** 2)
     dist_full = schatten_kyfan_norm(core, spec)

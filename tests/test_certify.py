@@ -324,6 +324,13 @@ class TestCertifyDouble:
         with pytest.raises(ValueError):
             certify_double(3, 2, 0.0, 0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["gamma", "delta"])
+    def test_non_finite_value_rejected(self, name, value):
+        values = {"gamma": 1e-6, "delta": 1e-4, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            certify_double(2, 3, values["gamma"], values["delta"])
+
 
 class TestLambdaExclusion:
     def test_exact_twist(self):

@@ -83,6 +83,12 @@ class TestMinima:
         assert capsys.readouterr().err.strip() == (
             f"precondition violated: dimension must be positive, got {bad}")
 
+    def test_non_finite_alpha_named(self, capsys):
+        rc = main(["minima", "--g", "3", "--grid", "nan:nan:1"])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == (
+            "precondition violated: alpha must be finite, got nan")
+
     def test_worker_pool_matches_serial(self, tmp_path):
         serial, pooled = tmp_path / "s.csv", tmp_path / "p.csv"
         args = ["minima", "--g", "2,3", "--grid", "0:1:9"]
@@ -227,36 +233,63 @@ class TestCertify:
         assert rc == 1
 
 
+def count_factorizations(monkeypatch, n):
+    """Counters of n x n SVD, eigh and eigvalsh calls and of Schur calls of
+    any shape, patched into numpy and scipy for the rest of the test."""
+    counts = {"svd": 0, "eigh": 0, "eigvalsh": 0, "schur": 0}
+
+    def counting(kind, fn, square_only):
+        def wrapper(a, *args, **kwargs):
+            if not square_only or np.shape(a) == (n, n):
+                counts[kind] += 1
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    svd = counting("svd", np.linalg.svd, square_only=True)
+    inner = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    monkeypatch.setattr(inner, "svd", svd)  # reached by np.linalg.norm(x, 2)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    for kind in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, kind,
+                            counting(kind, getattr(np.linalg, kind), square_only=True))
+    monkeypatch.setattr(scipy.linalg, "schur",
+                        counting("schur", scipy.linalg.schur, square_only=False))
+    return counts
+
+
 class TestFactorizationBudget:
     def test_single_pair_certify(self, tmp_path, monkeypatch):
-        """certify --manifest on a single pair runs at most five dense n x n
-        SVDs (perturbation scale, ||H P||, two epsilons, ambient delta) and
-        no Schur reduction."""
+        """certify --manifest on a single pair runs at most four dense n x n
+        SVDs (perturbation scale, two epsilons, ambient delta), the model's
+        one eigh, no eigvalsh and no Schur reduction."""
         n = 63
         spec = ModelSpec(kind="clock-block", g=3, n_excited=n - 3, gap=1.0, seed=9,
                          width=0.02, perturbation_strength=0.01)
         manifest = tmp_path / "model.json"
         manifest.write_text(spec.to_json())
-        counts = {"svd": 0, "schur": 0}
-
-        def counting(kind, fn, square_only):
-            def wrapper(a, *args, **kwargs):
-                if not square_only or np.shape(a) == (n, n):
-                    counts[kind] += 1
-                return fn(a, *args, **kwargs)
-            return wrapper
-
-        svd = counting("svd", np.linalg.svd, square_only=True)
-        inner = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
-        monkeypatch.setattr(inner, "svd", svd)  # reached by np.linalg.norm(x, 2)
-        monkeypatch.setattr(np.linalg, "svd", svd)
-        monkeypatch.setattr(scipy.linalg, "schur",
-                            counting("schur", scipy.linalg.schur, square_only=False))
+        counts = count_factorizations(monkeypatch, n)
         rc = main(["certify", "--manifest", str(manifest),
                    "--out", str(tmp_path / "cert.json")])
         assert rc == 0
-        assert counts["svd"] <= 5
+        assert counts["svd"] <= 4
+        assert counts["eigh"] == 1
+        assert counts["eigvalsh"] == 0
         assert counts["schur"] == 0
+
+    def test_tensor_double_certify(self, tmp_path, monkeypatch):
+        """The two-pair pipeline diagonalizes H once, inside the model's
+        BandSpec."""
+        n = 66
+        spec = ModelSpec(kind="tensor-double", g=2, g2=3, n_excited=n - 6, gap=1.0,
+                         seed=9, perturbation_strength=0.005)
+        manifest = tmp_path / "model.json"
+        manifest.write_text(spec.to_json())
+        counts = count_factorizations(monkeypatch, n)
+        rc = main(["certify", "--manifest", str(manifest),
+                   "--out", str(tmp_path / "cert.json")])
+        assert rc == 0
+        assert counts["eigh"] == 1
+        assert counts["eigvalsh"] == 0
 
 
 class TestReports:

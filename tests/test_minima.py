@@ -308,3 +308,8 @@ class TestExcludedDimensions:
         # twist 1/3 with tiny value: dimensions not divisible by 3 excluded
         excl = excluded_dimensions(1e-3, 1.0 / 3.0, 9)
         assert set(excl) == {1, 2, 4, 5, 7, 8}
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="^delta must be finite"):
+            excluded_dimensions(delta, 0.3, 5)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from twistcert import (
+    DEFAULT_TOL,
     BandSpec,
     ModelSpec,
     NormSpec,
@@ -284,6 +285,178 @@ class TestFactorOnceForms:
             assert gs.dist_band_measured == pytest.approx(
                 schatten_kyfan_norm(p @ diff @ p, spec), abs=1e-12)
             assert gs.dist_full_measured > 1e-6  # a nontrivial instance
+
+
+def spectral_pair(band_levels, excited_levels, seed):
+    """(H, P): the levels on a seeded Haar basis, with P formed from the band
+    columns of that basis rather than by an eigensolver."""
+    levels = np.concatenate([band_levels, excited_levels])
+    w = haar_unitary(levels.size, np.random.default_rng(seed))
+    g = len(band_levels)
+    return (w * levels) @ w.conj().T, w[:, :g] @ w[:, :g].conj().T
+
+
+def dense_band_check(h, p, gap=None, width=None, rel=DEFAULT_TOL.spectral_rel):
+    """The gap and width checks of BandSpec decided by the n x n SVD of H P
+    and the eigvalsh of H^2 - gap^2 (I - P) alone, in the constructor's
+    order: the message of the first failing check, or None."""
+    h = (h + h.conj().T) / 2.0
+    p = (p + p.conj().T) / 2.0
+    evals, evecs = np.linalg.eigh(h)
+    scale = max(1.0, float(np.max(np.abs(evals))))
+    in_band = np.linalg.norm(p @ evecs, axis=0) ** 2 > 0.5
+    gap_actual = float(np.min(np.abs(evals[~in_band])))
+    width_actual = float(np.linalg.norm(h @ p, 2))
+    if gap is None:
+        gap = gap_actual
+    elif gap > gap_actual * (1.0 + rel) + rel * scale:
+        return f"stated gap {gap:.6g} overstates the actual gap {gap_actual:.6g}"
+    if width is None:
+        width = width_actual
+    elif width < width_actual * (1.0 - rel) - rel * scale:
+        return (f"stated width {width:.6g} understates the actual ||H P|| "
+                f"{width_actual:.6g}")
+    if width_actual > width * (1.0 + rel) + rel * scale:
+        return "||H P|| exceeds the stated width"
+    h2 = h @ h - gap ** 2 * (np.eye(h.shape[0]) - p)
+    if np.min(np.linalg.eigvalsh((h2 + h2.conj().T) / 2.0)) < -rel * scale ** 2:
+        return "H^2 >= gap^2 (I - P) fails to tolerance"
+    return None
+
+
+def band_outcome(h, p, gap=None, width=None):
+    try:
+        BandSpec(h, p, gap=gap, width=width)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@pytest.fixture
+def dense_checks(monkeypatch):
+    """Counts of the dense checks' n x n SVDs (np.linalg.norm(x, 2)) and
+    eigvalsh calls made inside BandSpec."""
+    counts = {"svd": 0, "eigvalsh": 0}
+    norm, eigvalsh = np.linalg.norm, np.linalg.eigvalsh
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2 and x.shape[0] == x.shape[1] > 1:
+            counts["svd"] += 1
+        return norm(x, ord, *args, **kwargs)
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        counts["eigvalsh"] += 1
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    return counts
+
+
+class TestSpectralBounds:
+    """BandSpec's eigensystem bounds decide exactly as the dense SVD and
+    eigvalsh checks they stand in for, right at the tolerance edges, and
+    leave the dense checks unrun away from them."""
+
+    rel = DEFAULT_TOL.spectral_rel
+
+    def width_edge_case(self):
+        h, p = spectral_pair([0.04, -0.03, 0.01], [1.0, 1.4, 1.9, 2.0], seed=31)
+        hs, ps = (h + h.conj().T) / 2.0, (p + p.conj().T) / 2.0
+        width_actual = float(np.linalg.norm(hs @ ps, 2))
+        scale = max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(hs)))))
+        # the stated width at which ||H P|| <= width (1 + rel) + rel scale is tight
+        edge = (width_actual - self.rel * scale) / (1.0 + self.rel)
+        return h, p, width_actual, edge
+
+    def test_width_at_the_edge(self):
+        h, p, _, edge = self.width_edge_case()
+        outcomes = set()
+        # the "understates" edge lies a few tens of ulps below: cover both
+        for k in range(-40, 9, 2):
+            width = edge + k * np.spacing(edge)
+            outcome = band_outcome(h, p, width=width)
+            assert outcome == dense_band_check(h, p, width=width), k
+            outcomes.add(outcome and outcome.split(" ")[1])
+        assert outcomes == {None, "width", "P||"}  # pass, understates, exceeds
+
+    def test_width_away_from_the_edge(self, dense_checks):
+        h, p, width_actual, _ = self.width_edge_case()
+        dense_checks.update(svd=0, eigvalsh=0)  # count BandSpec's calls only
+        assert band_outcome(h, p, width=1.5 * width_actual) is None
+        assert band_outcome(h, p, width=width_actual * (1.0 + 1e-6)) is None
+        assert dense_checks["svd"] == 0
+        message = band_outcome(h, p, width=0.5 * width_actual)
+        assert dense_checks["svd"] == 1
+        assert message.startswith("stated width")
+        assert message == dense_band_check(h, p, width=0.5 * width_actual)
+
+    def gap_edge_case(self):
+        h, p = spectral_pair([0.05, -0.02], [1.0, 1.2, 1.7, 2.0, 2.0], seed=32)
+        hs, ps = (h + h.conj().T) / 2.0, (p + p.conj().T) / 2.0
+        evals = np.linalg.eigvalsh(hs)
+        in_band = np.abs(evals) < 0.5
+        gap_actual = float(np.min(np.abs(evals[~in_band])))
+        scale = max(1.0, float(np.max(np.abs(evals))))
+        # the stated gap at which min eig(H^2 - gap^2 (I - P)) = -rel scale^2
+        return h, p, gap_actual ** 2 + self.rel * scale ** 2
+
+    def test_gap_at_the_edge(self):
+        h, p, edge_sq = self.gap_edge_case()
+        width = 0.1  # settled away from its edge
+        outcomes = []
+        for k in range(-40, 41, 4):
+            gap = float(np.sqrt(edge_sq + k * 1e-15))
+            outcome = band_outcome(h, p, gap=gap, width=width)
+            assert outcome == dense_band_check(h, p, gap=gap, width=width), k
+            outcomes.append(outcome)
+        assert set(outcomes) == {None, "H^2 >= gap^2 (I - P) fails to tolerance"}
+
+    def test_gap_away_from_the_edge(self, dense_checks):
+        h, p, edge_sq = self.gap_edge_case()
+        dense_checks.update(svd=0, eigvalsh=0)  # count BandSpec's calls only
+        assert band_outcome(h, p, gap=float(np.sqrt(edge_sq - 1e-10)), width=0.1) is None
+        assert band_outcome(h, p, gap=0.9, width=0.1) is None
+        assert dense_checks == {"svd": 0, "eigvalsh": 0}
+        gap = float(np.sqrt(edge_sq + 1e-10))
+        message = band_outcome(h, p, gap=gap, width=0.1)
+        assert dense_checks == {"svd": 0, "eigvalsh": 1}
+        assert message == "H^2 >= gap^2 (I - P) fails to tolerance"
+        assert message == dense_band_check(h, p, gap=gap, width=0.1)
+
+
+class TestLowestBand:
+    @pytest.mark.parametrize("rank", [1, 3, 5])
+    def test_equals_band_from_separate_eigh(self, rank):
+        h, _ = spectral_pair(np.linspace(-0.1, 0.1, 5), np.linspace(1.0, 2.5, 6), seed=33)
+        h = h + 1e-13 * haar_unitary(11, 34)  # not exactly Hermitian
+        lowest = BandSpec.lowest(h, rank)
+        evals, evecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+        p = evecs[:, :rank] @ evecs[:, :rank].conj().T
+        ref = BandSpec(h, p, gap=float(np.min(np.abs(evals[rank:]))),
+                       width=float(np.max(np.abs(evals[:rank]))))
+        assert np.linalg.norm(lowest.p - ref.p, 2) <= 1e-12
+        assert lowest.gap == ref.gap
+        assert lowest.width == ref.width
+        assert lowest.rank == ref.rank == rank
+        b, c = lowest.band_basis, ref.band_basis
+        assert np.linalg.norm(b @ b.conj().T - c @ c.conj().T, 2) <= 1e-12
+
+    @pytest.mark.parametrize("rank", [0, 11])
+    def test_rejects_rank_outside_the_space(self, rank):
+        h, _ = spectral_pair([0.0], np.linspace(1.0, 2.0, 10), seed=35)
+        with pytest.raises(ValueError, match="band rank must lie in"):
+            BandSpec.lowest(h, rank)
+
+
+class TestGroundSymmetryFull:
+    @pytest.mark.parametrize("name", FACTOR_ONCE_CASES)
+    def test_full_equals_dense_form(self, name):
+        band, u = factor_once_case(name)
+        gs = ground_symmetry(u, band)
+        b = band.band_basis
+        dense = b @ gs.on_band @ b.conj().T + band.p_bar @ u @ band.p_bar
+        assert np.linalg.norm(gs.full - dense, 2) <= 1e-12
 
 
 class TestRestrictPair:
