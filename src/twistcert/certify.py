@@ -64,6 +64,11 @@ METHODS = (
 
 # Arc systems below this twisted commutation value are too large to sweep.
 _MIN_DELTA = 1e-6
+# Resolution of the slack search.  The sweep compares angles below 2 pi, each
+# a few roundings off, and an arc's half-width arccos(1 - |j| delta) grows at
+# least as fast as delta, so a computed packing event lies within this
+# distance of the delta at which the sweep's answer changes.
+_EVENT_STEP = 2.0 ** -48
 
 
 @dataclass(frozen=True)
@@ -124,18 +129,24 @@ def eigenvalue_arc(zeta: float, theta: float) -> Arc:
                index=0)
 
 
-def _arc_arrays(alpha: float, delta: float):
-    """Orbit powers j != 0 with |j| delta < 2, with their arc half-widths
-    arccos(1 - |j| delta) and centers 2 pi alpha j (mod 2 pi)."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    jmax = int(math.floor(2.0 / delta))
-    js = np.arange(-jmax, jmax + 1)
-    js = js[js != 0]
+def _arcs(alpha: float, delta: float, js: np.ndarray):
+    """The arcs of the orbit powers js at delta: powers with |j| delta >= 2
+    give the full circle and are skipped, so arccos never leaves [-1, 1];
+    the rest get half-widths arccos(1 - |j| delta) and centers
+    2 pi alpha j (mod 2 pi)."""
     z = np.abs(js) * delta
     keep = z < 2.0
     js = js[keep]
     return js, np.arccos(1.0 - z[keep]), (TWO_PI * alpha * js) % TWO_PI
+
+
+def _arc_arrays(alpha: float, delta: float):
+    """Every orbit power j != 0 with |j| delta < 2, with its arc (see _arcs)."""
+    if delta <= 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    jmax = int(math.floor(2.0 / delta))
+    js = np.arange(-jmax, jmax + 1)
+    return _arcs(alpha, delta, js[js != 0])
 
 
 def build_arcs(alpha: float, delta: float) -> list[Arc]:
@@ -147,27 +158,24 @@ def build_arcs(alpha: float, delta: float) -> list[Arc]:
     return [Arc(float(c), float(h), int(j)) for c, h, j in zip(centers, half, js)]
 
 
-def minimal_intervals(alpha: float, delta: float,
-                      merge_tol: float | None = None) -> list[tuple[float, float]]:
-    """The inclusion-minimal interval system on (0, 2 pi) after forcing an
-    eigenvalue at angle 0: arcs containing 0 are discarded, the circle is
-    unfolded at 0, duplicates are merged, and intervals containing another
-    interval are dropped (stabbing the inner one stabs them both)."""
-    merge_tol = DEFAULT_TOL.angle_merge if merge_tol is None else merge_tol
-    _, half, centers = _arc_arrays(alpha, delta)
+def _minimal(js: np.ndarray, half: np.ndarray, centers: np.ndarray,
+             merge_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The body of minimal_intervals on given arcs: the powers j of the
+    inclusion-minimal intervals and their endpoints lo, hi, ascending in both
+    (hi by more than merge_tol from one interval to the next)."""
     dist0 = np.minimum(centers, TWO_PI - centers)
     away = dist0 > half + merge_tol  # arcs through the forced point drop out
-    half, centers = half[away], centers[away]
-    if half.size == 0:
-        return []
+    js, half, centers = js[away], half[away], centers[away]
     lo = (centers - half) % TWO_PI
     hi = lo + 2.0 * half
+    if js.size == 0:
+        return js, lo, hi
 
     order = np.lexsort((-hi, lo))  # lo ascending, hi descending
-    lo, hi = lo[order], hi[order]
+    js, lo, hi = js[order], lo[order], hi[order]
     dup = np.zeros(lo.size, dtype=bool)
     dup[1:] = (np.abs(np.diff(lo)) <= merge_tol) & (np.abs(np.diff(hi)) <= merge_tol)
-    lo, hi = lo[~dup], hi[~dup]
+    js, lo, hi = js[~dup], lo[~dup], hi[~dup]
     # with this ordering any interval contained in [lo_i, hi_i] appears later,
     # so interval i is minimal iff every later right endpoint exceeds hi_i
     min_hi_after = np.empty_like(hi)
@@ -175,7 +183,41 @@ def minimal_intervals(alpha: float, delta: float,
     if hi.size > 1:
         min_hi_after[:-1] = np.minimum.accumulate(hi[::-1])[::-1][1:]
     keep = min_hi_after > hi + merge_tol
-    return list(zip(lo[keep].tolist(), hi[keep].tolist()))
+    return js[keep], lo[keep], hi[keep]
+
+
+class MinimalIntervals(list):
+    """The (lo, hi) pairs of minimal_intervals; `powers` holds the orbit
+    power j whose arc gave each pair."""
+
+    def __init__(self, js: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        super().__init__(zip(lo.tolist(), hi.tolist()))
+        self.powers = js
+
+
+def minimal_intervals(alpha: float, delta: float,
+                      merge_tol: float | None = None) -> MinimalIntervals:
+    """The inclusion-minimal interval system on (0, 2 pi) after forcing an
+    eigenvalue at angle 0: arcs containing 0 are discarded, the circle is
+    unfolded at 0, duplicates are merged, and intervals containing another
+    interval are dropped (stabbing the inner one stabs them both).  The
+    returned list of (lo, hi) pairs is ascending and carries the orbit power
+    of each pair in its `powers` attribute."""
+    merge_tol = DEFAULT_TOL.angle_merge if merge_tol is None else merge_tol
+    return MinimalIntervals(*_minimal(*_arc_arrays(alpha, delta), merge_tol))
+
+
+def _stab_indices(lo: list[float], hi: list[float], merge_tol: float) -> list[int]:
+    """The greedy stabbing on intervals sorted by right endpoint: the indices
+    of the intervals whose right end becomes a stab.  Each lies more than
+    merge_tol beyond the previous one, so they form a packing."""
+    picked: list[int] = []
+    last = -math.inf
+    for i, (a, b) in enumerate(zip(lo, hi)):
+        if last < a - merge_tol:
+            picked.append(i)
+            last = b
+    return picked
 
 
 def greedy_transversal(intervals, merge_tol: float | None = None) -> list[float]:
@@ -184,12 +226,9 @@ def greedy_transversal(intervals, merge_tol: float | None = None) -> list[float]
     Optimal for interval systems (exchange argument on the earliest right
     endpoint)."""
     merge_tol = DEFAULT_TOL.angle_merge if merge_tol is None else merge_tol
-    stabs: list[float] = []
-    for lo, hi in sorted(intervals, key=lambda t: t[1]):
-        if stabs and stabs[-1] >= lo - merge_tol:
-            continue
-        stabs.append(hi)
-    return stabs
+    ordered = sorted(intervals, key=lambda t: t[1])
+    his = [hi for _, hi in ordered]
+    return [his[i] for i in _stab_indices([lo for lo, _ in ordered], his, merge_tol)]
 
 
 def _rational_twist(alpha: float, cap: int = 10 ** 6) -> tuple[int, int] | None:
@@ -202,10 +241,74 @@ def _rational_twist(alpha: float, cap: int = 10 ** 6) -> tuple[int, int] | None:
     return None
 
 
-def _certified_dim(alpha: float, delta: float, merge_tol: float) -> tuple[int, list, list]:
-    intervals = minimal_intervals(alpha, delta, merge_tol)
-    stabs = greedy_transversal(intervals, merge_tol)
-    return 1 + len(stabs), intervals, stabs
+def _packing_event(alpha: float, js: np.ndarray, merge_tol: float) -> float:
+    """The smallest delta at which the intervals of the powers js (ascending,
+    clear of angle 0 and of each other by more than merge_tol) stop forming
+    such a packing: one comes within merge_tol of angle 0, or two neighbours
+    come within merge_tol of each other.
+
+    An arc's half-width x = arccos(1 - |j| delta) is reached at
+    delta = 2 sin^2(x / 2) / |j|.  Two neighbours a = |j|, b = |k| with
+    centres c_j < c_k meet at x_j + x_k = c_k - c_j - merge_tol = 2 e; with
+    sin(x_j / 2) = sqrt(a delta / 2) and the like for k, the sine of
+    x_j / 2 = e - x_k / 2 gives
+        delta = 2 sin^2 e / (a + b + 2 sqrt(a b) cos e),
+    a root of the meeting equation while sqrt(b) + sqrt(a) cos e and
+    sqrt(a) + sqrt(b) cos e are nonnegative; otherwise an arc reaches angle 0
+    first."""
+    a = np.abs(js).astype(float)
+    centers = (TWO_PI * alpha * js) % TWO_PI
+    reach = np.minimum(centers, TWO_PI - centers) - merge_tol
+    first = float(np.min(2.0 * np.sin(reach / 2.0) ** 2 / a))
+    if js.size < 2:
+        return first
+    e = (np.diff(centers) - merge_tol) / 2.0
+    cos_e = np.cos(e)
+    ra, rb = np.sqrt(a[:-1]), np.sqrt(a[1:])
+    meet = 2.0 * np.sin(e) ** 2 / (a[:-1] + a[1:] + 2.0 * ra * rb * cos_e)
+    root = (rb + ra * cos_e >= 0.0) & (ra + rb * cos_e >= 0.0)
+    return min(first, float(np.min(meet, where=root, initial=math.inf)))
+
+
+def _slack(alpha: float, delta: float, d_min: int, powers: np.ndarray,
+           merge_tol: float) -> float:
+    """How far delta can grow while the sweep still certifies d_min (see
+    certify_single); `powers` are those of the minimal intervals at delta."""
+
+    def packing(x: float, js: np.ndarray):
+        """The powers minimal at x among js, with the powers of the greedy's
+        stabbed intervals (None when they certify less than d_min)."""
+        js, lo, hi = _minimal(*_arcs(alpha, x, js), merge_tol)
+        picked = _stab_indices(lo.tolist(), hi.tolist(), merge_tol)
+        return js, (js[picked] if len(picked) + 1 >= d_min else None)
+
+    good, bad = delta, 2.0  # no arc is left at delta = 2: it certifies 1
+    powers, pack = packing(delta, powers)
+    while pack is not None:
+        # the packing holds up to its event, which rounding misplaces by less
+        # than _EVENT_STEP: probe just past the event, then just before it
+        event = _packing_event(alpha, pack, merge_tol)
+        if event <= good:
+            break  # rounding put the event at or below the current point
+        after, before = event + _EVENT_STEP, event - _EVENT_STEP
+        if after < bad:
+            js, pack = packing(after, powers)
+            if pack is not None:
+                good, powers = after, js
+                continue
+            bad = after
+        if before <= good or packing(before, powers)[1] is not None:
+            return max(good, before) - delta
+        bad = before
+        break
+    while bad - good > _EVENT_STEP:  # bisection on the powers still minimal
+        mid = 0.5 * (good + bad)
+        js, pack = packing(mid, powers)
+        if pack is None:
+            bad = mid
+        else:
+            good, powers = mid, js
+    return good - delta
 
 
 def certify_single(alpha: float, delta: float, compute_slack: bool = True,
@@ -217,6 +320,22 @@ def certify_single(alpha: float, delta: float, compute_slack: bool = True,
     rational twist alpha = p/q (continued-fraction detection, denominator up
     to 1e6) and certifies q exactly.  Works for arbitrary alpha; at twist 1/d
     it certifies at least d for every delta below single_pair_threshold(d).
+
+    With compute_slack, a sweep certificate of d_min > 1 reports as slack how
+    far delta can grow before the sweep certifies less than d_min.  Arc k can
+    sit inside arc j only if |k| <= |j|, and then the containment, like an
+    arc's passage through angle 0, persists as delta grows.  So the powers
+    minimal at any larger delta are among those minimal at delta, and every
+    probe of the search sweeps only those: tens to hundreds of arcs instead of
+    up to 2 / delta.  The intervals the greedy stabs are disjoint, so they keep
+    certifying d_min until the first packing event, where two neighbours meet
+    or one reaches angle 0 (closed forms in _packing_event).  The search
+    probes just past that event; while d_min holds there it takes the new
+    packing and repeats, otherwise it confirms the point just before the
+    event.  Where rounding contradicts the computed event (it falls at or
+    below the current point, or the point just before it fails), a bisection
+    on the same minimal powers finishes.  The slack agrees with a bisection
+    over full sweeps to within 2 * _EVENT_STEP (7e-15).
     """
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
@@ -248,21 +367,12 @@ def certify_single(alpha: float, delta: float, compute_slack: bool = True,
             "use the exact route (delta = 0) or a coarser value"
         )
 
-    d_min, intervals, stabs = _certified_dim(alpha, delta, merge_tol)
-
+    intervals = minimal_intervals(alpha, delta, merge_tol)
+    stabs = greedy_transversal(intervals, merge_tol)
+    d_min = 1 + len(stabs)
     slack = None
     if compute_slack and d_min > 1:
-        lo, hi = delta, 2.0 + 1e-9
-        if _certified_dim(alpha, hi, merge_tol)[0] >= d_min:
-            slack = hi - delta  # never weakens on the sweep range
-        else:
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if _certified_dim(alpha, mid, merge_tol)[0] >= d_min:
-                    lo = mid
-                else:
-                    hi = mid
-            slack = lo - delta
+        slack = _slack(alpha, delta, d_min, intervals.powers, merge_tol)
 
     return Certificate(
         d_min=d_min,

@@ -52,7 +52,10 @@ class CliIOError(Exception):
     pass
 
 
+@functools.cache
 def _version() -> str:
+    """The installed package version; looked up once per process, because
+    the metadata lookup scans every sys.path entry."""
     try:
         from importlib.metadata import version
 
@@ -126,9 +129,12 @@ def _write_json(out: str | None, manifest: RunManifest, payload: dict) -> None:
 def _parse_grid(text: str) -> np.ndarray:
     try:
         a, b, n = text.split(":")
-        return np.linspace(float(a), float(b), int(n))
+        lo, hi, n = float(a), float(b), int(n)
+        if not (math.isinf(lo) or math.isinf(hi)):
+            return np.linspace(lo, hi, n)
     except Exception as exc:
         raise CliIOError(f"bad grid spec {text!r}; expected a:b:n") from exc
+    raise CliIOError(f"bad grid spec {text!r}; bounds must be finite")
 
 
 def _parse_p(text: str) -> float:

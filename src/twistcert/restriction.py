@@ -11,6 +11,7 @@ to an additive penalty controlled by xi = (epsilon + width) / gap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -102,6 +103,9 @@ class BandSpec:
 
     def __init__(self, h, p, gap: float | None = None, width: float | None = None,
                  tol: Tolerances = DEFAULT_TOL):
+        for name, value in (("gap", gap), ("width", width)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         h = as_matrix(h, square=True)
         self.h = (h + h.conj().T) / 2.0
         evals, evecs = np.linalg.eigh(self.h)

@@ -6,8 +6,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from twistcert import certify as certify_module
 from twistcert import (
+    Certificate,
     certify_double,
     certify_lambda_exclusion,
     certify_single,
@@ -25,6 +28,30 @@ from twistcert import (
     verify_double_witness,
     TwistedPair,
 )
+from twistcert.cli import recheck_certificate
+from twistcert.config import DEFAULT_TOL
+
+
+def bisection_slack(alpha, delta, merge_tol=None):
+    """The slack search certify_single ran before the packing-event walk,
+    kept verbatim as a reference: 60 bisection steps, each a full sweep."""
+    merge_tol = DEFAULT_TOL.angle_merge if merge_tol is None else merge_tol
+
+    def certified_dim(x):
+        intervals = minimal_intervals(alpha, x, merge_tol)
+        return 1 + len(greedy_transversal(intervals, merge_tol))
+
+    d_min = certified_dim(delta)
+    lo, hi = delta, 2.0 + 1e-9
+    if certified_dim(hi) >= d_min:
+        return hi - delta  # never weakens on the sweep range
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if certified_dim(mid) >= d_min:
+            lo = mid
+        else:
+            hi = mid
+    return lo - delta
 
 
 def exhaustive_transversal(intervals, tol=1e-12):
@@ -167,6 +194,66 @@ class TestCertifySingle:
         beyond = certify_single(0.25, 0.5 + cert.slack + 1e-9, compute_slack=False)
         assert at_edge.d_min >= cert.d_min
         assert beyond.d_min < cert.d_min
+
+    @pytest.mark.parametrize("merge_tol", [None, 1e-9])
+    def test_slack_matches_bisection(self, merge_tol):
+        rng = np.random.default_rng(9)
+        alphas = [float(a) for a in rng.uniform(0.01, 0.99, 3)]
+        alphas += [1 / 3, 5 / 12, 7 / 11]
+        for alpha in alphas:
+            for delta in np.geomspace(1e-4, 2.0, 6):
+                cert = certify_single(alpha, float(delta), merge_tol=merge_tol)
+                if cert.d_min == 1:
+                    assert cert.slack is None
+                    continue
+                reference = bisection_slack(alpha, float(delta), merge_tol)
+                assert cert.slack == pytest.approx(reference, rel=0, abs=1e-12)
+                if merge_tol is None:
+                    older = Certificate(cert.d_min, cert.method, cert.inputs,
+                                        slack=reference)
+                    assert recheck_certificate(older)[0]
+
+    def test_slack_symmetric_under_conjugation(self):
+        rng = np.random.default_rng(10)
+        for _ in range(40):
+            alpha = float(rng.uniform(0.01, 0.99))
+            delta = float(np.exp(rng.uniform(np.log(1e-3), np.log(2.0))))
+            a = certify_single(alpha, delta)
+            b = certify_single(1.0 - alpha, delta)
+            assert a.d_min == b.d_min
+            if a.slack is None:
+                assert b.slack is None
+            else:
+                assert a.slack == pytest.approx(b.slack, rel=0, abs=1e-12)
+
+    def test_slack_sweeps_the_full_range_once(self, monkeypatch):
+        sizes = []
+        arcs = certify_module._arcs
+
+        def counted(alpha, delta, js):
+            sizes.append(len(js))
+            return arcs(alpha, delta, js)
+
+        monkeypatch.setattr(certify_module, "_arcs", counted)
+        delta = 1e-3
+        cert = certify_single(1 / 3 + 0.01, delta)
+        assert cert.slack is not None and cert.slack > 0
+        full = 2 * int(2 / delta)
+        assert sizes.count(full) == 1
+        probes = [n for n in sizes if n != full]
+        assert probes and max(probes) <= cert.witness["minimal_interval_count"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(alpha=st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                           st.fractions(0, 1, max_denominator=12)
+                           .filter(lambda f: f < 1).map(float)),
+           delta=st.floats(1e-3, 2.0),
+           grow=st.floats(1.0, 50.0))
+    def test_minimal_powers_shrink_as_delta_grows(self, alpha, delta, grow):
+        later = min(2.0, delta * grow)
+        before = set(minimal_intervals(alpha, delta).powers.tolist())
+        after = set(minimal_intervals(alpha, later).powers.tolist())
+        assert after <= before
 
     def test_soundness_against_lambda_floor(self):
         # certified dimension d rules out all g < d, so delta must sit below

@@ -89,6 +89,29 @@ class TestMinima:
         assert capsys.readouterr().err.strip() == (
             "precondition violated: alpha must be finite, got nan")
 
+    @pytest.mark.parametrize("grid", ["inf:inf:1", "0:-inf:3", "0:1e400:3"])
+    def test_infinite_grid_bound_rejected(self, capsys, grid):
+        rc = main(["minima", "--g", "3", "--grid", grid])
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == (
+            f"error: bad grid spec {grid!r}; bounds must be finite")
+
+    def test_version_looked_up_once(self, monkeypatch):
+        import importlib.metadata
+
+        from twistcert import cli
+
+        calls = []
+        monkeypatch.setattr(importlib.metadata, "version",
+                            lambda name: calls.append(name) or "9.9")
+        cli._version.cache_clear()
+        try:
+            versions = {cli.RunManifest.build("minima", {}).version for _ in range(3)}
+        finally:
+            cli._version.cache_clear()
+        assert versions == {"9.9"}
+        assert calls == ["twistcert"]
+
     def test_worker_pool_matches_serial(self, tmp_path):
         serial, pooled = tmp_path / "s.csv", tmp_path / "p.csv"
         args = ["minima", "--g", "2,3", "--grid", "0:1:9"]
@@ -224,6 +247,21 @@ class TestCertify:
     def test_missing_file_exits_1(self, tmp_path):
         rc = main(["certify", "--manifest", str(tmp_path / "nope.json")])
         assert rc == 1
+
+    @pytest.mark.parametrize("name", ["gap", "width"])
+    def test_non_finite_stated_band_value_exits_2(self, tmp_path, capsys, name):
+        paths = {}
+        for key, m in (("h", np.diag([0.0, 0.0, 1.0, 1.0])),
+                       ("p", np.diag([1.0, 1.0, 0.0, 0.0])),
+                       ("u", np.eye(4)), ("v", np.eye(4))):
+            paths[key] = tmp_path / f"{key}.mat"
+            save_matrix_text(paths[key], m)
+        rc = main(["certify", "--hamiltonian", str(paths["h"]),
+                   "--projector", str(paths["p"]), "--u", str(paths["u"]),
+                   "--v", str(paths["v"]), "--alpha", "0.5", f"--{name}", "nan"])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == (
+            f"precondition violated: {name} must be finite, got nan")
 
     def test_malformed_matrix_exits_1(self, tmp_path):
         bad = tmp_path / "bad.mat"

@@ -82,6 +82,14 @@ class TestBandSpec:
         with pytest.raises(ValueError):
             BandSpec(h, p, width=0.1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["gap", "width"])
+    def test_rejects_non_finite_stated_value(self, name, value):
+        h = np.diag([0.0, 0.0, 1.0, 1.0])
+        p = np.diag([1.0, 1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            BandSpec(h, p, **{name: value})
+
     def test_rejects_non_projector(self):
         with pytest.raises(ValueError):
             BandSpec(np.diag([0.0, 1.0]), np.diag([0.5, 0.0]))
