@@ -4,9 +4,13 @@ unitary pairs.
 A pair (u, v) with || u v - eta v u || <= delta forces eigenvalues of u into
 arcs around the powers of eta; the minimum number of points meeting every arc
 (the transversal number, computed greedily on the circle) lower bounds the
-number of distinct eigenvalues and hence the dimension.  Two mutually
-approximately commuting twisted pairs certify the product dimension through a
-shared approximate eigenvector and a Gram-matrix independence argument.
+number of distinct eigenvalues and hence the dimension.  The sweep visits only
+the powers up to the first continued-fraction denominator of alpha past which
+every arc nests around a smaller one: at most 2 / delta arcs, O(delta^-1/2)
+when the continued-fraction coefficients of alpha stay small, and at most 2 q
+for alpha = p/q.  Two mutually approximately commuting twisted pairs certify
+the product dimension through a shared approximate eigenvector and a
+Gram-matrix independence argument.
 """
 
 from __future__ import annotations
@@ -62,8 +66,19 @@ METHODS = (
     "lambda-exclusion",
 )
 
-# Arc systems below this twisted commutation value are too large to sweep.
+# Arc systems below this twisted commutation value may be too large to sweep:
+# the nesting cutoff of minimal_intervals leaves all 2 / delta arcs in the
+# worst case, when no continued-fraction denominator of alpha up to 2 / delta
+# passes its test (alpha close to, but not at, a rational with small q).
 _MIN_DELTA = 1e-6
+# Rounding allowance of the nesting test in _nesting_power beside the centres'
+# 2^-48 (jmax + 2) and 2 merge_tol.  A computed half-width
+# arccos(1 - fl(|j| delta)) has its argument off by at most 3u (u = 2^-53)
+# and arccos is 1/2-Hoelder with constant pi / sqrt(2), so with libm's few ulp
+# it lies within 4.1e-8 of the exact one; two half-widths and the few
+# roundings (each under 2 pi u) of the endpoints and distances to 0 stay
+# below this.
+_HALF_WIDTH_ROUNDING = 1e-7
 # Resolution of the slack search.  The sweep compares angles below 2 pi, each
 # a few roundings off, and an arc's half-width arccos(1 - |j| delta) grows at
 # least as fast as delta, so a computed packing event lies within this
@@ -140,13 +155,58 @@ def _arcs(alpha: float, delta: float, js: np.ndarray):
     return js, np.arccos(1.0 - z[keep]), (TWO_PI * alpha * js) % TWO_PI
 
 
-def _arc_arrays(alpha: float, delta: float):
-    """Every orbit power j != 0 with |j| delta < 2, with its arc (see _arcs)."""
+def _full_range(delta: float) -> int:
+    """floor(2 / delta): every power beyond it gives the full circle."""
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    jmax = int(math.floor(2.0 / delta))
+    return int(math.floor(2.0 / delta))
+
+
+def _powers(jmax: int) -> np.ndarray:
+    """The orbit powers 0 < |j| <= jmax, ascending."""
     js = np.arange(-jmax, jmax + 1)
-    return _arcs(alpha, delta, js[js != 0])
+    return js[js != 0]
+
+
+def _arc_arrays(alpha: float, delta: float):
+    """Every orbit power j != 0 with |j| delta < 2, with its arc (see _arcs)."""
+    return _arcs(alpha, delta, _powers(_full_range(delta)))
+
+
+def _nesting_power(alpha: float, delta: float, merge_tol: float) -> int:
+    """The largest |j| whose arc can be inclusion-minimal at delta: the first
+    continued-fraction denominator m of alpha (1, q_1, q_2, ...) that passes
+        2 pi ||m alpha|| <= m delta / 2 - allowance,
+    or floor(2 / delta) when none up to it does.
+
+    For |j| > m let k = j - sign(j) m.  Half-widths h(x) = arccos(1 - x delta)
+    grow with h' = delta / sin h >= delta, so h_j - h_k >= m delta, while the
+    centres lie 2 pi ||m alpha|| <= m delta / 2 apart: arc k sits inside arc
+    j with a margin of m delta / 2 on each side.  So arc j either contains
+    arc k or, like arc k, passes through angle 0; it is never minimal, and
+    every interval it shows non-minimal arc k shows so too (by induction a
+    power |k| <= m does).  Dropping every |j| > m thus leaves the minimal
+    intervals unchanged.  The allowance covers 2 merge_tol, the rounding of
+    the computed centres (2 pi alpha j differs from its float by at most
+    u 2 pi |j|, u = 2^-53, so 2^-48 (jmax + 2) bounds the three that enter)
+    and _HALF_WIDTH_ROUNDING.  Correctness rests on the checked inequality
+    alone, not on m being a true convergent, so the continued fraction of
+    the float alpha serves."""
+    jmax = _full_range(delta)
+    turn = TWO_PI * alpha  # the factor of the centres in _arcs
+    allowance = 2.0 * merge_tol + _HALF_WIDTH_ROUNDING + 2.0 ** -48 * (jmax + 2)
+    frac = alpha % 1.0
+    num, den = frac.as_integer_ratio() if math.isfinite(frac) else (0, 1)
+    q_prev, q = 0, 1
+    while q <= jmax:
+        c = (turn * q) % TWO_PI
+        if min(c, TWO_PI - c) <= 0.5 * q * delta - allowance:
+            return q
+        if num == 0:
+            break
+        a, num, den = den // num, den % num, num
+        q_prev, q = q, a * q + q_prev
+    return jmax
 
 
 def build_arcs(alpha: float, delta: float) -> list[Arc]:
@@ -202,9 +262,14 @@ def minimal_intervals(alpha: float, delta: float,
     unfolded at 0, duplicates are merged, and intervals containing another
     interval are dropped (stabbing the inner one stabs them both).  The
     returned list of (lo, hi) pairs is ascending and carries the orbit power
-    of each pair in its `powers` attribute."""
+    of each pair in its `powers` attribute.
+
+    Only the powers 0 < |j| <= _nesting_power(alpha, delta, merge_tol) are
+    swept: every arc beyond nests around a smaller one and is never minimal,
+    so the result equals that of the full range |j| <= floor(2 / delta)."""
     merge_tol = DEFAULT_TOL.angle_merge if merge_tol is None else merge_tol
-    return MinimalIntervals(*_minimal(*_arc_arrays(alpha, delta), merge_tol))
+    js = _powers(_nesting_power(alpha, delta, merge_tol))
+    return MinimalIntervals(*_minimal(*_arcs(alpha, delta, js), merge_tol))
 
 
 def _stab_indices(lo: list[float], hi: list[float], merge_tol: float) -> list[int]:
@@ -271,9 +336,10 @@ def _packing_event(alpha: float, js: np.ndarray, merge_tol: float) -> float:
 
 
 def _slack(alpha: float, delta: float, d_min: int, powers: np.ndarray,
-           merge_tol: float) -> float:
+           pack: np.ndarray, merge_tol: float) -> float:
     """How far delta can grow while the sweep still certifies d_min (see
-    certify_single); `powers` are those of the minimal intervals at delta."""
+    certify_single); `powers` are those of the minimal intervals at delta and
+    `pack` those of its d_min - 1 stabbed intervals."""
 
     def packing(x: float, js: np.ndarray):
         """The powers minimal at x among js, with the powers of the greedy's
@@ -283,7 +349,6 @@ def _slack(alpha: float, delta: float, d_min: int, powers: np.ndarray,
         return js, (js[picked] if len(picked) + 1 >= d_min else None)
 
     good, bad = delta, 2.0  # no arc is left at delta = 2: it certifies 1
-    powers, pack = packing(delta, powers)
     while pack is not None:
         # the packing holds up to its event, which rounding misplaces by less
         # than _EVENT_STEP: probe just past the event, then just before it
@@ -316,25 +381,27 @@ def certify_single(alpha: float, delta: float, compute_slack: bool = True,
     """Certified minimum dimension of unitaries u, v with
     || u v - exp(2 pi i alpha) v u || <= delta (operator norm).
 
-    delta > 0 runs the greedy arc-transversal sweep; delta = 0 requires a
-    rational twist alpha = p/q (continued-fraction detection, denominator up
-    to 1e6) and certifies q exactly.  Works for arbitrary alpha; at twist 1/d
-    it certifies at least d for every delta below single_pair_threshold(d).
+    delta > 0 runs the greedy arc-transversal sweep, over the orbit powers
+    up to the nesting cutoff of minimal_intervals rather than all 2 / delta;
+    delta = 0 requires a rational twist alpha = p/q (continued-fraction
+    detection, denominator up to 1e6) and certifies q exactly.  Works for
+    arbitrary alpha; at twist 1/d it certifies at least d for every delta
+    below single_pair_threshold(d).
 
     With compute_slack, a sweep certificate of d_min > 1 reports as slack how
     far delta can grow before the sweep certifies less than d_min.  Arc k can
     sit inside arc j only if |k| <= |j|, and then the containment, like an
     arc's passage through angle 0, persists as delta grows.  So the powers
     minimal at any larger delta are among those minimal at delta, and every
-    probe of the search sweeps only those: tens to hundreds of arcs instead of
-    up to 2 / delta.  The intervals the greedy stabs are disjoint, so they keep
-    certifying d_min until the first packing event, where two neighbours meet
-    or one reaches angle 0 (closed forms in _packing_event).  The search
-    probes just past that event; while d_min holds there it takes the new
-    packing and repeats, otherwise it confirms the point just before the
-    event.  Where rounding contradicts the computed event (it falls at or
-    below the current point, or the point just before it fails), a bisection
-    on the same minimal powers finishes.  The slack agrees with a bisection
+    probe of the search sweeps only those; the search starts from the main
+    sweep's minimal powers and stabbed intervals.  The intervals the greedy
+    stabs are disjoint, so they keep certifying d_min until the first packing
+    event, where two neighbours meet or one reaches angle 0 (closed forms in
+    _packing_event).  The search probes just past that event; while d_min
+    holds there it takes the new packing and repeats, otherwise it confirms
+    the point just before the event.  Where rounding contradicts the computed
+    event (it falls at or below the current point, or the point just before
+    it fails), a bisection on the same minimal powers finishes.  The slack agrees with a bisection
     over full sweeps to within 2 * _EVENT_STEP (7e-15).
     """
     if not (0.0 <= alpha < 1.0):
@@ -363,16 +430,20 @@ def certify_single(alpha: float, delta: float, compute_slack: bool = True,
 
     if delta < _MIN_DELTA:
         raise ValueError(
-            f"delta = {delta:.3e} requires more than {int(2 / _MIN_DELTA)} arcs; "
+            f"delta = {delta:.3e} may require more than {int(2 / _MIN_DELTA)} arcs; "
             "use the exact route (delta = 0) or a coarser value"
         )
 
     intervals = minimal_intervals(alpha, delta, merge_tol)
-    stabs = greedy_transversal(intervals, merge_tol)
+    # the intervals ascend in hi, the order greedy_transversal sorts them into
+    his = [hi for _, hi in intervals]
+    picked = _stab_indices([lo for lo, _ in intervals], his, merge_tol)
+    stabs = [his[i] for i in picked]
     d_min = 1 + len(stabs)
     slack = None
     if compute_slack and d_min > 1:
-        slack = _slack(alpha, delta, d_min, intervals.powers, merge_tol)
+        slack = _slack(alpha, delta, d_min, intervals.powers,
+                       intervals.powers[picked], merge_tol)
 
     return Certificate(
         d_min=d_min,

@@ -573,12 +573,13 @@ def main(argv=None) -> int:
     except CliIOError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    # LinAlgError (a non-converged factorization) subclasses ValueError
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except ArithmeticError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twistcert import certify as certify_module
 from twistcert import (
@@ -226,7 +226,7 @@ class TestCertifySingle:
             else:
                 assert a.slack == pytest.approx(b.slack, rel=0, abs=1e-12)
 
-    def test_slack_sweeps_the_full_range_once(self, monkeypatch):
+    def test_slack_sweeps_the_nesting_range_once(self, monkeypatch):
         sizes = []
         arcs = certify_module._arcs
 
@@ -235,13 +235,20 @@ class TestCertifySingle:
             return arcs(alpha, delta, js)
 
         monkeypatch.setattr(certify_module, "_arcs", counted)
-        delta = 1e-3
-        cert = certify_single(1 / 3 + 0.01, delta)
+        alpha, delta = 1 / 3 + 0.01, 1e-3
+        cert = certify_single(alpha, delta)
         assert cert.slack is not None and cert.slack > 0
-        full = 2 * int(2 / delta)
-        assert sizes.count(full) == 1
-        probes = [n for n in sizes if n != full]
+        reach = certify_module._nesting_power(alpha, delta, DEFAULT_TOL.angle_merge)
+        assert reach < int(2 / delta)  # 67 of 2000: a denominator of 103/300
+        assert sizes[0] == 2 * reach and sizes.count(2 * reach) == 1
+        probes = sizes[1:]
         assert probes and max(probes) <= cert.witness["minimal_interval_count"]
+
+        # the golden ratio's denominators are Fibonacci numbers: the full
+        # range at delta = 1e-6 holds 4,000,000 powers, the cutoff 2 * 2584
+        sizes.clear()
+        certify_single((5 ** 0.5 - 1) / 2, 1e-6)
+        assert sum(sizes) < 10_000
 
     @settings(max_examples=150, deadline=None)
     @given(alpha=st.one_of(st.floats(0.0, 1.0, exclude_max=True),
@@ -265,6 +272,41 @@ class TestCertifySingle:
             d = certify_single(alpha, delta, compute_slack=False).d_min
             for g in range(1, d):
                 assert delta < lambda_min(g, alpha)
+
+
+def _near_rational(f, sign):
+    return (float(f) + sign * 1e-9) % 1.0
+
+
+class TestNestingCutoff:
+    """minimal_intervals sweeps only the powers up to _nesting_power; the
+    full range |j| <= floor(2 / delta) must give the same intervals."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=st.one_of(
+               st.floats(0.0, 1.0, exclude_max=True),
+               st.fractions(0, 1, max_denominator=40).filter(lambda f: f < 1).map(float),
+               st.builds(_near_rational,
+                         st.fractions(0, 1, max_denominator=40).filter(lambda f: f < 1),
+                         st.sampled_from([-1, 1]))),
+           delta=st.floats(-6.0, float(np.log10(2.0))).map(lambda e: 10.0 ** e),
+           merge_tol=st.sampled_from([1e-12, 1e-9]))
+    @example(alpha=0.0, delta=1e-3, merge_tol=1e-12)
+    @example(alpha=1.0 - 2.0 ** -53, delta=1e-3, merge_tol=1e-9)
+    @example(alpha=0.0, delta=certify_module._MIN_DELTA, merge_tol=1e-12)
+    @example(alpha=1.0 - 2.0 ** -53, delta=certify_module._MIN_DELTA, merge_tol=1e-12)
+    @example(alpha=0.3141592653589793, delta=certify_module._MIN_DELTA, merge_tol=1e-9)
+    def test_cutoff_matches_full_range(self, alpha, delta, merge_tol):
+        cut = minimal_intervals(alpha, delta, merge_tol)
+        js, lo, hi = certify_module._minimal(
+            *certify_module._arc_arrays(alpha, delta), merge_tol)
+        assert cut.powers.tolist() == js.tolist()
+        assert list(cut) == list(zip(lo.tolist(), hi.tolist()))
+
+    @pytest.mark.parametrize("p, q", [(1, 2), (1, 3), (5, 12), (17, 40)])
+    def test_rational_twist_sweeps_at_most_q(self, p, q):
+        for delta in (1e-2, 1e-4, 1e-6):
+            assert certify_module._nesting_power(p / q, delta, 1e-9) <= q
 
 
 class TestOrbitExpectations:

@@ -244,6 +244,22 @@ class TestCertify:
         err = capsys.readouterr().err.strip()
         assert err == f"precondition violated: delta must be finite, got {delta}"
 
+    def test_linalg_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        spec = ModelSpec(kind="clock-block", g=3, n_excited=6, gap=1.0, seed=5)
+        manifest = tmp_path / "model.json"
+        manifest.write_text(spec.to_json())
+
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        out = tmp_path / "cert.json"
+        rc = main(["certify", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["numerical failure: Eigenvalues did not converge"]
+
     def test_missing_file_exits_1(self, tmp_path):
         rc = main(["certify", "--manifest", str(tmp_path / "nope.json")])
         assert rc == 1
