@@ -22,14 +22,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_TOL
+from .config import ANGLE_MERGE, BOUND_SLACK, GRAM_TOL
 from .linalg import (
     NormSpec,
     OPERATOR,
-    as_matrix,
     eig_normal,
-    is_unitary,
     operator_norm,
+    require_unitary,
     twisted_commutator,
 )
 from .minima import TwistedPair, excluded_dimensions, lambda_min
@@ -99,10 +98,10 @@ class Arc:
         if not (0.0 <= self.half_width <= np.pi):
             raise ValueError(f"half width must lie in [0, pi], got {self.half_width}")
 
-    def contains(self, angle: float, tol: float = 0.0) -> bool:
+    def contains(self, angle: float) -> bool:
         d = abs(angle - self.center) % TWO_PI
         d = min(d, TWO_PI - d)
-        return d <= self.half_width + tol
+        return d <= self.half_width
 
 
 @dataclass
@@ -267,7 +266,7 @@ def minimal_intervals(alpha: float, delta: float,
     Only the powers 0 < |j| <= _nesting_power(alpha, delta, merge_tol) are
     swept: every arc beyond nests around a smaller one and is never minimal,
     so the result equals that of the full range |j| <= floor(2 / delta)."""
-    merge_tol = DEFAULT_TOL.angle_merge if merge_tol is None else merge_tol
+    merge_tol = ANGLE_MERGE if merge_tol is None else merge_tol
     js = _powers(_nesting_power(alpha, delta, merge_tol))
     return MinimalIntervals(*_minimal(*_arcs(alpha, delta, js), merge_tol))
 
@@ -290,7 +289,7 @@ def greedy_transversal(intervals, merge_tol: float | None = None) -> list[float]
     endpoint and stab at the right end of each interval not already covered.
     Optimal for interval systems (exchange argument on the earliest right
     endpoint)."""
-    merge_tol = DEFAULT_TOL.angle_merge if merge_tol is None else merge_tol
+    merge_tol = ANGLE_MERGE if merge_tol is None else merge_tol
     ordered = sorted(intervals, key=lambda t: t[1])
     his = [hi for _, hi in ordered]
     return [his[i] for i in _stab_indices([lo for lo, _ in ordered], his, merge_tol)]
@@ -410,7 +409,7 @@ def certify_single(alpha: float, delta: float, compute_slack: bool = True,
         raise ValueError(f"delta must be finite, got {delta}")
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
-    merge_tol = DEFAULT_TOL.angle_merge if merge_tol is None else merge_tol
+    merge_tol = ANGLE_MERGE if merge_tol is None else merge_tol
 
     if delta == 0.0:
         rat = _rational_twist(alpha)
@@ -517,6 +516,8 @@ def certify_lambda_exclusion(alpha: float, delta: float, g_max: int = 64,
     every dimension g with delta < lambda_min(g, alpha) is impossible, so the
     smallest non-excluded dimension is a lower bound.  The full excluded set
     (not monotone in g) is returned as the witness."""
+    if g_max < 1:
+        raise ValueError(f"g_max must be >= 1, got {g_max}")
     excluded = excluded_dimensions(delta, alpha, g_max, spec)
     excluded_set = set(excluded)
     d_min = next(g for g in range(1, g_max + 2) if g not in excluded_set)
@@ -572,15 +573,14 @@ def _orbit(m: np.ndarray, js, x: np.ndarray) -> dict:
     return out
 
 
-def orbit_expectations(pair: TwistedPair, j_range=None,
-                       tol: float = 1e-8) -> list[OrbitExpectation]:
+def orbit_expectations(pair: TwistedPair, j_range=None) -> list[OrbitExpectation]:
     """Expectation values of u along the orbit |j> = v^j |psi> of a +1
     eigenvector of (phase-normalized) u.
 
     Each expectation lies within |j| * delta of eta^j; a violation beyond
-    `tol` indicates a numerical failure and raises.  The default orbit covers
-    j = -floor((d-1)/2) .. ceil((d-1)/2) with d = round(1/alpha); pass
-    j_range explicitly when alpha = 0.
+    config.BOUND_SLACK indicates a numerical failure and raises.  The default
+    orbit covers j = -floor((d-1)/2) .. ceil((d-1)/2) with d = round(1/alpha);
+    pass j_range explicitly when alpha = 0.
     """
     u_norm, psi, _ = _phase_normalize(pair.u)
     if j_range is None:
@@ -597,7 +597,7 @@ def orbit_expectations(pair: TwistedPair, j_range=None,
         target = pair.eta ** j
         bound = abs(j) * pair.delta
         dev = abs(expect - target)
-        if dev > bound + tol:
+        if dev > bound + BOUND_SLACK:
             raise ArithmeticError(
                 f"orbit expectation at j={j} deviates by {dev:.3e}, above the "
                 f"bound {bound:.3e}"
@@ -627,16 +627,17 @@ class GramCheck(NamedTuple):
     threshold: float
 
 
-def gram_independent(vectors, tol: float = 1e-8) -> GramCheck:
+def gram_independent(vectors) -> GramCheck:
     """Linear independence via strict diagonal dominance of the Gram matrix:
     pairwise overlaps below 1/(n-1) make the Gram matrix nonsingular
     (Gershgorin).  The minimum Gram eigenvalue is reported as a direct
     certificate.  At overlap exactly -1/(n-1) the Gram matrix is singular, so
-    the strict inequality is required."""
+    the strict inequality is required.  The vectors must have unit norm to
+    within config.GRAM_TOL."""
     mat = np.asarray([np.asarray(v, dtype=np.complex128).ravel() for v in vectors])
     n = mat.shape[0]
     norms = np.linalg.norm(mat, axis=1)
-    if np.any(np.abs(norms - 1.0) > tol):
+    if np.any(np.abs(norms - 1.0) > GRAM_TOL):
         raise ValueError("vectors must be normalized")
     gram = mat.conj() @ mat.T
     eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
@@ -689,28 +690,26 @@ def pair_values(u1, u2, v1, v2, d1: int, d2: int) -> tuple[float, dict]:
     return gamma, deltas
 
 
-def verify_double_witness(u1, u2, v1, v2, d1: int, d2: int,
-                          tol: float = 1e-8) -> DoubleWitnessReport:
+def verify_double_witness(u1, u2, v1, v2, d1: int, d2: int) -> DoubleWitnessReport:
     """Construct and check the two-pair dimension witness directly.
 
     Measures the five commutation values, builds a shared approximate +1
     eigenvector |psi> of u1 and u2 (after phase normalization), forms the
     orbit |i, j> = v1^i v2^j |psi>, checks the expectation-value bounds
-    sqrt(gamma) d1 d2 / 2 + (|i| + |j|) delta for both operator families, and
-    reports the rank of the orbit Gram matrix at the given tolerance.  Any
+    sqrt(gamma) d1 d2 / 2 + (|i| + |j|) delta for both operator families
+    (allowance config.BOUND_SLACK), and reports the rank of the orbit Gram
+    matrix (eigenvalues above config.GRAM_TOL).  Any
     failed bound is recorded in `failures` rather than raised: instances
     outside the certification threshold are expected to fail here.
     """
     if not (2 <= d1 <= d2):
         raise ValueError(f"need 2 <= d1 <= d2, got d1={d1}, d2={d2}")
-    mats = [as_matrix(m, square=True) for m in (u1, u2, v1, v2)]
+    mats = [require_unitary(m, name)
+            for name, m in zip(("u1", "u2", "v1", "v2"), (u1, u2, v1, v2))]
     u1, u2, v1, v2 = mats
     n = u1.shape[0]
     if any(m.shape != (n, n) for m in mats):
         raise ValueError("all four operators must share one dimension")
-    for name, m in zip(("u1", "u2", "v1", "v2"), mats):
-        if not is_unitary(m, 100 * DEFAULT_TOL.unitarity):
-            raise ValueError(f"{name} is not unitary to tolerance")
 
     gamma, delta_parts = pair_values(u1, u2, v1, v2, d1, d2)
     delta = max(delta_parts.values())
@@ -728,9 +727,9 @@ def verify_double_witness(u1, u2, v1, v2, d1: int, d2: int,
     resid1 = float(np.linalg.norm(u1p @ psi - psi))
     resid2 = float(np.linalg.norm(u2p @ psi - psi))
     eig_bound = math.sqrt(gamma) * d1 * d2 / 2.0
-    if resid1 > eig_bound + tol:
+    if resid1 > eig_bound + BOUND_SLACK:
         failures.append(f"shared eigenvector residual (u1) {resid1:.3e} > {eig_bound:.3e}")
-    if resid2 > eig_bound + tol:
+    if resid2 > eig_bound + BOUND_SLACK:
         failures.append(f"shared eigenvector residual (u2) {resid2:.3e} > {eig_bound:.3e}")
 
     range1, range2 = _orbit_range(d1), _orbit_range(d2)
@@ -748,9 +747,9 @@ def verify_double_witness(u1, u2, v1, v2, d1: int, d2: int,
         e2 = complex(np.vdot(state, u2p @ state))
         dev1 = abs(e1 - eta1 ** i)
         dev2 = abs(e2 - eta2 ** j)
-        if dev1 > bound + tol:
+        if dev1 > bound + BOUND_SLACK:
             expectation_failures.append(("u1", i, j, dev1, bound))
-        if dev2 > bound + tol:
+        if dev2 > bound + BOUND_SLACK:
             expectation_failures.append(("u2", i, j, dev2, bound))
     if expectation_failures:
         failures.append(f"{len(expectation_failures)} expectation bounds failed")
@@ -759,7 +758,7 @@ def verify_double_witness(u1, u2, v1, v2, d1: int, d2: int,
     mat = np.asarray(ordered)
     gram = mat.conj() @ mat.T
     eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
-    rank = int(np.sum(eigs > tol))
+    rank = int(np.sum(eigs > GRAM_TOL))
     independent = rank == d1 * d2
     if not independent:
         failures.append(f"gram rank {rank} < {d1 * d2}")

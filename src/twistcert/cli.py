@@ -43,10 +43,6 @@ EXIT_IO = 1
 EXIT_PRECONDITION = 2
 EXIT_NUMERICAL = 3
 
-# Certified bounds below the arc-sweep floor are rounded up to it before
-# certification; certifying at a larger delta is always sound.
-_CERT_DELTA_FLOOR = _MIN_DELTA
-
 
 class CliIOError(Exception):
     pass
@@ -248,7 +244,9 @@ def single_pipeline(band: BandSpec, u, v, alpha: float,
     if bound == 0.0:
         cert = certify_single(alpha, 0.0)
     else:
-        cert = certify_single(alpha, max(bound, _CERT_DELTA_FLOOR))
+        # a bound below the arc-sweep floor is rounded up to it; certifying
+        # at a larger delta is always sound
+        cert = certify_single(alpha, max(bound, _MIN_DELTA))
     return {
         "measured": {
             "eps_u": res.eps_u,
@@ -262,7 +260,7 @@ def single_pipeline(band: BandSpec, u, v, alpha: float,
     }
 
 
-def double_pipeline(model, tol: float = 1e-8) -> dict:
+def double_pipeline(model) -> dict:
     """Restrict both twisted pairs of a tensor-double model to the band,
     measure the five restricted commutation values, and run both the
     closed-form two-pair certificate and the direct witness verification."""
@@ -274,8 +272,7 @@ def double_pipeline(model, tol: float = 1e-8) -> dict:
     if d1 > d2:
         d1, d2 = d2, d1
         ops = {"u1": ops["u2"], "u2": ops["u1"], "v1": ops["v2"], "v2": ops["v1"]}
-    report = verify_double_witness(ops["u1"], ops["u2"], ops["v1"], ops["v2"],
-                                   d1, d2, tol=tol)
+    report = verify_double_witness(ops["u1"], ops["u2"], ops["v1"], ops["v2"], d1, d2)
     cert = certify_double(d1, d2, report.gamma, report.delta)
     return {
         "measured": {
@@ -327,7 +324,7 @@ def cmd_certify(args) -> int:
             "certify", {"manifest": json.loads(spec.to_json())}, seed=spec.seed
         )
         if spec.kind == "tensor-double":
-            payload = double_pipeline(model, tol=args.tol)
+            payload = double_pipeline(model)
         else:
             norm = _norm_spec(args, model.band.dim)
             payload = single_pipeline(model.band, model.u, model.v, model.alpha, norm)
@@ -455,7 +452,8 @@ def _finite(value, name: str) -> float:
 
 def recheck_certificate(cert: Certificate) -> tuple[bool, str]:
     """Recompute the certificate's inequalities from its echoed inputs.
-    Raises CliIOError when a number it needs is missing or not finite."""
+    Raises CliIOError when an input it needs is missing, not finite, not
+    integral where it counts, or outside the certifier's domain."""
     inputs = cert.inputs
     if not isinstance(inputs, dict):
         raise CliIOError("malformed certificate: inputs must be an object")
@@ -463,17 +461,27 @@ def recheck_certificate(cert: Certificate) -> tuple[bool, str]:
     def num(key: str, default=None) -> float:
         return _finite(inputs.get(key, default), f"inputs.{key}")
 
+    def integer(key: str, default=None) -> int:
+        x = num(key, default)
+        if not x.is_integer():  # never truncated
+            raise CliIOError(f"malformed certificate: inputs.{key} must be an "
+                             f"integer, got {inputs[key]!r}")
+        return int(x)
+
     slack = None if cert.slack is None else _finite(cert.slack, "slack")
-    if {"d1", "d2", "gamma", "delta"} <= set(inputs):
-        fresh = certify_double(int(num("d1")), int(num("d2")), num("gamma"), num("delta"))
-    elif cert.method == "lambda-exclusion":
-        fresh = certify_lambda_exclusion(
-            num("alpha"), num("delta"),
-            g_max=int(num("g_max", 64)),
-            spec=NormSpec(_parse_p(str(inputs.get("p", "inf"))), int(num("k", 1))),
-        )
-    else:
-        fresh = certify_single(num("alpha"), num("delta"))
+    try:
+        if {"d1", "d2", "gamma", "delta"} <= set(inputs):
+            fresh = certify_double(integer("d1"), integer("d2"), num("gamma"),
+                                   num("delta"))
+        elif cert.method == "lambda-exclusion":
+            fresh = certify_lambda_exclusion(
+                num("alpha"), num("delta"), g_max=integer("g_max", 64),
+                spec=NormSpec(_parse_p(str(inputs.get("p", "inf"))), integer("k", 1)),
+            )
+        else:
+            fresh = certify_single(num("alpha"), num("delta"))
+    except ValueError as exc:
+        raise CliIOError(f"malformed certificate: {exc}") from exc
     if fresh.d_min != cert.d_min or fresh.method != cert.method:
         return False, (
             f"recomputation gives d_min={fresh.d_min} via {fresh.method}, "
@@ -487,6 +495,9 @@ def recheck_certificate(cert: Certificate) -> tuple[bool, str]:
 
 def cmd_check(args) -> int:
     data = _load_json_file(args.certificate)
+    if not isinstance(data, dict):
+        raise CliIOError("malformed certificate: the file must hold a JSON object, "
+                         f"got {type(data).__name__}")
     payload = data.get("certificate", data)
     try:
         cert = certificate_from_dict(payload)
@@ -543,8 +554,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--norm", choices=("op", "fro", "pk"), default="op")
     p_cert.add_argument("--p", default="inf")
     p_cert.add_argument("--k", default="1")
-    p_cert.add_argument("--tol", type=float, default=1e-8,
-                        help="rank tolerance for the two-pair witness")
     p_cert.add_argument("--out", default=None)
     p_cert.set_defaults(func=cmd_certify)
 

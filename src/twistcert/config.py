@@ -1,35 +1,23 @@
-"""Central numerical tolerances used across the package."""
+"""Numerical tolerances used across the package: fixed constants, not options."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Default tolerances for structural matrix checks.
-
-    unitarity     : ||U^dag U - I||_2 threshold for accepting a unitary.
-    normality     : relative defect ||A^*A - AA^*||_F / ||A||_F^2 threshold.
-    eig_residual  : max ||A x - lam x||_2 accepted from the normal eigensolver,
-                    relative to max(1, ||A||_2).  The shared-eigenvector
-                    routines also snap a seed eigenvalue lying within this
-                    times max(1, max |lambda|) of the spectrum onto it.
-    projector     : ||P^2 - P||_2 and ||P - P^dag||_2 threshold.
-    hermiticity   : ||H - H^dag||_2 threshold, relative to ||H||_2.
-    spectral_rel  : relative tolerance when verifying a stated gap/width
-                    against the actual spectrum.
-    angle_merge   : radians; arc endpoints closer than this are treated as
-                    coincident by the transversal certifier.
-    """
-
-    unitarity: float = 1e-10
-    normality: float = 1e-8
-    eig_residual: float = 1e-9
-    projector: float = 1e-10
-    hermiticity: float = 1e-10
-    spectral_rel: float = 1e-8
-    angle_merge: float = 1e-12
-
-
-DEFAULT_TOL = Tolerances()
+# ||U^dag U - I||_2 default of is_unitary, and the bound a caller's matrix
+# must meet to be accepted as unitary (linalg.require_unitary)
+UNITARITY = 1e-10
+INPUT_UNITARITY = 100 * UNITARITY
+# relative normality defect ||A^*A - AA^*||_F / ||A||_F^2
+NORMALITY = 1e-8
+# normal-eigensolver residual max ||A x - lam x||_2, relative to max(1, ||A||_2);
+# also the window, times max(1, max |lambda|), in which a shared-eigenvector
+# seed is snapped onto the spectrum
+EIG_RESIDUAL = 1e-9
+PROJECTOR = 1e-10  # ||P^2 - P||_2 and ||P - P^dag||_2
+HERMITICITY = 1e-10  # ||H - H^dag||_2, relative to ||H||_2
+SPECTRAL_REL = 1e-8  # relative tolerance of a stated gap or width
+ANGLE_MERGE = 1e-12  # radians: arc endpoints this close coincide (merge_tol)
+# allowance of a measured value over its proven bound: the ground-symmetry
+# distances, and the restricted value, orbit expectations and two-pair witness
+GROUND_SLACK = 1e-9
+BOUND_SLACK = 1e-8
+# unit-norm check of gram_independent and Gram rank cutoff of the witness
+GRAM_TOL = 1e-8
+SEED_ATOL = 1e-12  # distance within which an eigenvalue equals the seed of cluster

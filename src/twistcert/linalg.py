@@ -13,7 +13,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import EIG_RESIDUAL, INPUT_UNITARITY, NORMALITY, UNITARITY
 
 __all__ = [
     "NormSpec",
@@ -31,6 +31,7 @@ __all__ = [
     "polar_unitary",
     "norm_at_most",
     "is_unitary",
+    "require_unitary",
     "haar_unitary",
 ]
 
@@ -77,10 +78,6 @@ class NormSpec:
     @classmethod
     def operator(cls) -> "NormSpec":
         return cls(p=math.inf, k=1)
-
-    @classmethod
-    def frobenius(cls, dim: int) -> "NormSpec":
-        return cls(p=2.0, k=dim)
 
     def validate_for(self, m: np.ndarray) -> None:
         if self.k > min(m.shape):
@@ -134,9 +131,8 @@ def normality_defect(a) -> float:
     return float(np.linalg.norm(ah @ a - a @ ah) / scale)
 
 
-def is_normal(a, tol: float | None = None) -> bool:
-    tol = DEFAULT_TOL.normality if tol is None else tol
-    return normality_defect(a) <= tol
+def is_normal(a) -> bool:
+    return normality_defect(a) <= NORMALITY
 
 
 def _eig_order(vals: np.ndarray) -> np.ndarray:
@@ -155,18 +151,19 @@ class EigDecomp:
     residual: float = field(default=0.0)
 
 
-def eig_normal(a, tol: Tolerances = DEFAULT_TOL) -> EigDecomp:
+def eig_normal(a) -> EigDecomp:
     """Eigendecomposition of a normal matrix via a complex Schur reduction.
 
     The Schur form of a normal matrix is diagonal, so the Schur basis is an
     orthonormal eigenbasis even across degenerate eigenvalues.  Rejects
-    matrices whose relative normality defect exceeds tol.normality.
+    matrices whose relative normality defect exceeds config.NORMALITY, and
+    fails when a residual exceeds config.EIG_RESIDUAL * max(1, ||A||_2).
     """
     a = as_matrix(a, square=True)
     defect = normality_defect(a)
-    if defect > tol.normality:
+    if defect > NORMALITY:
         raise ValueError(
-            f"matrix is not normal: relative defect {defect:.3e} > {tol.normality:.1e}"
+            f"matrix is not normal: relative defect {defect:.3e} > {NORMALITY:.1e}"
         )
     if a.shape[0] == 0:
         return EigDecomp(np.array([], dtype=complex), a.copy(), 0.0)
@@ -176,7 +173,7 @@ def eig_normal(a, tol: Tolerances = DEFAULT_TOL) -> EigDecomp:
     vals = vals[order]
     vecs = q[:, order]
     resid = float(np.max(np.linalg.norm(a @ vecs - vecs * vals, axis=0)))
-    if resid > tol.eig_residual * max(1.0, float(np.linalg.norm(a, 2))):
+    if resid > EIG_RESIDUAL * max(1.0, float(np.linalg.norm(a, 2))):
         raise ArithmeticError(
             f"normal eigendecomposition residual {resid:.3e} above tolerance"
         )
@@ -237,14 +234,23 @@ def norm_at_most(x, t: float) -> bool:
 
 def is_unitary(m, tol: float | None = None) -> bool:
     """Whether M is square with ||M^dag M - I||_2 <= tol (default
-    tol.unitarity), decided by `norm_at_most`: an SVD runs only when the
+    config.UNITARITY), decided by `norm_at_most`: an SVD runs only when the
     Frobenius norm of the defect exceeds tol."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
-    tol = DEFAULT_TOL.unitarity if tol is None else tol
+    tol = UNITARITY if tol is None else tol
     eye = np.eye(m.shape[0])
     return norm_at_most(m.conj().T @ m - eye, tol)
+
+
+def require_unitary(m, name: str) -> np.ndarray:
+    """M as a square complex matrix, provided ||M^dag M - I||_2 <=
+    config.INPUT_UNITARITY; otherwise ValueError naming it."""
+    m = as_matrix(m, square=True)
+    if not is_unitary(m, INPUT_UNITARITY):
+        raise ValueError(f"{name} is not unitary to tolerance")
+    return m
 
 
 def haar_unitary(n: int, seed) -> np.ndarray:
@@ -260,14 +266,14 @@ def haar_unitary(n: int, seed) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _require_normal_pair(a, b, tol: Tolerances):
+def _require_normal_pair(a, b):
     a = as_matrix(a, square=True)
     b = as_matrix(b, square=True)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     for name, m in (("first", a), ("second", b)):
         defect = normality_defect(m)
-        if defect > tol.normality:
+        if defect > NORMALITY:
             raise ValueError(f"{name} argument is not normal (defect {defect:.3e})")
     return a, b
 
@@ -295,7 +301,7 @@ def _bottleneck_assignment(cost: np.ndarray) -> float:
     return float(levels[hi])
 
 
-def spectral_distance(a, b, p: float = 2.0, tol: Tolerances = DEFAULT_TOL) -> float:
+def spectral_distance(a, b, p: float = 2.0) -> float:
     """Distance between the spectra of two normal matrices, minimized over
     all pairings of eigenvalues:
 
@@ -306,7 +312,7 @@ def spectral_distance(a, b, p: float = 2.0, tol: Tolerances = DEFAULT_TOL) -> fl
     """
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    a, b = _require_normal_pair(a, b, tol)
+    a, b = _require_normal_pair(a, b)
     la = eig_general(a)
     lb = eig_general(b)
     diff = np.abs(la[:, None] - lb[None, :])

@@ -117,8 +117,12 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def certificate_from_dict(data: dict) -> Certificate:
+    """Inverse of certificate_to_dict; a non-integral d_min raises ValueError."""
+    d_min = data["d_min"]
+    if not float(d_min).is_integer():
+        raise ValueError(f"d_min must be an integer, got {d_min!r}")
     return Certificate(
-        d_min=int(data["d_min"]),
+        d_min=int(d_min),
         method=data["method"],
         inputs=data["inputs"],
         slack=data.get("slack"),

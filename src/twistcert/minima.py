@@ -10,15 +10,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOL
 from .linalg import (
     NormSpec,
     OPERATOR,
-    as_matrix,
     haar_unitary,
-    is_unitary,
     operator_norm,
     polar_unitary,
+    require_unitary,
     schatten_kyfan_norm,
     twisted_commutator,
 )
@@ -59,15 +57,12 @@ class TwistedPair:
     delta: float = field(init=False)
 
     def __post_init__(self):
-        self.u = as_matrix(self.u, square=True)
-        self.v = as_matrix(self.v, square=True)
+        self.u = require_unitary(self.u, "u")
+        self.v = require_unitary(self.v, "v")
         if self.u.shape != self.v.shape:
             raise ValueError("twisted pair members must have equal dimension")
         if not (0.0 <= self.alpha < 1.0):
             raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
-        for name, m in (("u", self.u), ("v", self.v)):
-            if not is_unitary(m, 100 * DEFAULT_TOL.unitarity):
-                raise ValueError(f"{name} is not unitary to tolerance")
         self.eta = complex(np.exp(2j * np.pi * self.alpha))
         self.delta = operator_norm(self.commutator())
 

@@ -17,14 +17,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import (BOUND_SLACK, EIG_RESIDUAL, GROUND_SLACK, HERMITICITY, PROJECTOR,
+                     SPECTRAL_REL)
 from .linalg import (
     NormSpec,
     OPERATOR,
     as_matrix,
-    is_unitary,
     norm_at_most,
     polar_unitary,
+    require_unitary,
     schatten_kyfan_norm,
     twisted_commutator,
 )
@@ -78,11 +79,12 @@ class BandSpec:
       * each eigenvector of H lies in range(P) or its complement,
       * ||H P||_2 <= width  and  H^2 >= gap^2 (I - P).
 
-    Relative tolerances scale with max(1, ||H||_2), read off the spectrum of
-    (H + H^dag) / 2; each "||X||_2 <= t" check runs an SVD only when the
-    Frobenius norm of X exceeds t.  The last two checks are first decided by
-    bounds drawn from the eigensystem, with V the in-band eigenvectors and
-    D = ||P - V V^dag||_F:
+    The tolerances are config.HERMITICITY, config.PROJECTOR and
+    config.SPECTRAL_REL; relative ones scale with max(1, ||H||_2), read off the
+    spectrum of (H + H^dag) / 2.  Each "||X||_2 <= t" check runs an SVD only
+    when the Frobenius norm of X exceeds t.  The last two checks are first
+    decided by bounds drawn from the eigensystem, with V the in-band
+    eigenvectors and D = ||P - V V^dag||_F:
 
         ||H P||_2                       <= ||H V||_2 + ||H||_2 D,
         lambda_min(H^2 - gap^2 (I - P)) >= min_j (lambda_j^2 - gap^2 [j excited])
@@ -101,8 +103,7 @@ class BandSpec:
     but never understate ||H P||.
     """
 
-    def __init__(self, h, p, gap: float | None = None, width: float | None = None,
-                 tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, h, p, gap: float | None = None, width: float | None = None):
         for name, value in (("gap", gap), ("width", width)):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -119,16 +120,15 @@ class BandSpec:
         skew = h - h.conj().T
         # ||sym(H)||_2 <= ||H||_2: passing against the eigenvalue scale passes
         # against max(1, ||H||_2), which decides the check otherwise
-        if not (norm_at_most(skew, tol.hermiticity * scale) or norm_at_most(
-                skew, tol.hermiticity * max(1.0, float(np.linalg.norm(h, 2))))):
+        if not (norm_at_most(skew, HERMITICITY * scale) or norm_at_most(
+                skew, HERMITICITY * max(1.0, float(np.linalg.norm(h, 2))))):
             raise ValueError("H is not Hermitian to tolerance")
-        if not norm_at_most(p - p.conj().T, tol.projector):
+        if not norm_at_most(p - p.conj().T, PROJECTOR):
             raise ValueError("P is not Hermitian to tolerance")
-        if not norm_at_most(p @ p - p, tol.projector):
+        if not norm_at_most(p @ p - p, PROJECTOR):
             raise ValueError("P is not idempotent to tolerance")
 
         self.p = (p + p.conj().T) / 2.0
-        self.tol = tol
         self.dim = h.shape[0]
         self.rank = int(round(float(np.trace(self.p).real)))
         if self.rank < 1:
@@ -154,7 +154,7 @@ class BandSpec:
             raise ValueError("band covers the whole space; no gapped complement")
         gap_actual = float(np.min(np.abs(self._excited_evals)))
 
-        rel = tol.spectral_rel
+        rel = SPECTRAL_REL
         # D = ||P - V V^dag||_F = ||P E - E [in band]||_F for unitary E, and a
         # margin for the eigh here and the dense check each bound stands in for
         pe[:, in_band] -= self._band_evecs
@@ -200,12 +200,12 @@ class BandSpec:
                 raise ValueError("H^2 >= gap^2 (I - P) fails to tolerance")
 
     @classmethod
-    def lowest(cls, h, rank: int, tol: Tolerances = DEFAULT_TOL) -> "BandSpec":
+    def lowest(cls, h, rank: int) -> "BandSpec":
         """The band of the `rank` lowest eigenvalues of (H + H^dag) / 2, with
         gap = min |lambda| over the rest and width = max |lambda| over the
         band, all from the constructor's one eigh, then validated like any
         stated band."""
-        return cls(h, _LowestBand(int(rank)), tol=tol)
+        return cls(h, _LowestBand(int(rank)))
 
     @cached_property
     def band_basis(self) -> np.ndarray:
@@ -214,10 +214,10 @@ class BandSpec:
         All band restrictions use this basis; they depend on it only up to a
         unitary change of basis within the band.
 
-        Checked by ||P B - B||_2 <= tol.eig_residual, the residual bound the
-        normal eigensolver applies (||P||_2 is 1 up to tol.projector)."""
+        Checked by ||P B - B||_2 <= config.EIG_RESIDUAL, the residual bound
+        the normal eigensolver applies (||P||_2 is 1 up to config.PROJECTOR)."""
         basis, _ = np.linalg.qr(self.p @ self._band_evecs)
-        if not norm_at_most(self.p @ basis - basis, self.tol.eig_residual):
+        if not norm_at_most(self.p @ basis - basis, EIG_RESIDUAL):
             raise ArithmeticError("band basis is not invariant under P to tolerance")
         return basis
 
@@ -225,23 +225,10 @@ class BandSpec:
     def p_bar(self) -> np.ndarray:
         return np.eye(self.dim) - self.p
 
-    def band_eigenvalues(self) -> np.ndarray:
-        return self._band_evals.copy()
-
-    def excited_eigenvalues(self) -> np.ndarray:
-        return self._excited_evals.copy()
-
-
-def _require_unitary(u, tol: Tolerances, name: str = "U") -> np.ndarray:
-    u = as_matrix(u, square=True)
-    if not is_unitary(u, tol.unitarity * 100):
-        raise ValueError(f"{name} is not unitary to tolerance")
-    return u
-
 
 def commutator_epsilon(u, band: BandSpec, spec: NormSpec = OPERATOR) -> float:
     """||[U, H]|| in the chosen norm: the epsilon of an approximate symmetry."""
-    u = _require_unitary(u, band.tol)
+    u = require_unitary(u, "U")
     return schatten_kyfan_norm(u @ band.h - band.h @ u, spec)
 
 
@@ -249,7 +236,7 @@ def offdiag_norm(u, band: BandSpec, spec: NormSpec = OPERATOR) -> float:
     """||Pbar U P + P U Pbar||: the off-block-diagonal part of U with respect
     to the band.  Bounded by commutator_epsilon / gap for zero-width bands,
     with equality in the operator norm when H = gap * Pbar."""
-    u = _require_unitary(u, band.tol)
+    u = require_unitary(u, "U")
     pb = band.p_bar
     return schatten_kyfan_norm(pb @ u @ band.p + band.p @ u @ pb, spec)
 
@@ -290,16 +277,15 @@ def _band_norm(spec: NormSpec, band: BandSpec) -> NormSpec:
     return NormSpec(spec.p, band.rank)
 
 
-def ground_symmetry(u, band: BandSpec, spec: NormSpec = OPERATOR,
-                    slack: float = 1e-9) -> GroundSymmetry:
+def ground_symmetry(u, band: BandSpec, spec: NormSpec = OPERATOR) -> GroundSymmetry:
     """Construct the nearby band symmetry: polar-unitarize the band block of U
     and keep U on the complement.
 
     Requires xi = (epsilon + width) / gap < 1, which keeps the band block of U
     invertible (its singular values are at least 1 - f(xi^2) > 0).  The
-    measured distances are checked against their certified bounds.  A spec
-    with k above the band rank is clamped so the same norm applies on the
-    band.
+    measured distances are checked against their certified bounds, with
+    allowance config.GROUND_SLACK.  A spec with k above the band rank is
+    clamped so the same norm applies on the band.
 
     With B the band basis (so P = B B^dag), A = B^dag U B, W its polar
     factor and thin QRs Pbar U B = Q_f R_f and Pbar U^dag B = Q_e R_e,
@@ -341,7 +327,7 @@ def ground_symmetry(u, band: BandSpec, spec: NormSpec = OPERATOR,
     dist_band = schatten_kyfan_norm(core[:g, :g], spec)
     bound_full = xi + fx
     bound_band = fx
-    if dist_full > bound_full + slack or dist_band > bound_band + slack:
+    if dist_full > bound_full + GROUND_SLACK or dist_band > bound_band + GROUND_SLACK:
         raise ArithmeticError(
             "certified distance bound violated: "
             f"full {dist_full:.3e} vs {bound_full:.3e}, "
@@ -378,8 +364,8 @@ class RestrictionResult:
     ground_v: GroundSymmetry
 
 
-def restrict_pair(u, v, band: BandSpec, alpha: float, spec: NormSpec = OPERATOR,
-                  slack: float = 1e-8) -> RestrictionResult:
+def restrict_pair(u, v, band: BandSpec, alpha: float,
+                  spec: NormSpec = OPERATOR) -> RestrictionResult:
     """Restrict two approximate symmetries to the band and certify the twisted
     commutation value of the restrictions:
 
@@ -387,8 +373,9 @@ def restrict_pair(u, v, band: BandSpec, alpha: float, spec: NormSpec = OPERATOR,
 
     with xi = (max epsilon + width) / gap and delta the measured ambient
     twisted commutation value.  The measured restricted value is asserted
-    against the bound (violation would indicate a numerical failure).  One
-    gauge is used throughout: a spec with k above the band rank is clamped.
+    against the bound with allowance config.BOUND_SLACK (violation would
+    indicate a numerical failure).  One gauge is used throughout: a spec with
+    k above the band rank is clamped.
     """
     spec = _band_norm(spec, band)
     gs_u = ground_symmetry(u, band, spec)
@@ -399,7 +386,7 @@ def restrict_pair(u, v, band: BandSpec, alpha: float, spec: NormSpec = OPERATOR,
     measured = schatten_kyfan_norm(
         twisted_commutator(gs_u.on_band, gs_v.on_band, alpha), spec
     )
-    if measured > bound + slack:
+    if measured > bound + BOUND_SLACK:
         raise ArithmeticError(
             f"restricted twisted commutation value {measured:.6e} exceeds the "
             f"certified bound {bound:.6e}"
@@ -435,4 +422,4 @@ def gibbs_transform(band: BandSpec, beta: float) -> BandSpec:
     h2 = (evecs * transformed) @ evecs.conj().T
     h2 = (h2 + h2.conj().T) / 2.0
     new_gap = 1.0 - np.exp(-beta * band.gap)
-    return BandSpec(h2, band.p, gap=new_gap, width=None, tol=band.tol)
+    return BandSpec(h2, band.p, gap=new_gap, width=None)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import EIG_RESIDUAL, SEED_ATOL
 from .linalg import (
     as_matrix,
     eig_general,
@@ -65,12 +65,11 @@ class ClusterResult:
         return self.n * self.radius
 
 
-def cluster(eigs, seed_lambda: complex, r: float,
-            seed_atol: float = 1e-12) -> ClusterResult:
+def cluster(eigs, seed_lambda: complex, r: float) -> ClusterResult:
     """Fixed point of the chaining iteration
     I_k = { i : exists j in I_(k-1) with |lam_i - lam_j| <= r }, seeded with
-    every index whose eigenvalue equals seed_lambda (all of them when the seed
-    is degenerate).
+    every index whose eigenvalue lies within config.SEED_ATOL of seed_lambda
+    (all of them when the seed is degenerate).
 
     By construction the cluster is separated from the remaining eigenvalues by
     more than r, and its diameter around the seed is at most n * r; both are
@@ -81,7 +80,7 @@ def cluster(eigs, seed_lambda: complex, r: float,
     if r <= 0:
         raise ValueError(f"radius must be positive, got {r}")
     dist_to_seed = np.abs(vals - seed_lambda)
-    members = dist_to_seed <= seed_atol
+    members = dist_to_seed <= SEED_ATOL
     if not np.any(members):
         raise ValueError(
             f"seed {seed_lambda} is not an eigenvalue (closest at distance "
@@ -137,12 +136,12 @@ class SharedEigenResult:
     eigvec_residual: float
 
 
-def _snap_seed(eigs: np.ndarray, seed_lambda: complex, tol: Tolerances) -> complex:
+def _snap_seed(eigs: np.ndarray, seed_lambda: complex) -> complex:
     """The eigenvalue nearest seed_lambda, provided it lies within
-    tol.eig_residual * max(1, max |lambda|) of the seed."""
+    config.EIG_RESIDUAL * max(1, max |lambda|) of the seed."""
     dist = np.abs(eigs - seed_lambda)
     idx = int(np.argmin(dist))
-    window = tol.eig_residual * max(1.0, float(np.max(np.abs(eigs))))
+    window = EIG_RESIDUAL * max(1.0, float(np.max(np.abs(eigs))))
     if dist[idx] > window:
         raise ValueError(
             f"seed {seed_lambda} is not an eigenvalue of A (closest at distance "
@@ -151,7 +150,7 @@ def _snap_seed(eigs: np.ndarray, seed_lambda: complex, tol: Tolerances) -> compl
     return complex(eigs[idx])
 
 
-def _shared(a, b, seed_lambda, tol: Tolerances, normal_b: bool) -> SharedEigenResult:
+def _shared(a, b, seed_lambda, normal_b: bool) -> SharedEigenResult:
     """Both variants: cluster subspace V of A around the (snapped) seed, the
     eigenpair of B_VV with the best-separated eigenvalue, and the residuals and
     block diagnostics.  normal_b selects the chain radius sqrt(eps) and snaps
@@ -161,13 +160,13 @@ def _shared(a, b, seed_lambda, tol: Tolerances, normal_b: bool) -> SharedEigenRe
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     n = a.shape[0]
-    b_dec = eig_normal(b, tol) if normal_b else None  # also enforces normality of B
+    b_dec = eig_normal(b) if normal_b else None  # also enforces normality of B
     eps = operator_norm(a @ b - b @ a)
     radius = math.sqrt(eps if normal_b else eps / 2.0)
     r = max(radius, _RADIUS_FLOOR)
 
-    dec = eig_normal(a, tol)
-    seed = _snap_seed(dec.eigenvalues, seed_lambda, tol)
+    dec = eig_normal(a)
+    seed = _snap_seed(dec.eigenvalues, seed_lambda)
     cl = cluster(dec.eigenvalues, seed, r)
     idx = np.asarray(cl.indices)
     basis = dec.eigenvectors[:, idx]
@@ -208,15 +207,14 @@ def _shared(a, b, seed_lambda, tol: Tolerances, normal_b: bool) -> SharedEigenRe
     )
 
 
-def shared_approx_eigenvector(a, b, seed_lambda: complex,
-                              tol: Tolerances = DEFAULT_TOL) -> SharedEigenResult:
+def shared_approx_eigenvector(a, b, seed_lambda: complex) -> SharedEigenResult:
     """Shared approximate eigenvector of a normal A and arbitrary B with
     measured eps = ||[A, B]||, using chain radius r = sqrt(eps/2):
 
         ||A x - seed x||, ||B x - mu x|| <= n sqrt(eps/2).
 
     seed_lambda is snapped to the nearest eigenvalue of A as computed here
-    when it lies within tol.eig_residual * max(1, max |lambda|) of it, and
+    when it lies within config.EIG_RESIDUAL * max(1, max |lambda|) of it, and
     that eigenvalue is reported as eigenvalue_a; a seed farther from the
     spectrum raises ValueError.
 
@@ -225,11 +223,10 @@ def shared_approx_eigenvector(a, b, seed_lambda: complex,
     eigenvalue of the block of B on the cluster subspace; the block need not
     be normal, so the eigenvector residual is reported on the result.
     """
-    return _shared(a, b, seed_lambda, tol, normal_b=False)
+    return _shared(a, b, seed_lambda, normal_b=False)
 
 
-def shared_approx_eigenvector_normal(a, b, seed_lambda: complex,
-                                     tol: Tolerances = DEFAULT_TOL) -> SharedEigenResult:
+def shared_approx_eigenvector_normal(a, b, seed_lambda: complex) -> SharedEigenResult:
     """Variant for normal B: the approximate eigenvalue is snapped to the
     nearest exact eigenvalue of B, at chain radius r = sqrt(eps):
 
@@ -238,4 +235,4 @@ def shared_approx_eigenvector_normal(a, b, seed_lambda: complex,
     seed_lambda is snapped to the spectrum of A exactly as in
     shared_approx_eigenvector.
     """
-    return _shared(a, b, seed_lambda, tol, normal_b=True)
+    return _shared(a, b, seed_lambda, normal_b=True)

@@ -29,13 +29,13 @@ from twistcert import (
     TwistedPair,
 )
 from twistcert.cli import recheck_certificate
-from twistcert.config import DEFAULT_TOL
+from twistcert.config import ANGLE_MERGE
 
 
 def bisection_slack(alpha, delta, merge_tol=None):
     """The slack search certify_single ran before the packing-event walk,
     kept verbatim as a reference: 60 bisection steps, each a full sweep."""
-    merge_tol = DEFAULT_TOL.angle_merge if merge_tol is None else merge_tol
+    merge_tol = ANGLE_MERGE if merge_tol is None else merge_tol
 
     def certified_dim(x):
         intervals = minimal_intervals(alpha, x, merge_tol)
@@ -238,7 +238,7 @@ class TestCertifySingle:
         alpha, delta = 1 / 3 + 0.01, 1e-3
         cert = certify_single(alpha, delta)
         assert cert.slack is not None and cert.slack > 0
-        reach = certify_module._nesting_power(alpha, delta, DEFAULT_TOL.angle_merge)
+        reach = certify_module._nesting_power(alpha, delta, ANGLE_MERGE)
         assert reach < int(2 / delta)  # 67 of 2000: a denominator of 103/300
         assert sizes[0] == 2 * reach and sizes.count(2 * reach) == 1
         probes = sizes[1:]

@@ -8,9 +8,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from twistcert import ModelSpec, clock_model, ground_symmetry
+from twistcert import (
+    ModelSpec,
+    certify_double,
+    certify_lambda_exclusion,
+    clock_model,
+    ground_symmetry,
+)
 from twistcert.cli import main
-from twistcert.matio import save_matrix_text
+from twistcert.matio import certificate_to_dict, save_matrix_text
 
 
 @pytest.fixture(autouse=True)
@@ -405,18 +411,47 @@ class TestCheck:
         out.write_text(json.dumps(doc))
         assert main(["check", str(out)]) == 3
 
-    @pytest.mark.parametrize("mutate", [
-        lambda cert: cert["inputs"].pop("alpha"),
-        lambda cert: cert.update(slack="wide"),
-        lambda cert: cert["inputs"].update(delta="nan"),
-    ], ids=["missing-alpha", "non-numeric-slack", "nan-delta"])
-    def test_malformed_certificate_exits_1(self, tmp_path, capsys, mutate):
+    @staticmethod
+    def certificate_doc(kind, tmp_path):
+        """A valid certificate document of the given kind: a direct one as
+        `certify --alpha --delta` writes it, the others built in process, or
+        a direct one wrapped in a top-level list."""
+        if kind == "lambda-exclusion":
+            return {"certificate": certificate_to_dict(certify_lambda_exclusion(0.25, 0.5))}
+        if kind == "double-pair":
+            return {"certificate": certificate_to_dict(certify_double(2, 3, 1e-8, 1e-8))}
         out = tmp_path / "direct.json"
         assert main(["certify", "--alpha", "0.25", "--delta", "0.5",
                      "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["certificate"]["slack"] is not None
-        mutate(doc["certificate"])
+        return [doc] if kind == "top-level-list" else doc
+
+    @pytest.mark.parametrize("kind", ["lambda-exclusion", "double-pair"])
+    def test_unmodified_certificate_passes(self, tmp_path, kind):
+        out = tmp_path / "cert.json"
+        out.write_text(json.dumps(self.certificate_doc(kind, tmp_path)))
+        assert main(["check", str(out)]) == 0
+
+    @pytest.mark.parametrize("kind, mutate", [
+        ("direct", lambda doc: doc["certificate"]["inputs"].pop("alpha")),
+        ("direct", lambda doc: doc["certificate"].update(slack="wide")),
+        ("direct", lambda doc: doc["certificate"]["inputs"].update(delta="nan")),
+        ("direct", lambda doc: doc["certificate"].update(d_min=3.5)),
+        ("top-level-list", lambda doc: None),
+        ("lambda-exclusion", lambda doc: doc["certificate"]["inputs"].update(g_max=-5)),
+        ("lambda-exclusion", lambda doc: doc["certificate"]["inputs"].update(g_max=64.5)),
+        ("lambda-exclusion", lambda doc: doc["certificate"]["inputs"].update(k=1.5)),
+        ("lambda-exclusion", lambda doc: doc["certificate"]["inputs"].update(p="abc")),
+        ("double-pair", lambda doc: doc["certificate"]["inputs"].update(d1=2.9)),
+        ("double-pair", lambda doc: doc["certificate"]["inputs"].update(d2=3.5)),
+    ], ids=["missing-alpha", "non-numeric-slack", "nan-delta", "fractional-d_min",
+            "top-level-list", "negative-g_max", "fractional-g_max", "fractional-k",
+            "non-numeric-p", "fractional-d1", "fractional-d2"])
+    def test_malformed_certificate_exits_1(self, tmp_path, capsys, kind, mutate):
+        out = tmp_path / "cert.json"
+        doc = self.certificate_doc(kind, tmp_path)
+        mutate(doc)
         out.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["check", str(out)]) == 1

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from twistcert import (
-    DEFAULT_TOL,
     BandSpec,
     ModelSpec,
     NormSpec,
@@ -26,6 +25,7 @@ from twistcert import (
     tensor_double_model,
     twisted_commutator,
 )
+from twistcert.config import SPECTRAL_REL
 
 
 def rotation(phi):
@@ -304,7 +304,7 @@ def spectral_pair(band_levels, excited_levels, seed):
     return (w * levels) @ w.conj().T, w[:, :g] @ w[:, :g].conj().T
 
 
-def dense_band_check(h, p, gap=None, width=None, rel=DEFAULT_TOL.spectral_rel):
+def dense_band_check(h, p, gap=None, width=None, rel=SPECTRAL_REL):
     """The gap and width checks of BandSpec decided by the n x n SVD of H P
     and the eigvalsh of H^2 - gap^2 (I - P) alone, in the constructor's
     order: the message of the first failing check, or None."""
@@ -366,7 +366,7 @@ class TestSpectralBounds:
     eigvalsh checks they stand in for, right at the tolerance edges, and
     leave the dense checks unrun away from them."""
 
-    rel = DEFAULT_TOL.spectral_rel
+    rel = SPECTRAL_REL
 
     def width_edge_case(self):
         h, p = spectral_pair([0.04, -0.03, 0.01], [1.0, 1.4, 1.9, 2.0], seed=31)
