@@ -22,7 +22,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ANGLE_MERGE, BOUND_SLACK, GRAM_TOL
+from .config import (
+    ANGLE_MERGE,
+    BOUND_SLACK,
+    COINCIDENT_ANGLE,
+    GRAM_TOL,
+    RATIONAL_TWIST,
+)
 from .linalg import (
     NormSpec,
     OPERATOR,
@@ -31,7 +37,7 @@ from .linalg import (
     require_unitary,
     twisted_commutator,
 )
-from .minima import TwistedPair, excluded_dimensions, lambda_min
+from .minima import TwistedPair, lambda_min
 from .shared_eig import shared_approx_eigenvector_normal
 
 __all__ = [
@@ -247,10 +253,12 @@ def _minimal(js: np.ndarray, half: np.ndarray, centers: np.ndarray,
 
 class MinimalIntervals(list):
     """The (lo, hi) pairs of minimal_intervals; `powers` holds the orbit
-    power j whose arc gave each pair."""
+    power j whose arc gave each pair, and `lo` and `hi` the endpoints as
+    lists."""
 
     def __init__(self, js: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        super().__init__(zip(lo.tolist(), hi.tolist()))
+        self.lo, self.hi = lo.tolist(), hi.tolist()
+        super().__init__(zip(self.lo, self.hi))
         self.powers = js
 
 
@@ -300,7 +308,7 @@ def _rational_twist(alpha: float, cap: int = 10 ** 6) -> tuple[int, int] | None:
     resolution: a true rational hits its reduced form to within an ulp, while
     the best cap-bounded approximant of an irrational misses by ~1/q^2."""
     frac = Fraction(alpha).limit_denominator(cap)
-    if abs(alpha - float(frac)) <= 1e-15:
+    if abs(alpha - float(frac)) <= RATIONAL_TWIST:
         return frac.numerator, frac.denominator
     return None
 
@@ -335,10 +343,12 @@ def _packing_event(alpha: float, js: np.ndarray, merge_tol: float) -> float:
 
 
 def _slack(alpha: float, delta: float, d_min: int, powers: np.ndarray,
-           pack: np.ndarray, merge_tol: float) -> float:
+           pack: np.ndarray, merge_tol: float) -> tuple[float, np.ndarray]:
     """How far delta can grow while the sweep still certifies d_min (see
-    certify_single); `powers` are those of the minimal intervals at delta and
-    `pack` those of its d_min - 1 stabbed intervals."""
+    certify_single): the largest probed delta top that still certifies it,
+    with the powers of the d_min - 1 intervals the greedy stabs there.
+    `powers` are those of the minimal intervals at delta and `pack` those of
+    its stabbed intervals."""
 
     def packing(x: float, js: np.ndarray):
         """The powers minimal at x among js, with the powers of the greedy's
@@ -348,7 +358,7 @@ def _slack(alpha: float, delta: float, d_min: int, powers: np.ndarray,
         return js, (js[picked] if len(picked) + 1 >= d_min else None)
 
     good, bad = delta, 2.0  # no arc is left at delta = 2: it certifies 1
-    while pack is not None:
+    while True:
         # the packing holds up to its event, which rounding misplaces by less
         # than _EVENT_STEP: probe just past the event, then just before it
         event = _packing_event(alpha, pack, merge_tol)
@@ -356,23 +366,26 @@ def _slack(alpha: float, delta: float, d_min: int, powers: np.ndarray,
             break  # rounding put the event at or below the current point
         after, before = event + _EVENT_STEP, event - _EVENT_STEP
         if after < bad:
-            js, pack = packing(after, powers)
-            if pack is not None:
-                good, powers = after, js
+            js, found = packing(after, powers)
+            if found is not None:
+                good, powers, pack = after, js, found
                 continue
             bad = after
-        if before <= good or packing(before, powers)[1] is not None:
-            return max(good, before) - delta
+        if before <= good:
+            return good, pack
+        found = packing(before, powers)[1]
+        if found is not None:
+            return before, found
         bad = before
         break
     while bad - good > _EVENT_STEP:  # bisection on the powers still minimal
         mid = 0.5 * (good + bad)
-        js, pack = packing(mid, powers)
-        if pack is None:
+        js, found = packing(mid, powers)
+        if found is None:
             bad = mid
         else:
-            good, powers = mid, js
-    return good - delta
+            good, powers, pack = mid, js, found
+    return good, pack
 
 
 def certify_single(alpha: float, delta: float, compute_slack: bool = True,
@@ -402,13 +415,13 @@ def certify_single(alpha: float, delta: float, compute_slack: bool = True,
     event (it falls at or below the current point, or the point just before
     it fails), a bisection on the same minimal powers finishes.  The slack agrees with a bisection
     over full sweeps to within 2 * _EVENT_STEP (7e-15).
+
+    The witness records the stabbed intervals' orbit powers as `packing`
+    and the delta at which they were found (the slack's end point, or delta
+    itself) as `packing_delta`; _packing_failure re-verifies the certificate
+    from these alone.
     """
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    if not math.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta}")
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    _check_domain(alpha, delta)
     merge_tol = ANGLE_MERGE if merge_tol is None else merge_tol
 
     if delta == 0.0:
@@ -427,22 +440,16 @@ def certify_single(alpha: float, delta: float, compute_slack: bool = True,
             witness={"exact": True, "denominator": q},
         )
 
-    if delta < _MIN_DELTA:
-        raise ValueError(
-            f"delta = {delta:.3e} may require more than {int(2 / _MIN_DELTA)} arcs; "
-            "use the exact route (delta = 0) or a coarser value"
-        )
-
     intervals = minimal_intervals(alpha, delta, merge_tol)
     # the intervals ascend in hi, the order greedy_transversal sorts them into
-    his = [hi for _, hi in intervals]
-    picked = _stab_indices([lo for lo, _ in intervals], his, merge_tol)
-    stabs = [his[i] for i in picked]
+    picked = _stab_indices(intervals.lo, intervals.hi, merge_tol)
+    stabs = [intervals.hi[i] for i in picked]
     d_min = 1 + len(stabs)
+    top, pack = delta, intervals.powers[picked]
     slack = None
     if compute_slack and d_min > 1:
-        slack = _slack(alpha, delta, d_min, intervals.powers,
-                       intervals.powers[picked], merge_tol)
+        top, pack = _slack(alpha, delta, d_min, intervals.powers, pack, merge_tol)
+        slack = top - delta
 
     return Certificate(
         d_min=d_min,
@@ -453,8 +460,76 @@ def certify_single(alpha: float, delta: float, compute_slack: bool = True,
             "forced_angle": 0.0,
             "stab_angles": [float(s % TWO_PI) for s in stabs],
             "minimal_interval_count": len(intervals),
+            "packing_delta": top,
+            "packing": pack,
         },
     )
+
+
+def _check_domain(alpha: float, delta: float) -> None:
+    """Raise ValueError unless certify_single accepts (alpha, delta): alpha in
+    [0, 1), delta finite and either 0 or at least _MIN_DELTA."""
+    if not (0.0 <= alpha < 1.0):
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
+    if delta < 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
+    if 0.0 < delta < _MIN_DELTA:
+        raise ValueError(
+            f"delta = {delta:.3e} may require more than {int(2 / _MIN_DELTA)} arcs; "
+            "use the exact route (delta = 0) or a coarser value"
+        )
+
+
+def _packing_failure(alpha: float, delta: float, d_min: int, packing,
+                     packing_delta: float, slack: float | None) -> str | None:
+    """Why the packing witness of a greedy-transversal certificate fails to
+    prove d >= d_min, or None when it proves it.
+
+    Every arc of the orbit powers in `packing` holds an eigenvalue, and so
+    does angle 0.  So d_min - 1 arcs that avoid angle 0 and each other prove
+    d_min distinct eigenvalues.  Half-widths only grow with delta, so arcs
+    that do so at packing_delta do so at every delta' <= packing_delta.  The
+    arcs are recomputed with _arcs at delta and at packing_delta, and tested
+    with the certifier's own expressions at its default merge_tol
+    (config.ANGLE_MERGE): _minimal's test against angle 0 and _stab_indices'
+    separation of neighbours.  So every certificate that certify_single
+    emits with that merge_tol passes.  The slack, when given, must equal
+    packing_delta - delta exactly.  O(d log d); no sweep runs."""
+    _check_domain(alpha, delta)
+    if not (math.isfinite(packing_delta) and packing_delta >= delta):
+        raise ValueError(f"packing_delta must be finite and at least delta = "
+                         f"{delta!r}, got {packing_delta!r}")
+    if len(packing) != d_min - 1:
+        return f"the packing holds {len(packing)} arcs, but d_min - 1 = {d_min - 1}"
+    if slack is not None and slack != packing_delta - delta:
+        return (f"slack {slack!r} differs from packing_delta - delta = "
+                f"{packing_delta - delta!r}")
+    for x in (delta, packing_delta):
+        # powers beyond floor(2 / x) are tested in Python ints, which never wrap
+        reach = _full_range(x)
+        js, half, centers = _arcs(alpha, x, np.array(
+            [j for j in packing if abs(j) <= reach], dtype=np.int64))
+        if js.size < len(packing):
+            kept = set(js.tolist())
+            j = next(j for j in packing if j not in kept)
+            return f"the arc of power {j} is the whole circle at delta = {x!r}"
+        dist0 = np.minimum(centers, TWO_PI - centers)
+        through = np.flatnonzero(~(dist0 > half + ANGLE_MERGE))
+        if through.size:
+            return (f"the arc of power {js[through[0]]} reaches angle 0 at "
+                    f"delta = {x!r}")
+        lo = (centers - half) % TWO_PI
+        hi = lo + 2.0 * half
+        order = np.argsort(lo, kind="stable")
+        js, lo, hi = js[order], lo[order], hi[order]
+        meet = np.flatnonzero(~(hi[:-1] < lo[1:] - ANGLE_MERGE))
+        if meet.size:
+            k = meet[0]
+            return (f"the arcs of powers {js[k]} and {js[k + 1]} meet at "
+                    f"delta = {x!r}")
+    return None
 
 
 def _double_threshold(d1: int, d2: int, gamma: float,
@@ -463,6 +538,17 @@ def _double_threshold(d1: int, d2: int, gamma: float,
     lhs = math.sqrt(gamma) * d1 * d2 + (d1 + d2) * delta
     rhs = float(np.sin(np.pi / (2 * d1)) ** 2 / (d1 * d2 - 1) ** 2)
     return lhs, rhs
+
+
+def _check_double_domain(d1: int, d2: int, gamma: float, delta: float) -> None:
+    """Raise ValueError unless certify_double accepts its arguments."""
+    if not (2 <= d1 <= d2):
+        raise ValueError(f"need 2 <= d1 <= d2, got d1={d1}, d2={d2}")
+    for name, value in (("gamma", gamma), ("delta", delta)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if gamma < 0 or delta < 0:
+        raise ValueError("gamma and delta must be nonnegative")
 
 
 def certify_double(d1: int, d2: int, gamma: float, delta: float,
@@ -476,13 +562,7 @@ def certify_double(d1: int, d2: int, gamma: float, delta: float,
 
     otherwise falls back to the best single-pair certificate.
     """
-    if not (2 <= d1 <= d2):
-        raise ValueError(f"need 2 <= d1 <= d2, got d1={d1}, d2={d2}")
-    for name, value in (("gamma", gamma), ("delta", delta)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if gamma < 0 or delta < 0:
-        raise ValueError("gamma and delta must be nonnegative")
+    _check_double_domain(d1, d2, gamma, delta)
     lhs, rhs = _double_threshold(d1, d2, gamma, delta)
     inputs = {"d1": d1, "d2": d2, "gamma": gamma, "delta": delta}
     if lhs < rhs:
@@ -510,6 +590,21 @@ def certify_double(d1: int, d2: int, gamma: float, delta: float,
     )
 
 
+def _fallback_failure(d1: int, d2: int, gamma: float, delta: float,
+                      alpha: float) -> str | None:
+    """Why a greedy-transversal certificate on certify_double's inputs is not
+    its single-pair fallback at twist alpha, or None when it is: alpha must
+    be 1 / d1 or 1 / d2, and the two-pair threshold must fail."""
+    _check_double_domain(d1, d2, gamma, delta)
+    if alpha not in (1.0 / d1, 1.0 / d2):
+        return f"single_pair_twist {alpha!r} is neither 1/d1 nor 1/d2"
+    lhs, rhs = _double_threshold(d1, d2, gamma, delta)
+    if lhs < rhs:
+        return (f"the double-pair threshold holds (lhs {lhs!r} < rhs {rhs!r}), "
+                "so the certificate should be double-pair")
+    return None
+
+
 def certify_lambda_exclusion(alpha: float, delta: float, g_max: int = 64,
                              spec: NormSpec = OPERATOR) -> Certificate:
     """Certificate from the closed-form minimum twisted commutation value:
@@ -518,11 +613,17 @@ def certify_lambda_exclusion(alpha: float, delta: float, g_max: int = 64,
     (not monotone in g) is returned as the witness."""
     if g_max < 1:
         raise ValueError(f"g_max must be >= 1, got {g_max}")
-    excluded = excluded_dimensions(delta, alpha, g_max, spec)
-    excluded_set = set(excluded)
-    d_min = next(g for g in range(1, g_max + 2) if g not in excluded_set)
-    margins = [lambda_min(g, alpha, NormSpec(spec.p, min(spec.k, g))) - delta
-               for g in range(1, d_min)]
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
+    # one lambda_min per dimension: k is clamped to g as in excluded_dimensions
+    floors = [lambda_min(g, alpha, NormSpec(spec.p, min(spec.k, g)))
+              for g in range(1, g_max + 1)]
+    excluded = [g for g, floor in enumerate(floors, 1) if delta < floor]
+    d_min = next((g for g, floor in enumerate(floors, 1) if not delta < floor),
+                 g_max + 1)
+    margins = [floor - delta for floor in floors[:d_min - 1]]
     return Certificate(
         d_min=d_min,
         method="lambda-exclusion",
@@ -615,7 +716,7 @@ def overlap_bound(zeta: float, theta_x: float, theta_y: float) -> float:
         raise ValueError(f"zeta must be nonnegative, got {zeta}")
     sep = abs(theta_y - theta_x) % TWO_PI
     sep = min(sep, TWO_PI - sep)
-    if sep <= 1e-15:
+    if sep <= COINCIDENT_ANGLE:
         raise ValueError("coincident expectation targets: no overlap bound")
     return float(np.sqrt(2.0 * zeta) / np.sin(sep / 4.0))
 

@@ -23,12 +23,15 @@ import numpy as np
 from .certify import (
     _MIN_DELTA,
     Certificate,
+    _fallback_failure,
+    _packing_failure,
     certify_double,
     certify_lambda_exclusion,
     certify_single,
     single_pair_threshold,
     verify_double_witness,
 )
+from .config import SLACK_MATCH_ABS, SLACK_MATCH_REL
 from .linalg import NormSpec, OPERATOR
 from .matio import certificate_from_dict, certificate_to_dict, jsonable, load_matrix
 from .minima import lambda_min
@@ -450,10 +453,28 @@ def _finite(value, name: str) -> float:
     return x
 
 
+def _packing_witness(witness) -> tuple[list[int], float] | None:
+    """The packing and packing_delta of a greedy-transversal witness, or None
+    when the witness carries neither (certificates written before packings
+    were recorded, which are rerun instead)."""
+    if not isinstance(witness, dict) or not {"packing", "packing_delta"} & set(witness):
+        return None
+    packing = witness.get("packing")
+    # bool subclasses int, and a float power would be truncated
+    if not isinstance(packing, list) or any(type(j) is not int for j in packing):
+        raise CliIOError("malformed certificate: witness.packing must be a list of "
+                         f"integers, got {packing!r}")
+    return packing, _finite(witness.get("packing_delta"), "witness.packing_delta")
+
+
 def recheck_certificate(cert: Certificate) -> tuple[bool, str]:
-    """Recompute the certificate's inequalities from its echoed inputs.
-    Raises CliIOError when an input it needs is missing, not finite, not
-    integral where it counts, or outside the certifier's domain."""
+    """Re-verify a certificate from its echoed inputs.  A greedy-transversal
+    certificate with a packing witness is verified from that witness in
+    O(d log d) (certify._packing_failure): no sweep or slack search runs.  Any
+    other certificate has its inequalities recomputed by rerunning the
+    certifier.  Raises CliIOError when an input it needs is missing, not
+    finite, not integral where it counts, or outside the certifier's
+    domain."""
     inputs = cert.inputs
     if not isinstance(inputs, dict):
         raise CliIOError("malformed certificate: inputs must be an object")
@@ -469,13 +490,34 @@ def recheck_certificate(cert: Certificate) -> tuple[bool, str]:
         return int(x)
 
     slack = None if cert.slack is None else _finite(cert.slack, "slack")
+    double = {"d1", "d2", "gamma", "delta"} <= set(inputs)
+    packed = (_packing_witness(cert.witness)
+              if cert.method == "greedy-transversal" else None)
     try:
-        if {"d1", "d2", "gamma", "delta"} <= set(inputs):
+        if packed is not None:
+            powers, packing_delta = packed
+            delta = num("delta")
+            if double:
+                alpha = _finite(cert.witness.get("single_pair_twist"),
+                                "witness.single_pair_twist")
+                failure = _fallback_failure(integer("d1"), integer("d2"), num("gamma"),
+                                            delta, alpha)
+            else:
+                alpha, failure = num("alpha"), None
+            failure = failure or _packing_failure(alpha, delta, cert.d_min, powers,
+                                                  packing_delta, slack)
+            return failure is None, failure or "certificate re-verified"
+        if double:
             fresh = certify_double(integer("d1"), integer("d2"), num("gamma"),
                                    num("delta"))
         elif cert.method == "lambda-exclusion":
+            g_max = integer("g_max", 64)
+            if cert.d_min > g_max + 1:
+                raise CliIOError(f"malformed certificate: d_min {cert.d_min} exceeds "
+                                 f"g_max + 1 = {g_max + 1}")
+            # d_min and slack depend on the dimensions g <= d_min alone
             fresh = certify_lambda_exclusion(
-                num("alpha"), num("delta"), g_max=integer("g_max", 64),
+                num("alpha"), num("delta"), g_max=min(g_max, cert.d_min),
                 spec=NormSpec(_parse_p(str(inputs.get("p", "inf"))), integer("k", 1)),
             )
         else:
@@ -488,7 +530,7 @@ def recheck_certificate(cert: Certificate) -> tuple[bool, str]:
             f"certificate claims d_min={cert.d_min} via {cert.method}"
         )
     if slack is not None and fresh.slack is not None:
-        if abs(slack - fresh.slack) > 1e-9 + 1e-6 * abs(fresh.slack):
+        if abs(slack - fresh.slack) > SLACK_MATCH_ABS + SLACK_MATCH_REL * abs(fresh.slack):
             return False, f"slack mismatch: {cert.slack} vs {fresh.slack}"
     return True, "certificate re-verified"
 

@@ -21,3 +21,20 @@ BOUND_SLACK = 1e-8
 # unit-norm check of gram_independent and Gram rank cutoff of the witness
 GRAM_TOL = 1e-8
 SEED_ATOL = 1e-12  # distance within which an eigenvalue equals the seed of cluster
+# largest distance from {0, 1} of an eigenvector's band weight ||P x||^2 for P
+# to count as a spectral projector of H (BandSpec)
+BAND_WEIGHT = 1e-6
+# floor of the cluster radius of the shared-eigenvector construction: keeps it
+# defined when the measured commutator vanishes (exactly commuting inputs),
+# where the cluster collapses to the numerically degenerate eigenspace of the seed
+CLUSTER_RADIUS_FLOOR = 1e-12
+# relative rounding margin of cluster's check diameter <= n * radius
+CLUSTER_DIAMETER_MARGIN = 1e-12
+# distance from alpha within which _rational_twist accepts p/q (float resolution)
+RATIONAL_TWIST = 1e-15
+# radians: expectation targets this close coincide, and overlap_bound has no bound
+COINCIDENT_ANGLE = 1e-15
+# a slack recomputed from a certificate's inputs matches the claimed one when
+# |claimed - recomputed| <= SLACK_MATCH_ABS + SLACK_MATCH_REL * |recomputed|
+SLACK_MATCH_ABS = 1e-9
+SLACK_MATCH_REL = 1e-6

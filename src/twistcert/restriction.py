@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import (BOUND_SLACK, EIG_RESIDUAL, GROUND_SLACK, HERMITICITY, PROJECTOR,
-                     SPECTRAL_REL)
+from .config import (BAND_WEIGHT, BOUND_SLACK, EIG_RESIDUAL, GROUND_SLACK, HERMITICITY,
+                     PROJECTOR, SPECTRAL_REL)
 from .linalg import (
     NormSpec,
     OPERATOR,
@@ -137,7 +137,7 @@ class BandSpec:
         pe = self.p @ evecs
         weights = np.linalg.norm(pe, axis=0) ** 2
         mix = np.minimum(weights, 1.0 - weights)
-        if np.max(mix) > 1e-6:
+        if np.max(mix) > BAND_WEIGHT:
             raise ValueError(
                 "P is not a spectral projector for H: eigenvector band weight "
                 f"{np.max(mix):.3e} away from {{0, 1}}"

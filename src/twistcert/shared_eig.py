@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import EIG_RESIDUAL, SEED_ATOL
+from .config import (
+    CLUSTER_DIAMETER_MARGIN,
+    CLUSTER_RADIUS_FLOOR,
+    EIG_RESIDUAL,
+    SEED_ATOL,
+)
 from .linalg import (
     as_matrix,
     eig_general,
@@ -31,12 +36,6 @@ __all__ = [
     "shared_approx_eigenvector",
     "shared_approx_eigenvector_normal",
 ]
-
-# Cluster radius floor: keeps the construction defined when the measured
-# commutator vanishes (exactly commuting inputs), where the cluster then
-# collapses to the numerically degenerate eigenspace of the seed.
-_RADIUS_FLOOR = 1e-12
-
 
 @dataclass
 class ClusterResult:
@@ -98,7 +97,7 @@ def cluster(eigs, seed_lambda: complex, r: float) -> ClusterResult:
     separation = (
         float(np.min(pair_dist[np.ix_(outside, idx)])) if outside.size else math.inf
     )
-    if diameter > n * r * (1 + 1e-12):
+    if diameter > n * r * (1 + CLUSTER_DIAMETER_MARGIN):
         raise ArithmeticError("cluster diameter exceeds n * r")
     if separation <= r:
         raise ArithmeticError("cluster separation failed to exceed r")
@@ -163,7 +162,7 @@ def _shared(a, b, seed_lambda, normal_b: bool) -> SharedEigenResult:
     b_dec = eig_normal(b) if normal_b else None  # also enforces normality of B
     eps = operator_norm(a @ b - b @ a)
     radius = math.sqrt(eps if normal_b else eps / 2.0)
-    r = max(radius, _RADIUS_FLOOR)
+    r = max(radius, CLUSTER_RADIUS_FLOOR)
 
     dec = eig_normal(a)
     seed = _snap_seed(dec.eigenvalues, seed_lambda)

@@ -309,6 +309,33 @@ class TestNestingCutoff:
             assert certify_module._nesting_power(p / q, delta, 1e-9) <= q
 
 
+class TestPackingWitness:
+    """A greedy-transversal certificate carries the d_min - 1 stabbed arcs as
+    its packing, and that packing alone re-verifies it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=st.one_of(
+               st.floats(0.0, 1.0, exclude_max=True),
+               st.fractions(0, 1, max_denominator=40).filter(lambda f: f < 1).map(float)),
+           delta=st.floats(-5.0, float(np.log10(2.0))).map(lambda e: 10.0 ** e))
+    @example(alpha=0.25, delta=0.5)
+    @example(alpha=0.0, delta=1e-5)
+    def test_packing_verifies_its_certificate(self, alpha, delta):
+        cert = certify_single(alpha, delta)
+        packing = cert.witness["packing"].tolist()
+        top = cert.witness["packing_delta"]
+        assert len(packing) == cert.d_min - 1
+        assert set(packing) <= set(minimal_intervals(alpha, delta).powers.tolist())
+        verify = certify_module._packing_failure
+        assert verify(alpha, delta, cert.d_min, packing, delta, None) is None
+        assert verify(alpha, delta, cert.d_min, packing, top, cert.slack) is None
+        assert verify(alpha, delta, cert.d_min + 1, packing, top, cert.slack) is not None
+        if cert.slack is None:
+            assert top == delta
+        else:
+            assert cert.slack == top - delta
+
+
 class TestOrbitExpectations:
     def test_exact_pair_hits_roots_of_unity(self):
         g = 5

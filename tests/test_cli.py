@@ -15,6 +15,8 @@ from twistcert import (
     clock_model,
     ground_symmetry,
 )
+from twistcert import certify as certify_module
+from twistcert import minima as minima_module
 from twistcert.cli import main
 from twistcert.matio import certificate_to_dict, save_matrix_text
 
@@ -414,12 +416,23 @@ class TestCheck:
     @staticmethod
     def certificate_doc(kind, tmp_path):
         """A valid certificate document of the given kind: a direct one as
-        `certify --alpha --delta` writes it, the others built in process, or
-        a direct one wrapped in a top-level list."""
+        `certify --alpha --delta` writes it, a pipeline one as
+        `certify --manifest` writes it, the others built in process, or a
+        direct one wrapped in a top-level list."""
         if kind == "lambda-exclusion":
             return {"certificate": certificate_to_dict(certify_lambda_exclusion(0.25, 0.5))}
         if kind == "double-pair":
             return {"certificate": certificate_to_dict(certify_double(2, 3, 1e-8, 1e-8))}
+        if kind == "double-fallback":  # the two-pair threshold fails
+            return {"certificate": certificate_to_dict(certify_double(2, 3, 1e-2, 1e-3))}
+        if kind == "pipeline":
+            spec = ModelSpec(kind="clock-block", g=3, n_excited=6, gap=1.0, seed=12,
+                             perturbation_strength=0.004)
+            manifest = tmp_path / "model.json"
+            manifest.write_text(spec.to_json())
+            out = tmp_path / "pipeline.json"
+            assert main(["certify", "--manifest", str(manifest), "--out", str(out)]) == 0
+            return json.loads(out.read_text())
         out = tmp_path / "direct.json"
         assert main(["certify", "--alpha", "0.25", "--delta", "0.5",
                      "--out", str(out)]) == 0
@@ -427,7 +440,7 @@ class TestCheck:
         assert doc["certificate"]["slack"] is not None
         return [doc] if kind == "top-level-list" else doc
 
-    @pytest.mark.parametrize("kind", ["lambda-exclusion", "double-pair"])
+    @pytest.mark.parametrize("kind", ["lambda-exclusion", "double-pair", "double-fallback"])
     def test_unmodified_certificate_passes(self, tmp_path, kind):
         out = tmp_path / "cert.json"
         out.write_text(json.dumps(self.certificate_doc(kind, tmp_path)))
@@ -445,9 +458,21 @@ class TestCheck:
         ("lambda-exclusion", lambda doc: doc["certificate"]["inputs"].update(p="abc")),
         ("double-pair", lambda doc: doc["certificate"]["inputs"].update(d1=2.9)),
         ("double-pair", lambda doc: doc["certificate"]["inputs"].update(d2=3.5)),
+        ("lambda-exclusion", lambda doc: doc["certificate"]["inputs"].update(g_max=2)),
+        ("direct", lambda doc: doc["certificate"]["witness"].update(packing="1,-1")),
+        ("direct", lambda doc: doc["certificate"]["witness"].update(packing=[1.0, -1])),
+        ("direct", lambda doc: doc["certificate"]["witness"].update(packing=[True, -1])),
+        ("direct", lambda doc: doc["certificate"]["witness"].pop("packing_delta")),
+        ("direct", lambda doc: doc["certificate"]["witness"].update(packing_delta="inf")),
+        ("direct", lambda doc: doc["certificate"]["witness"].update(packing_delta=0.25)),
+        ("double-fallback",
+         lambda doc: doc["certificate"]["witness"].update(packing_delta=None)),
     ], ids=["missing-alpha", "non-numeric-slack", "nan-delta", "fractional-d_min",
             "top-level-list", "negative-g_max", "fractional-g_max", "fractional-k",
-            "non-numeric-p", "fractional-d1", "fractional-d2"])
+            "non-numeric-p", "fractional-d1", "fractional-d2", "d_min-above-g_max",
+            "packing-not-a-list", "float-power", "bool-power", "missing-packing_delta",
+            "infinite-packing_delta", "packing_delta-below-delta",
+            "fallback-null-packing_delta"])
     def test_malformed_certificate_exits_1(self, tmp_path, capsys, kind, mutate):
         out = tmp_path / "cert.json"
         doc = self.certificate_doc(kind, tmp_path)
@@ -458,3 +483,68 @@ class TestCheck:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: malformed certificate: ")
+
+    @pytest.mark.parametrize("kind, mutate, reason", [
+        ("direct", lambda cert: cert.update(d_min=cert["d_min"] + 1), "the packing holds"),
+        ("pipeline", lambda cert: cert.update(d_min=cert["d_min"] + 1), "the packing holds"),
+        ("double-fallback", lambda cert: cert.update(d_min=cert["d_min"] + 1),
+         "the packing holds"),
+        ("direct", lambda cert: cert["witness"]["packing"].pop(), "the packing holds"),
+        ("direct", lambda cert: cert["witness"]["packing"].__setitem__(
+            1, cert["witness"]["packing"][0]), "meet at delta"),
+        ("direct", lambda cert: cert.update(slack=cert["slack"] * (1 - 1e-15)),
+         "differs from packing_delta - delta"),
+        ("direct", lambda cert: cert["witness"].update(
+            packing_delta=cert["witness"]["packing_delta"] + 1e-3), "differs from"),
+        ("direct", lambda cert: cert["witness"]["packing"].__setitem__(0, 0),
+         "reaches angle 0"),
+        ("direct", lambda cert: cert["witness"]["packing"].__setitem__(0, 10 ** 30),
+         "is the whole circle"),
+        ("double-fallback", lambda cert: cert["inputs"].update(gamma=0.0),
+         "the double-pair threshold holds"),
+        ("double-fallback", lambda cert: cert["witness"].update(single_pair_twist=0.25),
+         "is neither 1/d1 nor 1/d2"),
+    ], ids=["direct-d_min+1", "pipeline-d_min+1", "fallback-d_min+1", "power-dropped",
+            "power-duplicated", "slack-edited", "packing_delta-edited", "power-zero",
+            "power-beyond-the-circle", "fallback-threshold-holds", "fallback-wrong-twist"])
+    def test_failing_witness_exits_3(self, tmp_path, capsys, kind, mutate, reason):
+        out = tmp_path / "cert.json"
+        doc = self.certificate_doc(kind, tmp_path)
+        assert doc["certificate"]["witness"]["packing"]
+        mutate(doc["certificate"])
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["check", str(out)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and reason in lines[0]
+
+    @pytest.mark.parametrize("kind", ["direct", "pipeline"])
+    def test_witness_check_runs_no_sweep(self, tmp_path, monkeypatch, kind):
+        doc = self.certificate_doc(kind, tmp_path)
+        out = tmp_path / "cert.json"
+        out.write_text(json.dumps(doc))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("check ran the certifier")
+
+        for name in ("minimal_intervals", "_minimal", "_slack"):
+            monkeypatch.setattr(certify_module, name, refuse)
+        assert main(["check", str(out)]) == 0
+
+    def test_lambda_exclusion_recheck_is_capped_at_d_min(self, tmp_path, monkeypatch):
+        doc = self.certificate_doc("lambda-exclusion", tmp_path)
+        doc["certificate"]["inputs"]["g_max"] = 10 ** 9
+        out = tmp_path / "cert.json"
+        out.write_text(json.dumps(doc))
+        calls = []
+        floor = certify_module.lambda_min
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            assert len(calls) <= doc["certificate"]["d_min"] + 1
+            return floor(*args, **kwargs)
+
+        for module in (certify_module, minima_module):
+            monkeypatch.setattr(module, "lambda_min", counted)
+        assert main(["check", str(out)]) == 0
+        assert 0 < len(calls) <= doc["certificate"]["d_min"] + 1
