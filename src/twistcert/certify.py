@@ -8,7 +8,10 @@ number of distinct eigenvalues and hence the dimension.  The sweep visits only
 the powers up to the first continued-fraction denominator of alpha past which
 every arc nests around a smaller one: at most 2 / delta arcs, O(delta^-1/2)
 when the continued-fraction coefficients of alpha stay small, and at most 2 q
-for alpha = p/q.  Two mutually approximately commuting twisted pairs certify
+for alpha = p/q.  One sweep (_minimal) serves every caller: each arc carries a
+segment id, so certify_grid sweeps the arcs of many (alpha, delta) cells in a
+single call, and a single certificate is one segment.  Two mutually
+approximately commuting twisted pairs certify
 the product dimension through a shared approximate eigenvector and a
 Gram-matrix independence argument.
 """
@@ -53,6 +56,7 @@ __all__ = [
     "minimal_intervals",
     "greedy_transversal",
     "certify_single",
+    "certify_grid",
     "certify_double",
     "certify_lambda_exclusion",
     "orbit_expectations",
@@ -84,6 +88,11 @@ _MIN_DELTA = 1e-6
 # roundings (each under 2 pi u) of the endpoints and distances to 0 stay
 # below this.
 _HALF_WIDTH_ROUNDING = 1e-7
+# Orbit powers certify_grid sweeps per _minimal call: it batches consecutive
+# cells up to this many powers, so a grid of small deltas cannot allocate
+# without bound (a cell with more powers is swept alone, as certify_single
+# would sweep it).
+_BATCH_POWERS = 1 << 16
 # Resolution of the slack search.  The sweep compares angles below 2 pi, each
 # a few roundings off, and an arc's half-width arccos(1 - |j| delta) grows at
 # least as fast as delta, so a computed packing event lies within this
@@ -149,15 +158,18 @@ def eigenvalue_arc(zeta: float, theta: float) -> Arc:
                index=0)
 
 
-def _arcs(alpha: float, delta: float, js: np.ndarray):
-    """The arcs of the orbit powers js at delta: powers with |j| delta >= 2
-    give the full circle and are skipped, so arccos never leaves [-1, 1];
-    the rest get half-widths arccos(1 - |j| delta) and centers
-    2 pi alpha j (mod 2 pi)."""
+def _arcs(alpha, delta, js: np.ndarray, seg=0):
+    """The arcs of the orbit powers js at delta, as (seg, js, half, centers):
+    powers with |j| delta >= 2 give the full circle and are skipped, so
+    arccos never leaves [-1, 1]; the rest get half-widths
+    arccos(1 - |j| delta) and centers 2 pi alpha j (mod 2 pi).  alpha, delta
+    and the segment id seg are numbers, or arrays with one entry per power
+    (the cells of a batch); seg is returned with one entry per kept arc."""
     z = np.abs(js) * delta
     keep = z < 2.0
-    js = js[keep]
-    return js, np.arccos(1.0 - z[keep]), (TWO_PI * alpha * js) % TWO_PI
+    centers = (TWO_PI * alpha * js) % TWO_PI
+    return (np.full(js.shape, seg)[keep], js[keep],
+            np.arccos(1.0 - z[keep]), centers[keep])
 
 
 def _full_range(delta: float) -> int:
@@ -219,36 +231,43 @@ def build_arcs(alpha: float, delta: float) -> list[Arc]:
     2 pi alpha j with half-width arccos(1 - |j| delta).  Powers with
     |j| delta >= 2 give the full circle and are excluded; |j| <= floor(2/delta)
     suffices.  The j = 0 arc is the single point +1 (handled by the caller)."""
-    js, half, centers = _arc_arrays(alpha, delta)
+    _, js, half, centers = _arc_arrays(alpha, delta)
     return [Arc(float(c), float(h), int(j)) for c, h, j in zip(centers, half, js)]
 
 
-def _minimal(js: np.ndarray, half: np.ndarray, centers: np.ndarray,
-             merge_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The body of minimal_intervals on given arcs: the powers j of the
-    inclusion-minimal intervals and their endpoints lo, hi, ascending in both
-    (hi by more than merge_tol from one interval to the next)."""
+def _minimal(seg: np.ndarray, js: np.ndarray, half: np.ndarray,
+             centers: np.ndarray, merge_tol: float):
+    """The body of minimal_intervals on given arcs, segment by segment: the
+    segment ids, powers j and endpoints lo, hi of the inclusion-minimal
+    intervals of each segment.  The result ascends in segment id and, within
+    a segment, in lo and in hi (hi by more than merge_tol from one interval
+    to the next).  Arcs are compared only with arcs of their own segment, so
+    one call sweeps the arcs of many (alpha, delta) cells (certify_grid), and
+    a single certificate's arcs form one segment."""
     dist0 = np.minimum(centers, TWO_PI - centers)
     away = dist0 > half + merge_tol  # arcs through the forced point drop out
-    js, half, centers = js[away], half[away], centers[away]
+    seg, js, half, centers = seg[away], js[away], half[away], centers[away]
     lo = (centers - half) % TWO_PI
     hi = lo + 2.0 * half
     if js.size == 0:
-        return js, lo, hi
+        return seg, js, lo, hi
 
-    order = np.lexsort((-hi, lo))  # lo ascending, hi descending
-    js, lo, hi = js[order], lo[order], hi[order]
+    order = np.lexsort((-hi, lo, seg))  # by segment, lo ascending, hi descending
+    seg, js, lo, hi = seg[order], js[order], lo[order], hi[order]
     dup = np.zeros(lo.size, dtype=bool)
-    dup[1:] = (np.abs(np.diff(lo)) <= merge_tol) & (np.abs(np.diff(hi)) <= merge_tol)
-    js, lo, hi = js[~dup], lo[~dup], hi[~dup]
-    # with this ordering any interval contained in [lo_i, hi_i] appears later,
-    # so interval i is minimal iff every later right endpoint exceeds hi_i
-    min_hi_after = np.empty_like(hi)
-    min_hi_after[-1] = math.inf
-    if hi.size > 1:
-        min_hi_after[:-1] = np.minimum.accumulate(hi[::-1])[::-1][1:]
-    keep = min_hi_after > hi + merge_tol
-    return js[keep], lo[keep], hi[keep]
+    dup[1:] = ((seg[1:] == seg[:-1]) & (np.abs(np.diff(lo)) <= merge_tol)
+               & (np.abs(np.diff(hi)) <= merge_tol))
+    seg, js, lo, hi = seg[~dup], js[~dup], lo[~dup], hi[~dup]
+    # with this ordering any interval contained in [lo_i, hi_i] appears later
+    # in its segment, so interval i is minimal iff every later right endpoint
+    # of the segment exceeds hi_i + merge_tol.  numpy orders complex numbers
+    # lexicographically, so the running minimum of seg + i hi from the end
+    # either lies in a later segment or holds the least later hi of this one
+    key = seg + 1j * hi
+    after = np.minimum.accumulate(key[::-1])[::-1]
+    keep = np.ones(hi.size, dtype=bool)
+    keep[:-1] = after[1:] > key[:-1] + 1j * merge_tol
+    return seg[keep], js[keep], lo[keep], hi[keep]
 
 
 class MinimalIntervals(list):
@@ -276,7 +295,7 @@ def minimal_intervals(alpha: float, delta: float,
     so the result equals that of the full range |j| <= floor(2 / delta)."""
     merge_tol = ANGLE_MERGE if merge_tol is None else merge_tol
     js = _powers(_nesting_power(alpha, delta, merge_tol))
-    return MinimalIntervals(*_minimal(*_arcs(alpha, delta, js), merge_tol))
+    return MinimalIntervals(*_minimal(*_arcs(alpha, delta, js), merge_tol)[1:])
 
 
 def _stab_indices(lo: list[float], hi: list[float], merge_tol: float) -> list[int]:
@@ -353,7 +372,7 @@ def _slack(alpha: float, delta: float, d_min: int, powers: np.ndarray,
     def packing(x: float, js: np.ndarray):
         """The powers minimal at x among js, with the powers of the greedy's
         stabbed intervals (None when they certify less than d_min)."""
-        js, lo, hi = _minimal(*_arcs(alpha, x, js), merge_tol)
+        _, js, lo, hi = _minimal(*_arcs(alpha, x, js), merge_tol)
         picked = _stab_indices(lo.tolist(), hi.tolist(), merge_tol)
         return js, (js[picked] if len(picked) + 1 >= d_min else None)
 
@@ -425,13 +444,7 @@ def certify_single(alpha: float, delta: float, compute_slack: bool = True,
     merge_tol = ANGLE_MERGE if merge_tol is None else merge_tol
 
     if delta == 0.0:
-        rat = _rational_twist(alpha)
-        if rat is None:
-            raise ValueError(
-                "delta = 0 with an irrational twist certifies no finite dimension; "
-                "supply a rational alpha"
-            )
-        _, q = rat
+        q = _exact_dimension(alpha)
         return Certificate(
             d_min=q,
             method="single-closed-form",
@@ -464,6 +477,68 @@ def certify_single(alpha: float, delta: float, compute_slack: bool = True,
             "packing": pack,
         },
     )
+
+
+def _exact_dimension(alpha: float) -> int:
+    """The dimension q that delta = 0 certifies at a rational twist
+    alpha = p/q (see _rational_twist)."""
+    rat = _rational_twist(alpha)
+    if rat is None:
+        raise ValueError(
+            "delta = 0 with an irrational twist certifies no finite dimension; "
+            "supply a rational alpha"
+        )
+    return rat[1]
+
+
+def certify_grid(cells) -> list[int]:
+    """certify_single(alpha, delta, compute_slack=False).d_min for every
+    (alpha, delta) pair of cells, in order, from batched sweeps.
+
+    Every cell is checked first, in order, so an invalid cell raises
+    certify_single's message for it before any sweep runs.  delta = 0 cells
+    take the closed form.  The others contribute their powers up to
+    _nesting_power, one segment per cell, and consecutive cells are swept
+    together in one _minimal call until a batch holds _BATCH_POWERS powers;
+    each segment's minimal intervals are then stabbed greedily."""
+    cells = [(float(alpha), float(delta)) for alpha, delta in cells]
+    dims, swept, reach = [], [], []
+    for i, (alpha, delta) in enumerate(cells):
+        _check_domain(alpha, delta)
+        if delta == 0.0:
+            dims.append(_exact_dimension(alpha))
+            continue
+        dims.append(1)
+        swept.append(i)
+        reach.append(_nesting_power(alpha, delta, ANGLE_MERGE))
+    start = 0
+    while start < len(swept):
+        stop, total = start + 1, 2 * reach[start]
+        while stop < len(swept) and total + 2 * reach[stop] <= _BATCH_POWERS:
+            total += 2 * reach[stop]
+            stop += 1
+        batch = swept[start:stop]
+        for i, stabs in zip(batch, _batch_stabs([cells[i] for i in batch],
+                                                np.array(reach[start:stop]))):
+            dims[i] += stabs
+        start = stop
+    return dims
+
+
+def _batch_stabs(cells: list[tuple[float, float]], reach: np.ndarray) -> list[int]:
+    """The number of greedy stabs of each cell (alpha, delta) of a batch,
+    from one _minimal call over the powers 0 < |j| <= reach of every cell,
+    ascending within each cell as _powers lists them."""
+    counts = 2 * reach
+    seg = np.repeat(np.arange(len(cells)), counts)
+    k = np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    js = k - reach[seg] + (k >= reach[seg])  # -r .. -1, then 1 .. r
+    alpha, delta = np.array(cells).T
+    seg, _, lo, hi = _minimal(*_arcs(alpha[seg], delta[seg], js, seg), ANGLE_MERGE)
+    bounds = np.searchsorted(seg, np.arange(len(cells) + 1)).tolist()
+    lo, hi = lo.tolist(), hi.tolist()
+    return [len(_stab_indices(lo[a:b], hi[a:b], ANGLE_MERGE))
+            for a, b in zip(bounds, bounds[1:])]
 
 
 def _check_domain(alpha: float, delta: float) -> None:
@@ -509,7 +584,7 @@ def _packing_failure(alpha: float, delta: float, d_min: int, packing,
     for x in (delta, packing_delta):
         # powers beyond floor(2 / x) are tested in Python ints, which never wrap
         reach = _full_range(x)
-        js, half, centers = _arcs(alpha, x, np.array(
+        _, js, half, centers = _arcs(alpha, x, np.array(
             [j for j in packing if abs(j) <= reach], dtype=np.int64))
         if js.size < len(packing):
             kept = set(js.tolist())
@@ -529,6 +604,28 @@ def _packing_failure(alpha: float, delta: float, d_min: int, packing,
             k = meet[0]
             return (f"the arcs of powers {js[k]} and {js[k + 1]} meet at "
                     f"delta = {x!r}")
+    return None
+
+
+def _reported_failure(d_min: int, stab_angles: list[float],
+                      interval_count: int) -> str | None:
+    """Why the reported part of a greedy-transversal witness has the wrong
+    shape, or None: stab_angles must hold d_min - 1 ascending angles in
+    [0, 2 pi), and minimal_interval_count must be at least d_min - 1.  These
+    values are confirmed only for shape, in O(d): the packing, not they,
+    proves d_min (_packing_failure), and their exact values would take a
+    sweep."""
+    if len(stab_angles) != d_min - 1:
+        return (f"the witness holds {len(stab_angles)} stab angles, but "
+                f"d_min - 1 = {d_min - 1}")
+    outside = [a for a in stab_angles if not 0.0 <= a < TWO_PI]
+    if outside:
+        return f"stab angle {outside[0]!r} lies outside [0, 2 pi)"
+    if any(b <= a for a, b in zip(stab_angles, stab_angles[1:])):
+        return "the stab angles are not ascending"
+    if interval_count < d_min - 1:
+        return (f"minimal_interval_count {interval_count} is below "
+                f"d_min - 1 = {d_min - 1}")
     return None
 
 
@@ -591,10 +688,11 @@ def certify_double(d1: int, d2: int, gamma: float, delta: float,
 
 
 def _fallback_failure(d1: int, d2: int, gamma: float, delta: float,
-                      alpha: float) -> str | None:
+                      alpha: float, failed_by: float) -> str | None:
     """Why a greedy-transversal certificate on certify_double's inputs is not
     its single-pair fallback at twist alpha, or None when it is: alpha must
-    be 1 / d1 or 1 / d2, and the two-pair threshold must fail."""
+    be 1 / d1 or 1 / d2, the two-pair threshold must fail, and the reported
+    margin failed_by must equal lhs - rhs exactly."""
     _check_double_domain(d1, d2, gamma, delta)
     if alpha not in (1.0 / d1, 1.0 / d2):
         return f"single_pair_twist {alpha!r} is neither 1/d1 nor 1/d2"
@@ -602,6 +700,9 @@ def _fallback_failure(d1: int, d2: int, gamma: float, delta: float,
     if lhs < rhs:
         return (f"the double-pair threshold holds (lhs {lhs!r} < rhs {rhs!r}), "
                 "so the certificate should be double-pair")
+    if failed_by != lhs - rhs:
+        return (f"double_pair_threshold_failed_by {failed_by!r} differs from "
+                f"lhs - rhs = {lhs - rhs!r}")
     return None
 
 

@@ -25,7 +25,9 @@ from .certify import (
     Certificate,
     _fallback_failure,
     _packing_failure,
+    _reported_failure,
     certify_double,
+    certify_grid,
     certify_lambda_exclusion,
     certify_single,
     single_pair_threshold,
@@ -188,7 +190,11 @@ def cmd_minima(args) -> int:
     p = _parse_p(args.p)
     k = int(args.k)
     cells = [(g, float(a), p, k) for g in gs for a in grid]
-    rows = _map_cells(_minima_row, cells, args.workers)
+    if args.workers > 1:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+            rows = list(pool.map(_minima_row, cells, chunksize=64))
+    else:
+        rows = [_minima_row(c) for c in cells]
     manifest = RunManifest.build(
         "minima", {"g": gs, "grid": args.grid, "p": args.p, "k": k}
     )
@@ -200,13 +206,6 @@ def cmd_minima(args) -> int:
 # mountains sweep
 
 
-def _mountain_row(cell) -> str:
-    alpha, delta = cell
-    # the twist enters only through exp(2 pi i alpha): certify alpha mod 1
-    cert = certify_single(alpha % 1.0, delta, compute_slack=False)
-    return f"{_fmt(alpha)},{_fmt(delta)},{cert.d_min}"
-
-
 def cmd_mountains(args) -> int:
     alphas = _parse_grid(args.alpha_grid)
     deltas = _parse_grid(args.delta_grid)
@@ -215,19 +214,15 @@ def cmd_mountains(args) -> int:
     cells.append((0.25, 0.5))
     for d in range(2, 9):
         cells.append((1.0 / d, single_pair_threshold(d) - 1e-9))
-    rows = _map_cells(_mountain_row, cells, args.workers)
+    # the twist enters only through exp(2 pi i alpha): certify alpha mod 1
+    dims = certify_grid([(alpha % 1.0, delta) for alpha, delta in cells])
+    rows = [f"{_fmt(alpha)},{_fmt(delta)},{dim}"
+            for (alpha, delta), dim in zip(cells, dims)]
     manifest = RunManifest.build(
         "mountains", {"alpha_grid": args.alpha_grid, "delta_grid": args.delta_grid}
     )
     _write_rows(args.out, manifest, "alpha,delta,certified_dim", rows, args.format)
     return EXIT_OK
-
-
-def _map_cells(fn, cells, workers: int) -> list[str]:
-    if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, cells, chunksize=64))
-    return [fn(c) for c in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +448,11 @@ def _finite(value, name: str) -> float:
     return x
 
 
-def _packing_witness(witness) -> tuple[list[int], float] | None:
-    """The packing and packing_delta of a greedy-transversal witness, or None
-    when the witness carries neither (certificates written before packings
-    were recorded, which are rerun instead)."""
+def _packing_witness(witness) -> tuple[list[int], float, list[float], int] | None:
+    """The packing, packing_delta, stab_angles and minimal_interval_count of
+    a greedy-transversal witness, or None when the witness carries neither
+    packing nor packing_delta (certificates written before packings were
+    recorded, which are rerun instead)."""
     if not isinstance(witness, dict) or not {"packing", "packing_delta"} & set(witness):
         return None
     packing = witness.get("packing")
@@ -464,17 +460,31 @@ def _packing_witness(witness) -> tuple[list[int], float] | None:
     if not isinstance(packing, list) or any(type(j) is not int for j in packing):
         raise CliIOError("malformed certificate: witness.packing must be a list of "
                          f"integers, got {packing!r}")
-    return packing, _finite(witness.get("packing_delta"), "witness.packing_delta")
+    angles = witness.get("stab_angles")
+    if not isinstance(angles, list) or not all(
+            type(a) in (int, float) and math.isfinite(a) for a in angles):
+        raise CliIOError("malformed certificate: witness.stab_angles must be a list "
+                         f"of finite numbers, got {angles!r}")
+    count = witness.get("minimal_interval_count")
+    if type(count) is not int:
+        raise CliIOError("malformed certificate: witness.minimal_interval_count must "
+                         f"be an integer, got {count!r}")
+    return (packing, _finite(witness.get("packing_delta"), "witness.packing_delta"),
+            angles, count)
 
 
 def recheck_certificate(cert: Certificate) -> tuple[bool, str]:
     """Re-verify a certificate from its echoed inputs.  A greedy-transversal
     certificate with a packing witness is verified from that witness in
-    O(d log d) (certify._packing_failure): no sweep or slack search runs.  Any
+    O(d log d) (certify._packing_failure): no sweep or slack search runs.
+    Its stab_angles and minimal_interval_count are confirmed only for shape
+    (certify._reported_failure: d_min - 1 ascending angles in [0, 2 pi), at
+    least d_min - 1 intervals), and a single-pair fallback's
+    double_pair_threshold_failed_by must equal the recomputed lhs - rhs.  Any
     other certificate has its inequalities recomputed by rerunning the
     certifier.  Raises CliIOError when an input it needs is missing, not
-    finite, not integral where it counts, or outside the certifier's
-    domain."""
+    finite, not integral where it counts, of the wrong type, or outside the
+    certifier's domain."""
     inputs = cert.inputs
     if not isinstance(inputs, dict):
         raise CliIOError("malformed certificate: inputs must be an object")
@@ -489,23 +499,28 @@ def recheck_certificate(cert: Certificate) -> tuple[bool, str]:
                              f"integer, got {inputs[key]!r}")
         return int(x)
 
+    def witness_num(key: str) -> float:
+        return _finite(cert.witness.get(key), f"witness.{key}")
+
     slack = None if cert.slack is None else _finite(cert.slack, "slack")
     double = {"d1", "d2", "gamma", "delta"} <= set(inputs)
     packed = (_packing_witness(cert.witness)
               if cert.method == "greedy-transversal" else None)
     try:
         if packed is not None:
-            powers, packing_delta = packed
+            powers, packing_delta, angles, count = packed
             delta = num("delta")
             if double:
-                alpha = _finite(cert.witness.get("single_pair_twist"),
-                                "witness.single_pair_twist")
-                failure = _fallback_failure(integer("d1"), integer("d2"), num("gamma"),
-                                            delta, alpha)
+                alpha = witness_num("single_pair_twist")
+                failure = _fallback_failure(
+                    integer("d1"), integer("d2"), num("gamma"), delta, alpha,
+                    witness_num("double_pair_threshold_failed_by"))
             else:
                 alpha, failure = num("alpha"), None
-            failure = failure or _packing_failure(alpha, delta, cert.d_min, powers,
-                                                  packing_delta, slack)
+            failure = (failure
+                       or _packing_failure(alpha, delta, cert.d_min, powers,
+                                           packing_delta, slack)
+                       or _reported_failure(cert.d_min, angles, count))
             return failure is None, failure or "certificate re-verified"
         if double:
             fresh = certify_double(integer("d1"), integer("d2"), num("gamma"),
@@ -536,6 +551,9 @@ def recheck_certificate(cert: Certificate) -> tuple[bool, str]:
 
 
 def cmd_check(args) -> int:
+    """Re-validate a certificate JSON file with recheck_certificate: a
+    greedy-transversal certificate is proven by its packing, while its
+    stab_angles and minimal_interval_count are confirmed only for shape."""
     data = _load_json_file(args.certificate)
     if not isinstance(data, dict):
         raise CliIOError("malformed certificate: the file must hold a JSON object, "
@@ -577,7 +595,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mnt = sub.add_parser("mountains", help="certified dimension sweep as CSV")
     p_mnt.add_argument("--alpha-grid", default="0.005:0.995:100")
     p_mnt.add_argument("--delta-grid", default="0.02:2.0:100")
-    p_mnt.add_argument("--workers", type=int, default=1)
     p_mnt.add_argument("--format", choices=("csv", "json"), default="csv")
     p_mnt.add_argument("--out", default=None)
     p_mnt.set_defaults(func=cmd_mountains)

@@ -23,6 +23,7 @@ from twistcert import (
     NormSpec,
     brute_min,
     certify_double,
+    certify_grid,
     certify_single,
     clock_model,
     greedy_transversal,
@@ -320,13 +321,16 @@ def test_criterion_7_two_pair_certification():
 def test_criterion_8_cross_module_soundness():
     t0 = time.time()
     violations = 0
-    for alpha in np.linspace(0.005, 0.995, 100):
-        for delta in np.linspace(0.02, 2.0, 100):
-            d = certify_single(float(alpha), float(delta),
-                               compute_slack=False).d_min
-            for g in range(1, d):
-                if not float(delta) < lambda_min(g, float(alpha)):
-                    violations += 1
+    cells = [(float(alpha), float(delta)) for alpha in np.linspace(0.005, 0.995, 100)
+             for delta in np.linspace(0.02, 2.0, 100)]
+    dims = []
+    for alpha, delta in cells:
+        d = certify_single(alpha, delta, compute_slack=False).d_min
+        dims.append(d)
+        for g in range(1, d):
+            if not delta < lambda_min(g, alpha):
+                violations += 1
     elapsed = time.time() - t0
     report(8, violations == 0 and elapsed < 60.0, elapsed,
            f"{violations} violations on the 100x100 grid")
+    assert certify_grid(cells) == dims

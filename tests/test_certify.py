@@ -3,6 +3,8 @@ exhaustive oracle, closed-form thresholds, orbit expectation bounds, overlap
 and Gram independence checks, and the two-pair certificate."""
 
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from twistcert import certify as certify_module
 from twistcert import (
     Certificate,
     certify_double,
+    certify_grid,
     certify_lambda_exclusion,
     certify_single,
     clock_matrix,
@@ -278,6 +281,55 @@ def _near_rational(f, sign):
     return (float(f) + sign * 1e-9) % 1.0
 
 
+class TestCertifyGrid:
+    """certify_grid sweeps many cells in one segmented _minimal call; each
+    cell must get exactly certify_single's d_min."""
+
+    _rational = st.fractions(0, 1, max_denominator=12).filter(lambda f: f < 1)
+    _alpha = st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True),
+        _rational.map(float),
+        st.builds(_near_rational, _rational, st.sampled_from([-1, 1])),
+        st.sampled_from([0.0, 1.0 - 2.0 ** -53]))
+    _delta = st.one_of(
+        st.floats(-4.0, float(np.log10(2.0))).map(lambda e: 10.0 ** e),
+        st.sampled_from([certify_module._MIN_DELTA, 2.0, 2.5, 1e300]))
+    _cell = st.one_of(st.tuples(_alpha, _delta),
+                      st.tuples(_rational.map(float), st.just(0.0)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(cells=st.lists(_cell, min_size=1, max_size=12),
+           cap=st.sampled_from([certify_module._BATCH_POWERS, 1, 6, 40]))
+    @example(cells=[(0.0, certify_module._MIN_DELTA), (1.0 - 2.0 ** -53, 1e-3),
+                    (1.0 - 2.0 ** -53, 0.0), (0.25, 0.5), (1 / 3, 2.0)],
+             cap=certify_module._BATCH_POWERS)
+    @example(cells=[(p / q, 0.05) for q in range(2, 13) for p in range(1, q)], cap=30)
+    @example(cells=[(0.5, 0.5), (0.5, 0.5)],  # one interval each: no merge across cells
+             cap=certify_module._BATCH_POWERS)
+    def test_matches_certify_single(self, cells, cap):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(certify_module, "_BATCH_POWERS", cap)  # split batches mid-grid
+            dims = certify_grid(cells)
+        assert dims == [certify_single(a, d, compute_slack=False).d_min
+                        for a, d in cells]
+
+    @pytest.mark.parametrize("bad", [(math.nan, 0.1), (0.3, 1e-7), (math.pi - 3, 0.0)],
+                             ids=["nan-alpha", "delta-below-floor", "irrational-exact"])
+    @pytest.mark.parametrize("k", [0, 3, 7])
+    def test_invalid_cell_raises_before_any_sweep(self, monkeypatch, bad, k):
+        with pytest.raises(ValueError) as single:
+            certify_single(*bad, compute_slack=False)
+
+        def refuse(*args):
+            raise AssertionError("a sweep ran before every cell was checked")
+
+        monkeypatch.setattr(certify_module, "_minimal", refuse)
+        cells = [(0.1 * i, 0.3) for i in range(7)]
+        cells.insert(k, bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(single.value))}$"):
+            certify_grid(cells)
+
+
 class TestNestingCutoff:
     """minimal_intervals sweeps only the powers up to _nesting_power; the
     full range |j| <= floor(2 / delta) must give the same intervals."""
@@ -298,7 +350,7 @@ class TestNestingCutoff:
     @example(alpha=0.3141592653589793, delta=certify_module._MIN_DELTA, merge_tol=1e-9)
     def test_cutoff_matches_full_range(self, alpha, delta, merge_tol):
         cut = minimal_intervals(alpha, delta, merge_tol)
-        js, lo, hi = certify_module._minimal(
+        _, js, lo, hi = certify_module._minimal(
             *certify_module._arc_arrays(alpha, delta), merge_tol)
         assert cut.powers.tolist() == js.tolist()
         assert list(cut) == list(zip(lo.tolist(), hi.tolist()))

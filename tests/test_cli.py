@@ -467,12 +467,24 @@ class TestCheck:
         ("direct", lambda doc: doc["certificate"]["witness"].update(packing_delta=0.25)),
         ("double-fallback",
          lambda doc: doc["certificate"]["witness"].update(packing_delta=None)),
+        ("direct", lambda doc: doc["certificate"]["witness"].update(stab_angles="0.1")),
+        ("direct", lambda doc: doc["certificate"]["witness"].update(stab_angles=[True])),
+        ("direct", lambda doc: doc["certificate"]["witness"].pop("stab_angles")),
+        ("direct", lambda doc: doc["certificate"]["witness"].update(
+            minimal_interval_count=3.0)),
+        ("direct", lambda doc: doc["certificate"]["witness"].pop("minimal_interval_count")),
+        ("double-fallback", lambda doc: doc["certificate"]["witness"].update(
+            double_pair_threshold_failed_by="wide")),
+        ("double-fallback", lambda doc: doc["certificate"]["witness"].pop(
+            "double_pair_threshold_failed_by")),
     ], ids=["missing-alpha", "non-numeric-slack", "nan-delta", "fractional-d_min",
             "top-level-list", "negative-g_max", "fractional-g_max", "fractional-k",
             "non-numeric-p", "fractional-d1", "fractional-d2", "d_min-above-g_max",
             "packing-not-a-list", "float-power", "bool-power", "missing-packing_delta",
             "infinite-packing_delta", "packing_delta-below-delta",
-            "fallback-null-packing_delta"])
+            "fallback-null-packing_delta", "stab_angles-not-a-list", "bool-stab-angle",
+            "missing-stab_angles", "float-interval-count", "missing-interval-count",
+            "non-numeric-failed_by", "missing-failed_by"])
     def test_malformed_certificate_exits_1(self, tmp_path, capsys, kind, mutate):
         out = tmp_path / "cert.json"
         doc = self.certificate_doc(kind, tmp_path)
@@ -504,9 +516,21 @@ class TestCheck:
          "the double-pair threshold holds"),
         ("double-fallback", lambda cert: cert["witness"].update(single_pair_twist=0.25),
          "is neither 1/d1 nor 1/d2"),
+        ("direct", lambda cert: cert["witness"].update(
+            stab_angles=[0.1, 0.2, 0.3], minimal_interval_count=99), "3 stab angles"),
+        ("direct", lambda cert: cert["witness"]["stab_angles"].reverse(), "not ascending"),
+        ("direct", lambda cert: cert["witness"]["stab_angles"].__setitem__(-1, 7.0),
+         "outside [0, 2 pi)"),
+        ("direct", lambda cert: cert["witness"].update(minimal_interval_count=1),
+         "is below d_min - 1"),
+        ("double-fallback", lambda cert: cert["witness"].update(
+            double_pair_threshold_failed_by=cert["witness"]["double_pair_threshold_failed_by"]
+            * (1 + 1e-15)), "differs from lhs - rhs"),
     ], ids=["direct-d_min+1", "pipeline-d_min+1", "fallback-d_min+1", "power-dropped",
             "power-duplicated", "slack-edited", "packing_delta-edited", "power-zero",
-            "power-beyond-the-circle", "fallback-threshold-holds", "fallback-wrong-twist"])
+            "power-beyond-the-circle", "fallback-threshold-holds", "fallback-wrong-twist",
+            "stab-angles-edited", "stab-angles-descending", "stab-angle-beyond-two-pi",
+            "interval-count-below-packing", "fallback-failed_by-edited"])
     def test_failing_witness_exits_3(self, tmp_path, capsys, kind, mutate, reason):
         out = tmp_path / "cert.json"
         doc = self.certificate_doc(kind, tmp_path)
@@ -530,6 +554,19 @@ class TestCheck:
         for name in ("minimal_intervals", "_minimal", "_slack"):
             monkeypatch.setattr(certify_module, name, refuse)
         assert main(["check", str(out)]) == 0
+
+    def test_mountains_runs_one_sweep(self, tmp_path, monkeypatch):
+        calls = []
+        minimal = certify_module._minimal
+
+        def counted(*args):
+            calls.append(args[1].size)
+            return minimal(*args)
+
+        monkeypatch.setattr(certify_module, "_minimal", counted)
+        assert main(["mountains", "--alpha-grid", "0.3:0.4:10", "--delta-grid", "0.02:2:10",
+                     "--out", str(tmp_path / "tile.csv")]) == 0
+        assert len(calls) == 1 and calls[0] > 0
 
     def test_lambda_exclusion_recheck_is_capped_at_d_min(self, tmp_path, monkeypatch):
         doc = self.certificate_doc("lambda-exclusion", tmp_path)
