@@ -11,14 +11,16 @@ when the continued-fraction coefficients of alpha stay small, and at most 2 q
 for alpha = p/q.  One sweep (_minimal) serves every caller: each arc carries a
 segment id, so certify_grid sweeps the arcs of many (alpha, delta) cells in a
 single call, and a single certificate is one segment.  Two mutually
-approximately commuting twisted pairs certify
-the product dimension through a shared approximate eigenvector and a
-Gram-matrix independence argument.
+approximately commuting twisted pairs certify the product dimension through a
+shared approximate eigenvector and a Gram-matrix independence argument.
+verify_certificate checks a written certificate of any kind from its own
+witness, exactly and without a sweep.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -59,6 +61,7 @@ __all__ = [
     "certify_grid",
     "certify_double",
     "certify_lambda_exclusion",
+    "verify_certificate",
     "orbit_expectations",
     "overlap_bound",
     "gram_independent",
@@ -557,6 +560,12 @@ def _check_domain(alpha: float, delta: float) -> None:
         )
 
 
+def _sweep_delta(delta: float) -> float:
+    """delta raised to _MIN_DELTA when it lies in (0, _MIN_DELTA), where the
+    arc sweep refuses it: certifying at a larger delta is always sound."""
+    return max(delta, _MIN_DELTA) if delta > 0.0 else delta
+
+
 def _packing_failure(alpha: float, delta: float, d_min: int, packing,
                      packing_delta: float, slack: float | None) -> str | None:
     """Why the packing witness of a greedy-transversal certificate fails to
@@ -657,7 +666,8 @@ def certify_double(d1: int, d2: int, gamma: float, delta: float,
 
         sqrt(gamma) d1 d2 + (d1 + d2) delta < sin^2(pi / 2 d1) / (d1 d2 - 1)^2,
 
-    otherwise falls back to the best single-pair certificate.
+    otherwise falls back to the best single-pair certificate, swept at
+    _sweep_delta(delta).
     """
     _check_double_domain(d1, d2, gamma, delta)
     lhs, rhs = _double_threshold(d1, d2, gamma, delta)
@@ -670,10 +680,8 @@ def certify_double(d1: int, d2: int, gamma: float, delta: float,
             slack=rhs - lhs,
             witness={"lhs": lhs, "rhs": rhs},
         )
-    singles = [
-        certify_single(1.0 / d1, delta, compute_slack=compute_slack),
-        certify_single(1.0 / d2, delta, compute_slack=compute_slack),
-    ]
+    singles = [certify_single(1.0 / d, _sweep_delta(delta), compute_slack=compute_slack)
+               for d in (d1, d2)]
     best = max(singles, key=lambda c: c.d_min)
     witness = dict(best.witness or {})
     witness["double_pair_threshold_failed_by"] = lhs - rhs
@@ -685,25 +693,6 @@ def certify_double(d1: int, d2: int, gamma: float, delta: float,
         slack=best.slack,
         witness=witness,
     )
-
-
-def _fallback_failure(d1: int, d2: int, gamma: float, delta: float,
-                      alpha: float, failed_by: float) -> str | None:
-    """Why a greedy-transversal certificate on certify_double's inputs is not
-    its single-pair fallback at twist alpha, or None when it is: alpha must
-    be 1 / d1 or 1 / d2, the two-pair threshold must fail, and the reported
-    margin failed_by must equal lhs - rhs exactly."""
-    _check_double_domain(d1, d2, gamma, delta)
-    if alpha not in (1.0 / d1, 1.0 / d2):
-        return f"single_pair_twist {alpha!r} is neither 1/d1 nor 1/d2"
-    lhs, rhs = _double_threshold(d1, d2, gamma, delta)
-    if lhs < rhs:
-        return (f"the double-pair threshold holds (lhs {lhs!r} < rhs {rhs!r}), "
-                "so the certificate should be double-pair")
-    if failed_by != lhs - rhs:
-        return (f"double_pair_threshold_failed_by {failed_by!r} differs from "
-                f"lhs - rhs = {lhs - rhs!r}")
-    return None
 
 
 def certify_lambda_exclusion(alpha: float, delta: float, g_max: int = 64,
@@ -733,6 +722,135 @@ def certify_lambda_exclusion(alpha: float, delta: float, g_max: int = 64,
         slack=min(margins) if margins else None,
         witness={"excluded_dimensions": excluded},
     )
+
+
+def _real(value, name: str) -> float:
+    """A certificate number: a finite int or float, not a bool or a string."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, name: str) -> int:
+    """A certificate integer: an int, not a bool or an integral float."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def verify_certificate(cert: Certificate) -> str | None:
+    """Why a certificate read back from JSON fails to prove d >= cert.d_min,
+    or None when it proves it.  Raises ValueError when it is malformed: a
+    field its kind needs is missing, of the wrong type, not finite, or
+    outside its certifier's domain.
+
+    Each kind is checked from its own witness with exact comparisons, and
+    no sweep or slack search runs:
+    - greedy-transversal: _packing_failure and _reported_failure;
+    - single-closed-form: delta = 0, d_min = witness.denominator = the
+      denominator of the rational alpha, and slack = 0.0;
+    - double-pair: the recomputed threshold lhs < rhs holds, d_min = d1 d2,
+      and slack = rhs - lhs and the witness lhs and rhs equal the recomputed;
+    - lambda-exclusion: _exclusion_failure;
+    - any other kind whose inputs hold d1, d2, gamma and delta is
+      certify_double's single-pair fallback: its twist is 1/d1 or 1/d2, the
+      threshold fails by exactly double_pair_threshold_failed_by, and its
+      kind's check holds at that twist and _sweep_delta(delta)."""
+    inputs, witness = cert.inputs, cert.witness
+    if not isinstance(inputs, dict) or not isinstance(witness, dict):
+        raise ValueError("inputs and witness must be objects")
+    slack = None if cert.slack is None else _real(cert.slack, "slack")
+    if cert.method == "lambda-exclusion":
+        return _exclusion_failure(cert, slack)
+    if cert.method != "double-pair" and not {"d1", "d2", "gamma", "delta"} <= set(inputs):
+        return _single_failure(cert, _real(inputs.get("alpha"), "inputs.alpha"),
+                               _real(inputs.get("delta"), "inputs.delta"), slack)
+    d1, d2 = (_integer(inputs.get(k), f"inputs.{k}") for k in ("d1", "d2"))
+    gamma, delta = (_real(inputs.get(k), f"inputs.{k}") for k in ("gamma", "delta"))
+    _check_double_domain(d1, d2, gamma, delta)
+    lhs, rhs = _double_threshold(d1, d2, gamma, delta)
+    if cert.method != "double-pair":
+        alpha = _real(witness.get("single_pair_twist"), "witness.single_pair_twist")
+        failed_by = _real(witness.get("double_pair_threshold_failed_by"),
+                          "witness.double_pair_threshold_failed_by")
+        if alpha not in (1.0 / d1, 1.0 / d2):
+            return f"single_pair_twist {alpha!r} is neither 1/d1 nor 1/d2"
+        if lhs < rhs:
+            return (f"the double-pair threshold holds (lhs {lhs!r} < rhs {rhs!r}), "
+                    "so the certificate should be double-pair")
+        if failed_by != lhs - rhs:
+            return (f"double_pair_threshold_failed_by {failed_by!r} differs from "
+                    f"lhs - rhs = {lhs - rhs!r}")
+        return _single_failure(cert, alpha, _sweep_delta(delta), slack)
+    if not lhs < rhs:
+        return f"the double-pair threshold fails: lhs {lhs!r} >= rhs {rhs!r}"
+    claimed = (cert.d_min, slack, witness.get("lhs"), witness.get("rhs"))
+    if claimed != (d1 * d2, rhs - lhs, lhs, rhs):
+        return (f"d_min, slack and witness lhs, rhs {claimed!r} must equal d1 d2, "
+                f"rhs - lhs, lhs, rhs = {(d1 * d2, rhs - lhs, lhs, rhs)!r}")
+    return None
+
+
+def _single_failure(cert: Certificate, alpha: float, delta: float,
+                    slack: float | None) -> str | None:
+    """verify_certificate's check of a single-pair kind at (alpha, delta)."""
+    witness = cert.witness
+    if cert.method == "greedy-transversal":
+        packing = witness.get("packing")
+        # bool subclasses int, and a float power would be truncated
+        if not isinstance(packing, list) or any(type(j) is not int for j in packing):
+            raise ValueError(f"witness.packing must be a list of integers, got {packing!r}")
+        angles = witness.get("stab_angles")
+        if not isinstance(angles, list) or not all(
+                type(a) is int or type(a) is float and math.isfinite(a) for a in angles):
+            raise ValueError(f"witness.stab_angles must list finite numbers, got {angles!r}")
+        count = _integer(witness.get("minimal_interval_count"),
+                         "witness.minimal_interval_count")
+        packing_delta = _real(witness.get("packing_delta"), "witness.packing_delta")
+        return (_packing_failure(alpha, delta, cert.d_min, packing, packing_delta, slack)
+                or _reported_failure(cert.d_min, angles, count))
+    if delta != 0.0:
+        return f"a closed-form certificate needs delta = 0, got {delta!r}"
+    _check_domain(alpha, delta)
+    q = _exact_dimension(alpha)
+    denominator = _integer(witness.get("denominator"), "witness.denominator")
+    if (cert.d_min, denominator, slack) != (q, q, 0.0):
+        return (f"d_min {cert.d_min}, witness.denominator {denominator} and slack "
+                f"{slack!r} must be the denominator {q} of alpha, {q} and 0.0")
+    return None
+
+
+def _exclusion_failure(cert: Certificate, slack: float | None) -> str | None:
+    """verify_certificate's check of a lambda-exclusion certificate:
+    excluded_dimensions lists 1 .. d_min - 1, then ascends within (d_min,
+    g_max] (shape only past d_min), and the floors of g <= d_min give d_min
+    and the slack.  The list goes first: it bounds d_min by the input size."""
+    inputs, d_min = cert.inputs, cert.d_min
+    g_max = _integer(inputs.get("g_max"), "inputs.g_max")
+    if d_min > g_max + 1:
+        raise ValueError(f"d_min {d_min} exceeds g_max + 1 = {g_max + 1}")
+    excluded = cert.witness.get("excluded_dimensions")
+    if not isinstance(excluded, list):
+        raise ValueError(f"witness.excluded_dimensions must be a list, got {excluded!r}")
+    rest = excluded[d_min - 1:]
+    if (any(type(g) is not int for g in excluded)
+            or excluded[:d_min - 1] != list(range(1, d_min))
+            or any(a >= b for a, b in zip([d_min, *rest], rest))
+            or (rest and rest[-1] > g_max)):
+        return (f"excluded_dimensions {excluded!r} must list 1 .. d_min - 1, then "
+                "ascend within (d_min, g_max]")
+    p = inputs.get("p")  # matio writes p = inf as the string "inf"
+    spec = NormSpec(math.inf if p in ("inf", math.inf) else _real(p, "inputs.p"),
+                    _integer(inputs.get("k"), "inputs.k"))
+    fresh = certify_lambda_exclusion(_real(inputs.get("alpha"), "inputs.alpha"),
+                                     _real(inputs.get("delta"), "inputs.delta"),
+                                     g_max=min(g_max, d_min), spec=spec)
+    if fresh.d_min != d_min:
+        return f"the closed-form floors give d_min = {fresh.d_min}, not {d_min}"
+    if slack != fresh.slack:
+        return f"slack {slack!r} differs from the least margin {fresh.slack!r}"
+    return None
 
 
 class OrbitExpectation(NamedTuple):

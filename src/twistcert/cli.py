@@ -1,5 +1,7 @@
 """Command-line surface: figure-data sweeps, certification pipelines, and
 report generation, with reproducible run manifests embedded in every output.
+`check` re-validates a certificate with certify.verify_certificate, the one
+reader of the witness layout; this module compares no certificate numbers.
 
 Exit codes: 0 success, 1 I/O or parse error, 2 precondition violation (for
 example xi >= 1), 3 numerical failure or failed certificate re-validation.
@@ -21,19 +23,15 @@ from pathlib import Path
 import numpy as np
 
 from .certify import (
-    _MIN_DELTA,
     Certificate,
-    _fallback_failure,
-    _packing_failure,
-    _reported_failure,
+    _sweep_delta,
     certify_double,
     certify_grid,
-    certify_lambda_exclusion,
     certify_single,
     single_pair_threshold,
+    verify_certificate,
     verify_double_witness,
 )
-from .config import SLACK_MATCH_ABS, SLACK_MATCH_REL
 from .linalg import NormSpec, OPERATOR
 from .matio import certificate_from_dict, certificate_to_dict, jsonable, load_matrix
 from .minima import lambda_min
@@ -99,6 +97,7 @@ class RunManifest:
 
 
 def _fmt(x: float) -> str:
+    """A CSV field: an int as is, a float to 17 significant digits, inf as inf."""
     return f"{x:.17g}"
 
 
@@ -112,14 +111,14 @@ def _write_text(out: str | None, text: str) -> None:
 
 
 def _write_rows(out: str | None, manifest: RunManifest, header: str,
-                rows: list[str], fmt: str = "csv") -> None:
+                rows: list[tuple], fmt: str = "csv") -> None:
     if fmt == "json":
         cols = header.split(",")
-        payload = {"columns": cols,
-                   "rows": [dict(zip(cols, r.split(","))) for r in rows]}
-        _write_json(out, manifest, payload)
+        _write_json(out, manifest, {"columns": cols,
+                                    "rows": [dict(zip(cols, r)) for r in rows]})
         return
-    _write_text(out, "\n".join([manifest.header_line(), header, *rows]))
+    lines = [",".join(map(_fmt, r)) for r in rows]
+    _write_text(out, "\n".join([manifest.header_line(), header, *lines]))
 
 
 def _write_json(out: str | None, manifest: RunManifest, payload: dict) -> None:
@@ -173,11 +172,9 @@ def _norm_spec(args, dim: int) -> NormSpec:
 # minima sweep
 
 
-def _minima_row(cell) -> str:
+def _minima_row(cell) -> tuple:
     g, alpha, p, k = cell
-    lam = lambda_min(g, alpha, NormSpec(p, min(k, g)))
-    p_txt = "inf" if math.isinf(p) else _fmt(p)
-    return f"{g},{_fmt(alpha)},{p_txt},{min(k, g)},{_fmt(lam)}"
+    return g, alpha, p, min(k, g), lambda_min(g, alpha, NormSpec(p, min(k, g)))
 
 
 def cmd_minima(args) -> int:
@@ -216,8 +213,7 @@ def cmd_mountains(args) -> int:
         cells.append((1.0 / d, single_pair_threshold(d) - 1e-9))
     # the twist enters only through exp(2 pi i alpha): certify alpha mod 1
     dims = certify_grid([(alpha % 1.0, delta) for alpha, delta in cells])
-    rows = [f"{_fmt(alpha)},{_fmt(delta)},{dim}"
-            for (alpha, delta), dim in zip(cells, dims)]
+    rows = [(alpha, delta, dim) for (alpha, delta), dim in zip(cells, dims)]
     manifest = RunManifest.build(
         "mountains", {"alpha_grid": args.alpha_grid, "delta_grid": args.delta_grid}
     )
@@ -238,13 +234,7 @@ def single_pipeline(band: BandSpec, u, v, alpha: float,
     measured restricted value is reported alongside.
     """
     res = restrict_pair(u, v, band, alpha, spec)
-    bound = res.delta_out_bound
-    if bound == 0.0:
-        cert = certify_single(alpha, 0.0)
-    else:
-        # a bound below the arc-sweep floor is rounded up to it; certifying
-        # at a larger delta is always sound
-        cert = certify_single(alpha, max(bound, _MIN_DELTA))
+    cert = certify_single(alpha, _sweep_delta(res.delta_out_bound))
     return {
         "measured": {
             "eps_u": res.eps_u,
@@ -435,125 +425,21 @@ def _eigshare_table(res) -> dict:
 # certificate re-validation
 
 
-def _finite(value, name: str) -> float:
-    """A certificate number as a finite float; a missing, non-numeric or
-    non-finite value makes the certificate malformed."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    if not math.isfinite(x):
-        raise CliIOError(f"malformed certificate: {name} must be a finite number, "
-                         f"got {value!r}")
-    return x
-
-
-def _packing_witness(witness) -> tuple[list[int], float, list[float], int] | None:
-    """The packing, packing_delta, stab_angles and minimal_interval_count of
-    a greedy-transversal witness, or None when the witness carries neither
-    packing nor packing_delta (certificates written before packings were
-    recorded, which are rerun instead)."""
-    if not isinstance(witness, dict) or not {"packing", "packing_delta"} & set(witness):
-        return None
-    packing = witness.get("packing")
-    # bool subclasses int, and a float power would be truncated
-    if not isinstance(packing, list) or any(type(j) is not int for j in packing):
-        raise CliIOError("malformed certificate: witness.packing must be a list of "
-                         f"integers, got {packing!r}")
-    angles = witness.get("stab_angles")
-    if not isinstance(angles, list) or not all(
-            type(a) in (int, float) and math.isfinite(a) for a in angles):
-        raise CliIOError("malformed certificate: witness.stab_angles must be a list "
-                         f"of finite numbers, got {angles!r}")
-    count = witness.get("minimal_interval_count")
-    if type(count) is not int:
-        raise CliIOError("malformed certificate: witness.minimal_interval_count must "
-                         f"be an integer, got {count!r}")
-    return (packing, _finite(witness.get("packing_delta"), "witness.packing_delta"),
-            angles, count)
-
-
 def recheck_certificate(cert: Certificate) -> tuple[bool, str]:
-    """Re-verify a certificate from its echoed inputs.  A greedy-transversal
-    certificate with a packing witness is verified from that witness in
-    O(d log d) (certify._packing_failure): no sweep or slack search runs.
-    Its stab_angles and minimal_interval_count are confirmed only for shape
-    (certify._reported_failure: d_min - 1 ascending angles in [0, 2 pi), at
-    least d_min - 1 intervals), and a single-pair fallback's
-    double_pair_threshold_failed_by must equal the recomputed lhs - rhs.  Any
-    other certificate has its inequalities recomputed by rerunning the
-    certifier.  Raises CliIOError when an input it needs is missing, not
-    finite, not integral where it counts, of the wrong type, or outside the
-    certifier's domain."""
-    inputs = cert.inputs
-    if not isinstance(inputs, dict):
-        raise CliIOError("malformed certificate: inputs must be an object")
-
-    def num(key: str, default=None) -> float:
-        return _finite(inputs.get(key, default), f"inputs.{key}")
-
-    def integer(key: str, default=None) -> int:
-        x = num(key, default)
-        if not x.is_integer():  # never truncated
-            raise CliIOError(f"malformed certificate: inputs.{key} must be an "
-                             f"integer, got {inputs[key]!r}")
-        return int(x)
-
-    def witness_num(key: str) -> float:
-        return _finite(cert.witness.get(key), f"witness.{key}")
-
-    slack = None if cert.slack is None else _finite(cert.slack, "slack")
-    double = {"d1", "d2", "gamma", "delta"} <= set(inputs)
-    packed = (_packing_witness(cert.witness)
-              if cert.method == "greedy-transversal" else None)
+    """(ok, message) for a certificate read from JSON: the verdict of
+    certify.verify_certificate, which checks every kind from its own witness
+    with no sweep.  Raises CliIOError when the certificate is malformed."""
     try:
-        if packed is not None:
-            powers, packing_delta, angles, count = packed
-            delta = num("delta")
-            if double:
-                alpha = witness_num("single_pair_twist")
-                failure = _fallback_failure(
-                    integer("d1"), integer("d2"), num("gamma"), delta, alpha,
-                    witness_num("double_pair_threshold_failed_by"))
-            else:
-                alpha, failure = num("alpha"), None
-            failure = (failure
-                       or _packing_failure(alpha, delta, cert.d_min, powers,
-                                           packing_delta, slack)
-                       or _reported_failure(cert.d_min, angles, count))
-            return failure is None, failure or "certificate re-verified"
-        if double:
-            fresh = certify_double(integer("d1"), integer("d2"), num("gamma"),
-                                   num("delta"))
-        elif cert.method == "lambda-exclusion":
-            g_max = integer("g_max", 64)
-            if cert.d_min > g_max + 1:
-                raise CliIOError(f"malformed certificate: d_min {cert.d_min} exceeds "
-                                 f"g_max + 1 = {g_max + 1}")
-            # d_min and slack depend on the dimensions g <= d_min alone
-            fresh = certify_lambda_exclusion(
-                num("alpha"), num("delta"), g_max=min(g_max, cert.d_min),
-                spec=NormSpec(_parse_p(str(inputs.get("p", "inf"))), integer("k", 1)),
-            )
-        else:
-            fresh = certify_single(num("alpha"), num("delta"))
+        failure = verify_certificate(cert)
     except ValueError as exc:
         raise CliIOError(f"malformed certificate: {exc}") from exc
-    if fresh.d_min != cert.d_min or fresh.method != cert.method:
-        return False, (
-            f"recomputation gives d_min={fresh.d_min} via {fresh.method}, "
-            f"certificate claims d_min={cert.d_min} via {cert.method}"
-        )
-    if slack is not None and fresh.slack is not None:
-        if abs(slack - fresh.slack) > SLACK_MATCH_ABS + SLACK_MATCH_REL * abs(fresh.slack):
-            return False, f"slack mismatch: {cert.slack} vs {fresh.slack}"
-    return True, "certificate re-verified"
+    return failure is None, failure or "certificate re-verified"
 
 
 def cmd_check(args) -> int:
-    """Re-validate a certificate JSON file with recheck_certificate: a
-    greedy-transversal certificate is proven by its packing, while its
-    stab_angles and minimal_interval_count are confirmed only for shape."""
+    """Re-validate a certificate JSON file from its witness
+    (certify.verify_certificate): exit 0 and print "certificate re-verified",
+    exit 3 and print why it fails, or exit 1 when it is malformed."""
     data = _load_json_file(args.certificate)
     if not isinstance(data, dict):
         raise CliIOError("malformed certificate: the file must hold a JSON object, "

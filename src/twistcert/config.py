@@ -34,7 +34,3 @@ CLUSTER_DIAMETER_MARGIN = 1e-12
 RATIONAL_TWIST = 1e-15
 # radians: expectation targets this close coincide, and overlap_bound has no bound
 COINCIDENT_ANGLE = 1e-15
-# a slack recomputed from a certificate's inputs matches the claimed one when
-# |claimed - recomputed| <= SLACK_MATCH_ABS + SLACK_MATCH_REL * |recomputed|
-SLACK_MATCH_ABS = 1e-9
-SLACK_MATCH_REL = 1e-6

@@ -3,6 +3,7 @@ exhaustive oracle, closed-form thresholds, orbit expectation bounds, overlap
 and Gram independence checks, and the two-pair certificate."""
 
 import itertools
+import json
 import math
 import re
 
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from twistcert import certify as certify_module
 from twistcert import (
-    Certificate,
+    NormSpec,
     certify_double,
     certify_grid,
     certify_lambda_exclusion,
@@ -31,8 +32,8 @@ from twistcert import (
     verify_double_witness,
     TwistedPair,
 )
-from twistcert.cli import recheck_certificate
 from twistcert.config import ANGLE_MERGE
+from twistcert.matio import certificate_from_dict, certificate_to_dict, jsonable
 
 
 def bisection_slack(alpha, delta, merge_tol=None):
@@ -211,10 +212,6 @@ class TestCertifySingle:
                     continue
                 reference = bisection_slack(alpha, float(delta), merge_tol)
                 assert cert.slack == pytest.approx(reference, rel=0, abs=1e-12)
-                if merge_tol is None:
-                    older = Certificate(cert.d_min, cert.method, cert.inputs,
-                                        slack=reference)
-                    assert recheck_certificate(older)[0]
 
     def test_slack_symmetric_under_conjugation(self):
         rng = np.random.default_rng(10)
@@ -386,6 +383,54 @@ class TestPackingWitness:
             assert top == delta
         else:
             assert cert.slack == top - delta
+
+
+ALPHAS = st.floats(0.0, 1.0, exclude_max=True)
+RATIONAL_ALPHAS = st.fractions(0, 1, max_denominator=40).filter(lambda f: f < 1).map(float)
+
+
+def log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+class TestCertificateRoundTrip:
+    """Every kind of certificate, written to JSON and read back, equals the
+    original field by field and passes verify_certificate, whose comparisons
+    are exact."""
+
+    @staticmethod
+    def assert_round_trip(cert):
+        back = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert))))
+        for name in ("d_min", "method", "inputs", "slack", "witness"):
+            assert getattr(back, name) == jsonable(getattr(cert, name)), name
+        assert certify_module.verify_certificate(back) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(query=st.one_of(st.tuples(RATIONAL_ALPHAS, st.just(0.0)),
+                           st.tuples(ALPHAS, log_uniform(-6.0, math.log10(2.0)))),
+           slack=st.booleans())
+    @example(query=(0.0, 1e-6), slack=True)
+    @example(query=(0.25, 0.0), slack=True)
+    def test_single(self, query, slack):
+        self.assert_round_trip(certify_single(*query, compute_slack=slack))
+
+    @settings(max_examples=100, deadline=None)
+    @given(dims=st.tuples(st.integers(2, 6), st.integers(2, 6)).map(sorted),
+           gamma=st.one_of(st.just(0.0), log_uniform(-12.0, 0.0)),
+           delta=st.one_of(st.just(0.0), log_uniform(-10.0, math.log10(2.0))))
+    @example(dims=[2, 2], gamma=0.01, delta=1e-8)
+    @example(dims=[2, 3], gamma=1e-8, delta=1e-8)
+    @example(dims=[2, 3], gamma=0.01, delta=0.0)
+    def test_double(self, dims, gamma, delta):
+        self.assert_round_trip(certify_double(*dims, gamma, delta))
+
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=ALPHAS, delta=st.floats(0.0, 2.0), g_max=st.integers(1, 16),
+           p=st.sampled_from([math.inf, 2.0, 3.0]), k=st.integers(1, 3))
+    @example(alpha=0.25, delta=0.5, g_max=64, p=math.inf, k=1)
+    def test_lambda_exclusion(self, alpha, delta, g_max, p, k):
+        self.assert_round_trip(
+            certify_lambda_exclusion(alpha, delta, g_max, NormSpec(p, k)))
 
 
 class TestOrbitExpectations:

@@ -12,10 +12,12 @@ from twistcert import (
     ModelSpec,
     certify_double,
     certify_lambda_exclusion,
+    certify_single,
     clock_model,
     ground_symmetry,
 )
 from twistcert import certify as certify_module
+from twistcert import cli as cli_module
 from twistcert import minima as minima_module
 from twistcert.cli import main
 from twistcert.matio import certificate_to_dict, save_matrix_text
@@ -82,6 +84,7 @@ class TestMinima:
         assert doc["columns"] == ["g", "alpha", "p", "k", "lambda"]
         assert len(doc["rows"]) == 5
         assert doc["manifest"]["command"] == "minima"
+        assert doc["rows"][1] == {"g": 4, "alpha": 0.25, "p": "inf", "k": 1, "lambda": 0.0}
 
     @pytest.mark.parametrize("gs", ["0", "3,-2"])
     def test_bad_dimension_named(self, capsys, gs):
@@ -167,6 +170,20 @@ class TestMountains:
             dims.setdefault(alpha, {})[delta] = dim
         assert len(dims["1"]) == 5
         assert dims["1"] == dims["0"]
+
+    def test_json_rows_hold_numbers(self, tmp_path):
+        grid = ["--alpha-grid", "0.1:0.9:3", "--delta-grid", "0.1:2:3"]
+        csv_out, json_out = tmp_path / "m.csv", tmp_path / "m.json"
+        assert main(["mountains", *grid, "--out", str(csv_out)]) == 0
+        assert main(["mountains", *grid, "--format", "json", "--out", str(json_out)]) == 0
+        _, _, rows = read_csv(csv_out)
+        doc = json.loads(json_out.read_text())
+        assert len(doc["rows"]) == len(rows)
+        for text, row in zip(rows, doc["rows"]):
+            alpha, delta, dim = text.split(",")
+            assert type(row["alpha"]) is float and row["alpha"] == float(alpha)
+            assert type(row["delta"]) is float and row["delta"] == float(delta)
+            assert type(row["certified_dim"]) is int and row["certified_dim"] == int(dim)
 
 
 class TestCertify:
@@ -419,12 +436,17 @@ class TestCheck:
         `certify --alpha --delta` writes it, a pipeline one as
         `certify --manifest` writes it, the others built in process, or a
         direct one wrapped in a top-level list."""
-        if kind == "lambda-exclusion":
-            return {"certificate": certificate_to_dict(certify_lambda_exclusion(0.25, 0.5))}
-        if kind == "double-pair":
-            return {"certificate": certificate_to_dict(certify_double(2, 3, 1e-8, 1e-8))}
-        if kind == "double-fallback":  # the two-pair threshold fails
-            return {"certificate": certificate_to_dict(certify_double(2, 3, 1e-2, 1e-3))}
+        built = {
+            "lambda-exclusion": lambda: certify_lambda_exclusion(0.25, 0.5),
+            "closed-form": lambda: certify_single(0.25, 0.0),
+            "double-pair": lambda: certify_double(2, 3, 1e-8, 1e-8),
+            # the two-pair threshold fails
+            "double-fallback": lambda: certify_double(2, 3, 1e-2, 1e-3),
+            # ... at a delta below the arc sweep's floor
+            "small-delta-fallback": lambda: certify_double(2, 2, 1e-2, 1e-8),
+        }
+        if kind in built:
+            return {"certificate": certificate_to_dict(built[kind]())}
         if kind == "pipeline":
             spec = ModelSpec(kind="clock-block", g=3, n_excited=6, gap=1.0, seed=12,
                              perturbation_strength=0.004)
@@ -440,7 +462,8 @@ class TestCheck:
         assert doc["certificate"]["slack"] is not None
         return [doc] if kind == "top-level-list" else doc
 
-    @pytest.mark.parametrize("kind", ["lambda-exclusion", "double-pair", "double-fallback"])
+    @pytest.mark.parametrize("kind", ["lambda-exclusion", "closed-form", "double-pair",
+                                      "double-fallback", "small-delta-fallback"])
     def test_unmodified_certificate_passes(self, tmp_path, kind):
         out = tmp_path / "cert.json"
         out.write_text(json.dumps(self.certificate_doc(kind, tmp_path)))
@@ -477,6 +500,10 @@ class TestCheck:
             double_pair_threshold_failed_by="wide")),
         ("double-fallback", lambda doc: doc["certificate"]["witness"].pop(
             "double_pair_threshold_failed_by")),
+        ("direct", lambda doc: [doc["certificate"]["witness"].pop(key)
+                                for key in ("packing", "packing_delta")]),
+        ("lambda-exclusion", lambda doc: doc["certificate"]["witness"].update(
+            excluded_dimensions="1,2,3")),
     ], ids=["missing-alpha", "non-numeric-slack", "nan-delta", "fractional-d_min",
             "top-level-list", "negative-g_max", "fractional-g_max", "fractional-k",
             "non-numeric-p", "fractional-d1", "fractional-d2", "d_min-above-g_max",
@@ -484,7 +511,8 @@ class TestCheck:
             "infinite-packing_delta", "packing_delta-below-delta",
             "fallback-null-packing_delta", "stab_angles-not-a-list", "bool-stab-angle",
             "missing-stab_angles", "float-interval-count", "missing-interval-count",
-            "non-numeric-failed_by", "missing-failed_by"])
+            "non-numeric-failed_by", "missing-failed_by", "witness-without-packing",
+            "excluded-not-a-list"])
     def test_malformed_certificate_exits_1(self, tmp_path, capsys, kind, mutate):
         out = tmp_path / "cert.json"
         doc = self.certificate_doc(kind, tmp_path)
@@ -532,9 +560,13 @@ class TestCheck:
             "stab-angles-edited", "stab-angles-descending", "stab-angle-beyond-two-pi",
             "interval-count-below-packing", "fallback-failed_by-edited"])
     def test_failing_witness_exits_3(self, tmp_path, capsys, kind, mutate, reason):
-        out = tmp_path / "cert.json"
         doc = self.certificate_doc(kind, tmp_path)
         assert doc["certificate"]["witness"]["packing"]
+        self.assert_check_fails(tmp_path, capsys, doc, mutate, reason)
+
+    @staticmethod
+    def assert_check_fails(tmp_path, capsys, doc, mutate, reason):
+        out = tmp_path / "cert.json"
         mutate(doc["certificate"])
         out.write_text(json.dumps(doc))
         capsys.readouterr()
@@ -542,18 +574,64 @@ class TestCheck:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and reason in lines[0]
 
-    @pytest.mark.parametrize("kind", ["direct", "pipeline"])
-    def test_witness_check_runs_no_sweep(self, tmp_path, monkeypatch, kind):
+    @pytest.mark.parametrize("kind, mutate, reason", [
+        ("double-pair", lambda cert: cert["inputs"].update(gamma=0.01),
+         "the double-pair threshold fails"),
+        ("double-pair", lambda cert: cert["inputs"].update(gamma=0.01, delta=1e-3),
+         "the double-pair threshold fails"),
+        ("double-pair", lambda cert: cert.update(slack=cert["slack"] * (1 + 1e-7)),
+         "must equal d1 d2"),
+        ("double-pair", lambda cert: cert.update(d_min=cert["d_min"] + 1),
+         "must equal d1 d2"),
+        ("double-pair", lambda cert: cert.update(witness={"lhs": "junk"}),
+         "must equal d1 d2"),
+        ("lambda-exclusion", lambda cert: cert.update(slack=cert["slack"] + 5e-10),
+         "differs from the least margin"),
+        ("lambda-exclusion", lambda cert: cert.update(d_min=cert["d_min"] - 1),
+         "must list 1 .. d_min - 1"),
+        ("lambda-exclusion", lambda cert: cert["inputs"].update(delta=1.5),
+         "the closed-form floors give d_min = 1"),
+        ("lambda-exclusion", lambda cert: cert["witness"].update(excluded_dimensions=["x"]),
+         "must list 1 .. d_min - 1"),
+        ("lambda-exclusion", lambda cert: cert["witness"]["excluded_dimensions"].append(5),
+         "must list 1 .. d_min - 1"),
+        ("closed-form", lambda cert: cert.update(slack=None), "and slack None must be"),
+        ("closed-form", lambda cert: cert.update(witness={"denominator": 7}),
+         "must be the denominator 4"),
+        ("closed-form", lambda cert: cert.update(d_min=cert["d_min"] + 1),
+         "must be the denominator 4"),
+        ("closed-form", lambda cert: cert["inputs"].update(delta=0.5), "needs delta = 0"),
+    ], ids=["double-gamma-edited", "double-gamma-and-delta-edited", "double-slack-edited",
+            "double-d_min+1", "double-witness-junk", "exclusion-slack-edited",
+            "exclusion-d_min-1", "exclusion-delta-edited", "exclusion-list-junk",
+            "exclusion-list-descending", "closed-form-null-slack",
+            "closed-form-denominator-edited", "closed-form-d_min+1", "closed-form-delta-edited"])
+    def test_failing_certificate_exits_3(self, tmp_path, capsys, kind, mutate, reason):
         doc = self.certificate_doc(kind, tmp_path)
+        self.assert_check_fails(tmp_path, capsys, doc, mutate, reason)
+
+    @pytest.mark.parametrize("kind, edit, code", [
+        ("direct", None, 0), ("pipeline", None, 0), ("closed-form", None, 0),
+        ("double-pair", None, 0), ("double-fallback", None, 0),
+        ("small-delta-fallback", None, 0), ("lambda-exclusion", None, 0),
+        ("double-pair", {"gamma": 0.01, "delta": 1e-3}, 3),
+    ], ids=["direct", "pipeline", "closed-form", "double-pair", "double-fallback",
+            "small-delta-fallback", "lambda-exclusion", "double-gamma-edited"])
+    def test_witness_check_runs_no_sweep(self, tmp_path, monkeypatch, kind, edit, code):
+        doc = self.certificate_doc(kind, tmp_path)
+        doc["certificate"]["inputs"].update(edit or {})
         out = tmp_path / "cert.json"
         out.write_text(json.dumps(doc))
 
         def refuse(*args, **kwargs):
             raise AssertionError("check ran the certifier")
 
-        for name in ("minimal_intervals", "_minimal", "_slack"):
+        for name in ("certify_single", "certify_double", "minimal_intervals", "_minimal",
+                     "_slack"):
             monkeypatch.setattr(certify_module, name, refuse)
-        assert main(["check", str(out)]) == 0
+        for name in ("certify_single", "certify_double"):
+            monkeypatch.setattr(cli_module, name, refuse)
+        assert main(["check", str(out)]) == code
 
     def test_mountains_runs_one_sweep(self, tmp_path, monkeypatch):
         calls = []
