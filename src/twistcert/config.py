@@ -34,3 +34,15 @@ CLUSTER_DIAMETER_MARGIN = 1e-12
 RATIONAL_TWIST = 1e-15
 # radians: expectation targets this close coincide, and overlap_bound has no bound
 COINCIDENT_ANGLE = 1e-15
+# linalg.norm_upper: Lanczos steps of its estimate of lambda_max(X^dag X); the
+# residual, relative to the largest Lanczos diagonal entry, at which the Krylov
+# space counts as invariant; the first and the last relative widening of the
+# estimate that it tries to prove (each retry widens 100-fold); and the Gram
+# dimension below which the SVD's sigma_1 is the estimate instead.  The step
+# count and the dimension are whole numbers kept as floats, like every constant
+# here
+NORM_LANCZOS_STEPS = 48.0
+NORM_LANCZOS_BREAKDOWN = 1e-12
+NORM_WIDENING = 1e-12
+NORM_WIDENING_MAX = 1e-9
+NORM_SVD_BELOW = 100.0

@@ -5,6 +5,7 @@ permutation-minimized spectral distance."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,7 +14,9 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from .config import EIG_RESIDUAL, INPUT_UNITARITY, NORMALITY, UNITARITY
+from .config import (EIG_RESIDUAL, INPUT_UNITARITY, NORM_LANCZOS_BREAKDOWN,
+                     NORM_LANCZOS_STEPS, NORM_SVD_BELOW, NORM_WIDENING, NORM_WIDENING_MAX,
+                     NORMALITY, UNITARITY)
 
 __all__ = [
     "NormSpec",
@@ -22,6 +25,7 @@ __all__ = [
     "twisted_commutator",
     "schatten_kyfan_norm",
     "operator_norm",
+    "norm_upper",
     "spectral_distance",
     "normality_defect",
     "is_normal",
@@ -119,6 +123,165 @@ def schatten_kyfan_norm(m, spec: NormSpec) -> float:
 
 def operator_norm(m) -> float:
     return schatten_kyfan_norm(m, OPERATOR)
+
+
+_UNIT = 2.0 ** -53  # unit roundoff of IEEE double
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u)."""
+    return k * _UNIT / (1.0 - k * _UNIT)
+
+
+def _lanczos_max(c: np.ndarray) -> float:
+    """lambda_max estimated from below for the Hermitian -c: the largest
+    Ritz value of a fully reorthogonalised Lanczos run from a fixed-seed
+    random start (Kuczynski and Wozniakowski, SIAM J. Matrix Anal. Appl. 13
+    (1992)).  The run stops early when the Krylov space is invariant, judged
+    relative to the largest Lanczos diagonal entry, not by an absolute floor."""
+    d = c.shape[0]
+    steps = min(d, int(NORM_LANCZOS_STEPS))
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    basis = np.empty((d, steps), dtype=complex, order="F")
+    gemv = scipy.linalg.blas.zgemv
+    diag, offdiag = [], []
+    for j in range(steps):
+        basis[:, j] = v
+        w = gemv(-1.0, c, v)
+        diag.append(float(np.vdot(v, w).real))
+        q = basis[:, : j + 1]
+        for _ in range(2):  # classical Gram-Schmidt twice: orthogonal to working precision
+            w = gemv(-1.0, q, gemv(1.0, q, w, trans=2), beta=1.0, y=w, overwrite_y=1)
+        beta = float(np.linalg.norm(w))
+        if j + 1 == steps or beta <= NORM_LANCZOS_BREAKDOWN * max(diag):
+            break
+        offdiag.append(beta)
+        v = w / beta
+    k = len(diag) - 1
+    return float(scipy.linalg.eigvalsh_tridiagonal(
+        np.array(diag), np.array(offdiag), select="i", select_range=(k, k))[0])
+
+
+def _svd_estimate(x: np.ndarray) -> float:
+    """sigma_1(X)^2 from a dense SVD: norm_upper's estimate below
+    config.NORM_SVD_BELOW and its fallback when a Lanczos estimate fails."""
+    return float(np.linalg.svd(x, compute_uv=False)[0]) ** 2
+
+
+def _widenings():
+    """config.NORM_WIDENING, 100 times it, ..., up to config.NORM_WIDENING_MAX."""
+    eta = NORM_WIDENING
+    while eta < NORM_WIDENING_MAX:
+        yield eta
+        eta *= 100.0
+    yield NORM_WIDENING_MAX
+
+
+def _negated_gram(y: np.ndarray, trans: int) -> np.ndarray:
+    """-y y^dag (trans 0) or -y^dag y (trans 2) by BLAS zherk, with the lower
+    triangle filled in by blocks so that the result is the whole Hermitian
+    matrix; negation is exact, and zherk reads and writes one buffer."""
+    c = scipy.linalg.blas.zherk(-1.0, y, trans=trans)
+    d = c.shape[0]
+    for j in range(0, d, 64):
+        e = min(j + 64, d)
+        block = c[j:e, j:e]
+        block[...] = np.triu(block) + np.triu(block, 1).conj().T
+        c[e:, j:e] = c[j:e, e:].conj().T
+    return c
+
+
+def norm_upper(x) -> float:
+    """A proven upper bound on ||X||_2.  It exceeds ||X||_2 by at most
+    about eta / 2 + (2d + 4) d u relative (u the unit roundoff; eta the
+    widening that proved it, see below): under 1e-9 for d <= 1000, and about
+    2e-11 at d = 300 when the first widening proves it.
+
+    With C the Gram X^dag X or X X^dag, whichever is smaller (d x d, inner
+    products of length k), formed once by BLAS zherk into one buffer, an
+    estimate lam of lambda_max(C) is widened to s = lam (1 + eta) and
+    s I - C is factored in place by LAPACK potrf.  A Cholesky that runs to
+    completion proves lambda_max(C) <= s + margin (Rump, "Verification of
+    positive definiteness", BIT 46 (2006)).  The margin holds the Cholesky
+    backward error gamma_{2d+4} tr(s I - C), the rounding of the shifted
+    diagonal and the Gram's own rounding gamma_{2k+4} ||X||_F^2 (complex
+    inner products; Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 3 and 10).  The bound is sqrt(s + margin), rounded upward.
+
+    The estimate is a Lanczos run on C (`_lanczos_max`), or the SVD's
+    sigma_1^2 when d < config.NORM_SVD_BELOW.  Each estimate is tried with
+    the widenings eta from config.NORM_WIDENING to config.NORM_WIDENING_MAX,
+    and a Lanczos estimate that none of them proves falls back to the SVD's.
+    ArithmeticError when no proof succeeds: an unproven number is never
+    returned.  X = 0 gives 0.0.  X is scaled by a power of two when its
+    largest column norm leaves [2^-350, 2^350], so that the Gram neither
+    overflows nor underflows.
+    """
+    x = as_matrix(x)
+    if x.size == 0:
+        return 0.0
+    # y y^dag = conj(X^dag X) and y^dag y = conj(X X^dag): the Grams' spectra
+    trans = 0 if x.shape[1] <= x.shape[0] else 2
+    d, k = min(x.shape), max(x.shape)
+    c = _negated_gram(x.T, trans)
+    top = -float(np.min(c.diagonal().real))  # the largest squared column norm
+    shift = 0
+    lost = 0.0
+    if not 2.0 ** -700 <= top <= 2.0 ** 700:
+        x = np.ascontiguousarray(x)
+        big = float(np.max(np.abs(x.view(np.float64))))
+        if big == 0.0:
+            return 0.0
+        # exact unless an entry underflows: each such real part moves by at
+        # most 2^-1075, so ||X||_2 moves by at most sqrt(m n) 2^-1074
+        shift = math.frexp(big)[1]
+        x = np.ldexp(x.view(np.float64), -shift).view(np.complex128)
+        lost = math.sqrt(x.size) * 2.0 ** -1074
+        c = _negated_gram(x.T, trans)
+    cdiag = -c.diagonal().real
+    # ||X||_F^2 from above times the Gram's rounding; the floor covers
+    # underflow in zherk and potrf, and lies below 2^-290 relative to
+    # ||X||_2^2, which is at least the largest squared column norm 2^-700
+    gram_err = _gamma(2 * k + 4) * float(np.sum(cdiag)) * (1.0 + _gamma(2 * k + d + 4))
+    floor = (k + d + 4) ** 2 * 2.0 ** -1021
+    chol = _gamma(2 * d + 4)
+
+    def estimates():
+        if d >= NORM_SVD_BELOW:
+            yield _lanczos_max(c)  # before any proof overwrites c
+        yield _svd_estimate(x)
+
+    dirty = False
+    for estimate in estimates():
+        # lambda_max(C) is at least its largest diagonal entry
+        lam = max(estimate, float(np.max(cdiag)))
+        for eta in _widenings():
+            if dirty:
+                c = _negated_gram(x.T, trans)
+            s = lam * (1.0 + eta)
+            shifted = s - cdiag
+            c.flat[:: d + 1] = shifted
+            _, info = scipy.linalg.lapack.zpotrf(c, lower=0, clean=0, overwrite_a=1)
+            dirty = True
+            if info != 0:
+                continue
+            # s I - C = M - D with M the factored matrix and |D_ii| <= 2 u |M_ii|;
+            # each term is evaluated to within a few ulps, which 1.01 covers
+            margin = 1.01 * (2.0 * _UNIT * float(np.max(np.abs(shifted)))
+                             + 2.0 * chol * float(np.sum(np.abs(shifted)))
+                             + gram_err + floor)
+            t = math.nextafter(math.sqrt(math.nextafter(s + margin, math.inf)), math.inf)
+            if shift:
+                try:
+                    t = math.ldexp(math.nextafter(t + lost, math.inf), shift)
+                except OverflowError:
+                    return math.inf
+                if t < sys.float_info.min:
+                    t = math.nextafter(t, math.inf)
+            return t
+    raise ArithmeticError("no Cholesky proof of an upper bound on ||X||_2 succeeded")
 
 
 def normality_defect(a) -> float:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .config import (BAND_WEIGHT, BOUND_SLACK, EIG_RESIDUAL, GROUND_SLACK, HERMITICITY,
                      PROJECTOR, SPECTRAL_REL)
@@ -24,6 +25,7 @@ from .linalg import (
     OPERATOR,
     as_matrix,
     norm_at_most,
+    norm_upper,
     polar_unitary,
     require_unitary,
     schatten_kyfan_norm,
@@ -53,10 +55,20 @@ def sqrt_defect(x: float) -> float:
 
 class _LowestBand:
     """The band argument of `BandSpec.lowest`: the `rank` lowest eigenvectors
-    of H, taken from the constructor's own eigh."""
+    of H, from a subset eigensolve or the constructor's own full eigh."""
 
     def __init__(self, rank: int):
         self.rank = rank
+
+    def partial(self, h: np.ndarray):
+        """(eigenvalues, eigenvectors) of the rank + 1 lowest eigenpairs of
+        the Hermitian h, ascending; None when the rank lies outside the space
+        or lambda_rank < 0, where the gap need not be lambda_rank and the full
+        eigh decides."""
+        if not 0 < self.rank < h.shape[0]:
+            return None
+        evals, evecs = scipy.linalg.eigh(h, subset_by_index=[0, self.rank], driver="evr")
+        return (evals, evecs) if evals[self.rank] >= 0 else None
 
     def pick(self, evals: np.ndarray, evecs: np.ndarray):
         """(P, gap, width) of the band from an ascending eigensystem."""
@@ -97,6 +109,10 @@ class BandSpec:
     message is the one the dense checks give; an omitted width is always
     measured by that SVD.
 
+    A band from `lowest` with lambda_rank >= 0 is validated from its rank + 1
+    lowest eigenpairs alone (see there): no full eigh and no n^3 projector
+    product runs.
+
     When `gap` or `width` is omitted it is computed from the spectrum.  A
     supplied gap may understate but never overstate the actual gap (the
     restriction bounds are vacuous otherwise); a supplied width may overstate
@@ -109,13 +125,22 @@ class BandSpec:
                 raise ValueError(f"{name} must be finite, got {value}")
         h = as_matrix(h, square=True)
         self.h = (h + h.conj().T) / 2.0
-        evals, evecs = np.linalg.eigh(self.h)
-        if isinstance(p, _LowestBand):
-            p, gap, width = p.pick(evals, evecs)
+        partial = p.partial(self.h) if isinstance(p, _LowestBand) else None
+        if partial is None:
+            evals, evecs = np.linalg.eigh(self.h)
+            if isinstance(p, _LowestBand):
+                p, gap, width = p.pick(evals, evecs)
+            else:
+                p = as_matrix(p, square=True)
+                if h.shape != p.shape:
+                    raise ValueError(f"dimension mismatch: H {h.shape} vs P {p.shape}")
         else:
-            p = as_matrix(p, square=True)
-            if h.shape != p.shape:
-                raise ValueError(f"dimension mismatch: H {h.shape} vs P {p.shape}")
+            evals, evecs = partial
+            band = evecs[:, :-1]
+            p = band @ band.conj().T
+            gap, width = float(evals[-1]), float(np.max(np.abs(evals[:-1])))
+        # the full spectrum's max |lambda|, or the partial one's: a partial
+        # scale only tightens the relative tolerances
         scale = max(1.0, float(np.max(np.abs(evals))))
         skew = h - h.conj().T
         # ||sym(H)||_2 <= ||H||_2: passing against the eigenvalue scale passes
@@ -125,7 +150,11 @@ class BandSpec:
             raise ValueError("H is not Hermitian to tolerance")
         if not norm_at_most(p - p.conj().T, PROJECTOR):
             raise ValueError("P is not Hermitian to tolerance")
-        if not norm_at_most(p @ p - p, PROJECTOR):
+        if partial is not None:
+            # P = V V^dag with V^dag V = I + E has P^2 - P = V E V^dag
+            if not norm_at_most(evecs.conj().T @ evecs - np.eye(evals.size), PROJECTOR):
+                raise ArithmeticError("band eigenvectors are not orthonormal to tolerance")
+        elif not norm_at_most(p @ p - p, PROJECTOR):
             raise ValueError("P is not idempotent to tolerance")
 
         self.p = (p + p.conj().T) / 2.0
@@ -134,20 +163,30 @@ class BandSpec:
         if self.rank < 1:
             raise ValueError("band projector has rank 0")
 
-        pe = self.p @ evecs
-        weights = np.linalg.norm(pe, axis=0) ** 2
-        mix = np.minimum(weights, 1.0 - weights)
-        if np.max(mix) > BAND_WEIGHT:
-            raise ValueError(
-                "P is not a spectral projector for H: eigenvector band weight "
-                f"{np.max(mix):.3e} away from {{0, 1}}"
-            )
-        in_band = weights > 0.5
-        if int(np.sum(in_band)) != self.rank:
-            raise ValueError("band eigenvector count does not match rank of P")
-
+        if partial is None:
+            pe = self.p @ evecs
+            weights = np.linalg.norm(pe, axis=0) ** 2
+            mix = np.minimum(weights, 1.0 - weights)
+            if np.max(mix) > BAND_WEIGHT:
+                raise ValueError(
+                    "P is not a spectral projector for H: eigenvector band weight "
+                    f"{np.max(mix):.3e} away from {{0, 1}}"
+                )
+            in_band = weights > 0.5
+            if int(np.sum(in_band)) != self.rank:
+                raise ValueError("band eigenvector count does not match rank of P")
+            self._band_evecs = evecs[:, in_band]
+            # D = ||P - V V^dag||_F = ||P E - E [in band]||_F for unitary E
+            pe[:, in_band] -= self._band_evecs
+            defect = float(np.linalg.norm(pe))
+        else:
+            # the eigenpairs themselves, in place of the band weights
+            if not norm_at_most(self.h @ evecs - evecs * evals, EIG_RESIDUAL * scale):
+                raise ArithmeticError("band eigenpair residual above tolerance")
+            in_band = np.arange(evals.size) < evals.size - 1
+            self._band_evecs = band
+            defect = float(np.linalg.norm(self.p - p))
         self._band_evals = evals[in_band]
-        self._band_evecs = evecs[:, in_band]
         self._excited_evals = evals[~in_band]
 
         if self._excited_evals.size == 0:
@@ -155,10 +194,8 @@ class BandSpec:
         gap_actual = float(np.min(np.abs(self._excited_evals)))
 
         rel = SPECTRAL_REL
-        # D = ||P - V V^dag||_F = ||P E - E [in band]||_F for unitary E, and a
-        # margin for the eigh here and the dense check each bound stands in for
-        pe[:, in_band] -= self._band_evecs
-        defect = float(np.linalg.norm(pe))
+        # a margin for the eigensolve here and the dense check each bound
+        # stands in for
         backward = 4.0 * self.dim * np.finfo(float).eps * scale
         # a stated width settled by ||H V|| + ||H|| D needs no SVD of H P
         width_actual = None
@@ -203,8 +240,17 @@ class BandSpec:
     def lowest(cls, h, rank: int) -> "BandSpec":
         """The band of the `rank` lowest eigenvalues of (H + H^dag) / 2, with
         gap = min |lambda| over the rest and width = max |lambda| over the
-        band, all from the constructor's one eigh, then validated like any
-        stated band."""
+        band, then validated like any stated band.
+
+        One subset eigensolve (scipy.linalg.eigh, driver "evr") finds the
+        rank + 1 lowest eigenpairs.  When lambda_rank >= 0, as for every
+        generated model, they settle everything: gap = lambda_rank,
+        width = max |lambda_0..lambda_{rank-1}|, P = sym(V V^dag) and
+        scale = max(1, |lambda_0|, |lambda_rank|).  The O(n^2 rank) checks
+        ||V^dag V - I||_2 <= config.PROJECTOR and
+        ||H V - V Lambda||_2 <= config.EIG_RESIDUAL * scale (ArithmeticError
+        otherwise) replace the n x n P^2 - P and band-weight checks.  When
+        lambda_rank < 0 the band is read off a full eigh, as for a stated P."""
         return cls(h, _LowestBand(int(rank)))
 
     @cached_property
@@ -226,10 +272,19 @@ class BandSpec:
         return np.eye(self.dim) - self.p
 
 
+def _budget_norm(x, spec: NormSpec) -> float:
+    """||X|| in the gauge `spec` for a certificate's budget: the proven upper
+    bound `norm_upper` for the operator norm, the SVD value otherwise."""
+    return norm_upper(x) if math.isinf(spec.p) else schatten_kyfan_norm(x, spec)
+
+
 def commutator_epsilon(u, band: BandSpec, spec: NormSpec = OPERATOR) -> float:
-    """||[U, H]|| in the chosen norm: the epsilon of an approximate symmetry."""
+    """||[U, H]|| in the chosen norm: the epsilon of an approximate symmetry.
+    In the operator norm it is an upper bound proven by `linalg.norm_upper`,
+    at most 1e-9 relative above the true value for n <= 1000; other gauges
+    take the SVD's value."""
     u = require_unitary(u, "U")
-    return schatten_kyfan_norm(u @ band.h - band.h @ u, spec)
+    return _budget_norm(u @ band.h - band.h @ u, spec)
 
 
 def offdiag_norm(u, band: BandSpec, spec: NormSpec = OPERATOR) -> float:
@@ -372,16 +427,19 @@ def restrict_pair(u, v, band: BandSpec, alpha: float,
         || [[u, v]]_alpha || <= delta + 2 xi^2 + 4 f(xi^2),
 
     with xi = (max epsilon + width) / gap and delta the measured ambient
-    twisted commutation value.  The measured restricted value is asserted
-    against the bound with allowance config.BOUND_SLACK (violation would
-    indicate a numerical failure).  One gauge is used throughout: a spec with
-    k above the band rank is clamped.
+    twisted commutation value.  In the operator norm epsilon and delta are
+    upper bounds proven by `linalg.norm_upper` (at most 1e-9 relative above
+    the true values for n <= 1000), so no SVD rounding can understate the
+    budget; other gauges take the SVD's values.  The measured restricted
+    value is asserted against the bound with allowance config.BOUND_SLACK
+    (violation would indicate a numerical failure).  One gauge is used
+    throughout: a spec with k above the band rank is clamped.
     """
     spec = _band_norm(spec, band)
     gs_u = ground_symmetry(u, band, spec)
     gs_v = ground_symmetry(v, band, spec)
     xi = max(gs_u.xi, gs_v.xi)
-    delta_in = schatten_kyfan_norm(twisted_commutator(u, v, alpha), spec)
+    delta_in = _budget_norm(twisted_commutator(u, v, alpha), spec)
     bound = delta_in + 2.0 * xi ** 2 + 4.0 * sqrt_defect(xi ** 2)
     measured = schatten_kyfan_norm(
         twisted_commutator(gs_u.on_band, gs_v.on_band, alpha), spec

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import twistcert.linalg
 from twistcert import (
     ModelSpec,
     certify_double,
@@ -20,6 +21,7 @@ from twistcert import certify as certify_module
 from twistcert import cli as cli_module
 from twistcert import minima as minima_module
 from twistcert.cli import main
+from twistcert.config import NORM_SVD_BELOW
 from twistcert.matio import certificate_to_dict, save_matrix_text
 
 
@@ -278,6 +280,7 @@ class TestCertify:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        monkeypatch.setattr(scipy.linalg, "eigh", no_convergence)
         out = tmp_path / "cert.json"
         rc = main(["certify", "--manifest", str(manifest), "--out", str(out)])
         assert rc == 3
@@ -313,9 +316,13 @@ class TestCertify:
 
 
 def count_factorizations(monkeypatch, n):
-    """Counters of n x n SVD, eigh and eigvalsh calls and of Schur calls of
-    any shape, patched into numpy and scipy for the rest of the test."""
-    counts = {"svd": 0, "eigh": 0, "eigvalsh": 0, "schur": 0}
+    """Counters of n x n SVD, eigvalsh and Cholesky (zpotrf) calls, of n x n
+    eigh calls split into full ones (numpy, or scipy without a subset) and
+    subset ones (scipy's subset_by_index), of norm_upper's SVD fallbacks on
+    n x n inputs, and of Schur calls of any shape, patched into numpy, scipy
+    and twistcert.linalg for the rest of the test."""
+    counts = {"svd": 0, "eigh": 0, "eigh_subset": 0, "eigvalsh": 0, "cholesky": 0,
+              "svd_fallback": 0, "schur": 0}
 
     def counting(kind, fn, square_only):
         def wrapper(a, *args, **kwargs):
@@ -331,17 +338,36 @@ def count_factorizations(monkeypatch, n):
     for kind in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, kind,
                             counting(kind, getattr(np.linalg, kind), square_only=True))
+    scipy_eigh = scipy.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        if np.shape(a) == (n, n):
+            counts["eigh_subset" if kwargs.get("subset_by_index") is not None else "eigh"] += 1
+        return scipy_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+    monkeypatch.setattr(scipy.linalg.lapack, "zpotrf",
+                        counting("cholesky", scipy.linalg.lapack.zpotrf, square_only=True))
+    monkeypatch.setattr(twistcert.linalg, "_svd_estimate",
+                        counting("svd_fallback", twistcert.linalg._svd_estimate,
+                                 square_only=True))
     monkeypatch.setattr(scipy.linalg, "schur",
                         counting("schur", scipy.linalg.schur, square_only=False))
     return counts
 
 
 class TestFactorizationBudget:
+    # above config.NORM_SVD_BELOW, where norm_upper estimates by Lanczos
+    N = 108
+
     def test_single_pair_certify(self, tmp_path, monkeypatch):
-        """certify --manifest on a single pair runs at most four dense n x n
-        SVDs (perturbation scale, two epsilons, ambient delta), the model's
-        one eigh, no eigvalsh and no Schur reduction."""
-        n = 63
+        """certify --manifest on a single pair runs no dense n x n SVD beyond
+        norm_upper's counted fallbacks, one Cholesky proof for each of its
+        four norms (perturbation scale, two epsilons, ambient delta), no full
+        eigh, the model's one subset eigensolve, no eigvalsh and no Schur
+        reduction."""
+        n = self.N
+        assert n >= NORM_SVD_BELOW
         spec = ModelSpec(kind="clock-block", g=3, n_excited=n - 3, gap=1.0, seed=9,
                          width=0.02, perturbation_strength=0.01)
         manifest = tmp_path / "model.json"
@@ -350,15 +376,18 @@ class TestFactorizationBudget:
         rc = main(["certify", "--manifest", str(manifest),
                    "--out", str(tmp_path / "cert.json")])
         assert rc == 0
-        assert counts["svd"] <= 4
-        assert counts["eigh"] == 1
+        assert counts["svd"] == counts["svd_fallback"] == 0
+        assert counts["cholesky"] == 4
+        assert counts["eigh"] == 0
+        assert counts["eigh_subset"] == 1
         assert counts["eigvalsh"] == 0
         assert counts["schur"] == 0
 
     def test_tensor_double_certify(self, tmp_path, monkeypatch):
-        """The two-pair pipeline diagonalizes H once, inside the model's
-        BandSpec."""
-        n = 66
+        """The two-pair pipeline diagonalizes H once, by the model's subset
+        eigensolve, and bounds its ambient norms with no n x n SVD beyond
+        norm_upper's counted fallbacks."""
+        n = self.N
         spec = ModelSpec(kind="tensor-double", g=2, g2=3, n_excited=n - 6, gap=1.0,
                          seed=9, perturbation_strength=0.005)
         manifest = tmp_path / "model.json"
@@ -367,7 +396,9 @@ class TestFactorizationBudget:
         rc = main(["certify", "--manifest", str(manifest),
                    "--out", str(tmp_path / "cert.json")])
         assert rc == 0
-        assert counts["eigh"] == 1
+        assert counts["svd"] == counts["svd_fallback"] == 0
+        assert counts["eigh"] == 0
+        assert counts["eigh_subset"] == 1
         assert counts["eigvalsh"] == 0
 
 
@@ -601,11 +632,16 @@ class TestCheck:
         ("closed-form", lambda cert: cert.update(d_min=cert["d_min"] + 1),
          "must be the denominator 4"),
         ("closed-form", lambda cert: cert["inputs"].update(delta=0.5), "needs delta = 0"),
+        ("closed-form", lambda cert: cert["witness"].update(exact=False),
+         "witness.exact False must be true"),
+        ("direct", lambda cert: cert["witness"].update(forced_angle=1.0),
+         "witness.forced_angle 1.0 must be 0.0"),
     ], ids=["double-gamma-edited", "double-gamma-and-delta-edited", "double-slack-edited",
             "double-d_min+1", "double-witness-junk", "exclusion-slack-edited",
             "exclusion-d_min-1", "exclusion-delta-edited", "exclusion-list-junk",
             "exclusion-list-descending", "closed-form-null-slack",
-            "closed-form-denominator-edited", "closed-form-d_min+1", "closed-form-delta-edited"])
+            "closed-form-denominator-edited", "closed-form-d_min+1", "closed-form-delta-edited",
+            "closed-form-not-exact", "greedy-forced-angle-edited"])
     def test_failing_certificate_exits_3(self, tmp_path, capsys, kind, mutate, reason):
         doc = self.certificate_doc(kind, tmp_path)
         self.assert_check_fails(tmp_path, capsys, doc, mutate, reason)

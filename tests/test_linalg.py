@@ -5,7 +5,10 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
+import twistcert.linalg
 from twistcert import (
     NormSpec,
     clock_matrix,
@@ -20,7 +23,8 @@ from twistcert import (
     spectral_distance,
     twisted_commutator,
 )
-from twistcert.linalg import norm_at_most
+from twistcert.config import NORM_SVD_BELOW
+from twistcert.linalg import norm_at_most, norm_upper
 
 
 def random_normal_matrix(n, rng):
@@ -340,3 +344,116 @@ class TestSpectralDistance:
     def test_rejects_non_normal(self):
         with pytest.raises(ValueError):
             spectral_distance(np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2), 2.0)
+
+
+def sigma_1(x):
+    return float(np.linalg.svd(x, compute_uv=False)[0])
+
+
+def with_singular_values(sv, m, n, seed):
+    """An m x n matrix with the singular values sv (len(sv) <= min(m, n)),
+    between seeded Haar bases."""
+    rng = np.random.default_rng(seed)
+    w1, w2 = haar_unitary(m, rng), haar_unitary(n, rng)
+    return (w1[:, :len(sv)] * np.asarray(sv, dtype=float)) @ w2[:len(sv), :]
+
+
+class TestNormUpper:
+    """norm_upper is a proven upper bound on the operator norm, within 1e-9
+    relative of the SVD's sigma_1, on either side of config.NORM_SVD_BELOW."""
+
+    @staticmethod
+    def assert_tight(x, reference=None):
+        s = sigma_1(x) if reference is None else reference
+        t = norm_upper(x)
+        assert s <= t <= s * (1.0 + 1e-9) + 1e-300
+        return t
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 130), n=st.integers(1, 130), rank=st.integers(1, 4),
+           exponent=st.floats(-150.0, 150.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_bounds_sigma_1(self, m, n, rank, exponent, seed):
+        rng = np.random.default_rng(seed)
+        rank = min(rank, m, n)
+        a = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+        b = rng.standard_normal((rank, n)) + 1j * rng.standard_normal((rank, n))
+        self.assert_tight(10.0 ** exponent * (a @ b))
+
+    @pytest.mark.parametrize("shape", [(5, 5), (150, 150), (3, 120)])
+    def test_zero(self, shape):
+        assert norm_upper(np.zeros(shape)) == 0.0
+
+    @pytest.mark.parametrize("n", [6, 150])
+    def test_rank_one(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal(n) + 1j * rng.standard_normal(n), rng.standard_normal(n)
+        self.assert_tight(np.outer(a, b), np.linalg.norm(a) * np.linalg.norm(b))
+
+    @pytest.mark.parametrize("n", [64, 150])
+    def test_scaled_unitary(self, n):
+        self.assert_tight(3.0 * haar_unitary(n, n), 3.0)
+
+    def test_lanczos_stops_on_an_invariant_krylov_space(self):
+        """The Gram of 3 Q is 9 I up to rounding: the first residual is
+        rounding noise, and the estimate stays at 9 rather than growing."""
+        x = 3.0 * haar_unitary(64, 7)
+        lam = twistcert.linalg._lanczos_max(twistcert.linalg._negated_gram(x.T, 0))
+        assert lam == pytest.approx(9.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [20, 120])
+    def test_top_singular_values_split_by_1e_12(self, n):
+        sv = [1.0, 1.0 - 1e-12, 0.5, 0.25]
+        self.assert_tight(with_singular_values(sv, n, n, seed=n), 1.0)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    @pytest.mark.parametrize("n", [20, 120])
+    def test_extreme_scales(self, scale, n):
+        sv = scale * np.array([2.0, 1.0, 0.5])
+        self.assert_tight(with_singular_values(sv, n, n, seed=3), 2.0 * scale)
+
+    @pytest.mark.parametrize("m, n", [(150, 4), (4, 150), (7, 3)])
+    def test_rectangular(self, m, n):
+        sv = [1.5, 1.0, 0.25]
+        self.assert_tight(with_singular_values(sv, m, n, seed=m + n), 1.5)
+
+    def count_calls(self, monkeypatch, name, scale=1.0):
+        """Count the calls of one of norm_upper's estimates or of zpotrf,
+        with an estimate's result multiplied by scale."""
+        calls = []
+        owner = scipy.linalg.lapack if name == "zpotrf" else twistcert.linalg
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            out = fn(*args, **kwargs)
+            return out if name == "zpotrf" else out * scale
+        monkeypatch.setattr(owner, name, wrapper)
+        return calls
+
+    def test_low_estimate_is_widened(self, monkeypatch):
+        """An estimate 5e-11 low fails its first proof and passes at the
+        next widening, with no SVD."""
+        n = int(NORM_SVD_BELOW) + 20
+        x = with_singular_values(np.linspace(2.0, 1.0, 10), n, n, seed=5)
+        lanczos = self.count_calls(monkeypatch, "_lanczos_max", 1.0 - 5e-11)
+        svd = self.count_calls(monkeypatch, "_svd_estimate")
+        chol = self.count_calls(monkeypatch, "zpotrf")
+        self.assert_tight(x, 2.0)
+        assert (len(lanczos), len(svd), len(chol)) == (1, 0, 2)
+
+    def test_low_lanczos_estimate_falls_back_to_the_svd(self, monkeypatch):
+        n = int(NORM_SVD_BELOW) + 20
+        x = with_singular_values(np.linspace(2.0, 1.0, 10), n, n, seed=6)
+        lanczos = self.count_calls(monkeypatch, "_lanczos_max", 0.5)
+        svd = self.count_calls(monkeypatch, "_svd_estimate")
+        chol = self.count_calls(monkeypatch, "zpotrf")
+        self.assert_tight(x, 2.0)
+        assert (len(lanczos), len(svd), len(chol)) == (1, 1, 4)
+
+    @pytest.mark.parametrize("n", [20, int(NORM_SVD_BELOW) + 20])
+    def test_no_proof_raises(self, monkeypatch, n):
+        x = with_singular_values(np.linspace(2.0, 1.0, 10), n, n, seed=7)
+        self.count_calls(monkeypatch, "_lanczos_max", 0.5)
+        self.count_calls(monkeypatch, "_svd_estimate", 0.5)
+        with pytest.raises(ArithmeticError, match="no Cholesky proof"):
+            norm_upper(x)

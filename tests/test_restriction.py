@@ -6,6 +6,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from twistcert import (
     BandSpec,
@@ -435,11 +436,24 @@ class TestSpectralBounds:
 
 class TestLowestBand:
     @pytest.mark.parametrize("rank", [1, 3, 5])
-    def test_equals_band_from_separate_eigh(self, rank):
+    def test_equals_band_from_separate_eigh(self, rank, monkeypatch):
+        """lambda_rank >= 0 (ranks 3, 5) takes the subset eigensolve and no
+        full eigh; lambda_1 < 0 (rank 1) takes the full eigh.  Either way the
+        band equals one stated from a separate call of the same solver."""
         h, _ = spectral_pair(np.linspace(-0.1, 0.1, 5), np.linspace(1.0, 2.5, 6), seed=33)
         h = h + 1e-13 * haar_unitary(11, 34)  # not exactly Hermitian
+        full = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: full.append(a.shape) or eigh(a))
         lowest = BandSpec.lowest(h, rank)
-        evals, evecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+        monkeypatch.undo()
+        sym = (h + h.conj().T) / 2.0
+        if rank == 1:
+            assert full == [(11, 11)]
+            evals, evecs = np.linalg.eigh(sym)
+        else:
+            assert full == []
+            evals, evecs = scipy.linalg.eigh(sym, subset_by_index=[0, rank], driver="evr")
         p = evecs[:, :rank] @ evecs[:, :rank].conj().T
         ref = BandSpec(h, p, gap=float(np.min(np.abs(evals[rank:]))),
                        width=float(np.max(np.abs(evals[:rank]))))
