@@ -657,8 +657,7 @@ def _check_double_domain(d1: int, d2: int, gamma: float, delta: float) -> None:
         raise ValueError("gamma and delta must be nonnegative")
 
 
-def certify_double(d1: int, d2: int, gamma: float, delta: float,
-                   compute_slack: bool = True) -> Certificate:
+def certify_double(d1: int, d2: int, gamma: float, delta: float) -> Certificate:
     """Certified dimension for two twisted pairs (twists 1/d1 and 1/d2) whose
     five mutual (twisted) commutation values are bounded by gamma and delta.
 
@@ -680,8 +679,7 @@ def certify_double(d1: int, d2: int, gamma: float, delta: float,
             slack=rhs - lhs,
             witness={"lhs": lhs, "rhs": rhs},
         )
-    singles = [certify_single(1.0 / d, _sweep_delta(delta), compute_slack=compute_slack)
-               for d in (d1, d2)]
+    singles = [certify_single(1.0 / d, _sweep_delta(delta)) for d in (d1, d2)]
     best = max(singles, key=lambda c: c.d_min)
     witness = dict(best.witness or {})
     witness["double_pair_threshold_failed_by"] = lhs - rhs

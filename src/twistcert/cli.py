@@ -2,6 +2,10 @@
 report generation, with reproducible run manifests embedded in every output.
 `check` re-validates a certificate with certify.verify_certificate, the one
 reader of the witness layout; this module compares no certificate numbers.
+`certify` measures in the operator norm only, whose values are proven upper
+bounds: another unitarily invariant gauge gives epsilon and delta at least as
+large, so it could only weaken a certificate.  Long options are never
+abbreviated.
 
 Exit codes: 0 success, 1 I/O or parse error, 2 precondition violation (for
 example xi >= 1), 3 numerical failure or failed certificate re-validation.
@@ -16,7 +20,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -32,7 +35,7 @@ from .certify import (
     verify_certificate,
     verify_double_witness,
 )
-from .linalg import NormSpec, OPERATOR
+from .linalg import NormSpec
 from .matio import certificate_from_dict, certificate_to_dict, jsonable, load_matrix
 from .minima import lambda_min
 from .models import ModelSpec, clock_model, tensor_double_model
@@ -157,24 +160,8 @@ def _load_matrix_file(path: str) -> np.ndarray:
         raise CliIOError(f"cannot read matrix file {path}: {exc}") from exc
 
 
-def _norm_spec(args, dim: int) -> NormSpec:
-    kind = getattr(args, "norm", "op")
-    if kind == "op":
-        return OPERATOR
-    if kind == "fro":
-        return NormSpec(2.0, dim)
-    if kind == "pk":
-        return NormSpec(_parse_p(args.p), min(int(args.k), dim))
-    raise CliIOError(f"unknown norm {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # minima sweep
-
-
-def _minima_row(cell) -> tuple:
-    g, alpha, p, k = cell
-    return g, alpha, p, min(k, g), lambda_min(g, alpha, NormSpec(p, min(k, g)))
 
 
 def cmd_minima(args) -> int:
@@ -186,12 +173,8 @@ def cmd_minima(args) -> int:
     grid = _parse_grid(args.grid)
     p = _parse_p(args.p)
     k = int(args.k)
-    cells = [(g, float(a), p, k) for g in gs for a in grid]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_minima_row, cells, chunksize=64))
-    else:
-        rows = [_minima_row(c) for c in cells]
+    rows = [(g, a, p, min(k, g), lambda_min(g, a, NormSpec(p, min(k, g))))
+            for g in gs for a in grid.tolist()]
     manifest = RunManifest.build(
         "minima", {"g": gs, "grid": args.grid, "p": args.p, "k": k}
     )
@@ -225,15 +208,14 @@ def cmd_mountains(args) -> int:
 # certification pipelines
 
 
-def single_pipeline(band: BandSpec, u, v, alpha: float,
-                    spec: NormSpec = OPERATOR) -> dict:
+def single_pipeline(band: BandSpec, u, v, alpha: float) -> dict:
     """Measure, restrict, certify: the ambient route for one twisted pair.
 
     The certificate is driven by the proven restricted bound
-    delta + 2 xi^2 + 4 f(xi^2), so it is sound given only ambient data; the
-    measured restricted value is reported alongside.
+    delta + 2 xi^2 + 4 f(xi^2) in the operator norm, so it is sound given
+    only ambient data; the measured restricted value is reported alongside.
     """
-    res = restrict_pair(u, v, band, alpha, spec)
+    res = restrict_pair(u, v, band, alpha)
     cert = certify_single(alpha, _sweep_delta(res.delta_out_bound))
     return {
         "measured": {
@@ -314,9 +296,7 @@ def cmd_certify(args) -> int:
         if spec.kind == "tensor-double":
             payload = double_pipeline(model)
         else:
-            norm = _norm_spec(args, model.band.dim)
-            payload = single_pipeline(model.band, model.u, model.v, model.alpha, norm)
-            payload["measured"]["flagged"] = payload["measured"]["xi"] >= 1.0
+            payload = single_pipeline(model.band, model.u, model.v, model.alpha)
     else:
         required = [args.hamiltonian, args.projector, args.u, args.v, args.alpha]
         if any(x is None for x in required):
@@ -329,7 +309,6 @@ def cmd_certify(args) -> int:
         u = _load_matrix_file(args.u)
         v = _load_matrix_file(args.v)
         band = BandSpec(h, p, gap=args.gap, width=args.width)
-        norm = _norm_spec(args, band.dim)
         manifest = RunManifest.build(
             "certify",
             {
@@ -338,10 +317,9 @@ def cmd_certify(args) -> int:
                 "u": args.u,
                 "v": args.v,
                 "alpha": args.alpha,
-                "norm": args.norm,
             },
         )
-        payload = single_pipeline(band, u, v, float(args.alpha), norm)
+        payload = single_pipeline(band, u, v, float(args.alpha))
     _write_json(args.out, manifest, payload)
     return EXIT_OK
 
@@ -473,7 +451,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("--grid", default="0:1:201", help="alpha grid a:b:n")
     p_min.add_argument("--p", default="inf")
     p_min.add_argument("--k", default="1")
-    p_min.add_argument("--workers", type=int, default=1)
     p_min.add_argument("--format", choices=("csv", "json"), default="csv")
     p_min.add_argument("--out", default=None)
     p_min.set_defaults(func=cmd_minima)
@@ -496,9 +473,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="certify a stated twisted commutation value directly")
     p_cert.add_argument("--gap", type=float, default=None)
     p_cert.add_argument("--width", type=float, default=None)
-    p_cert.add_argument("--norm", choices=("op", "fro", "pk"), default="op")
-    p_cert.add_argument("--p", default="inf")
-    p_cert.add_argument("--k", default="1")
     p_cert.add_argument("--out", default=None)
     p_cert.set_defaults(func=cmd_certify)
 
@@ -516,6 +490,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("certificate")
     p_chk.set_defaults(func=cmd_check)
 
+    # no prefix matching: a removed flag such as certify's --p must fail, not
+    # silently parse as --projector
+    for p in (parser, *sub.choices.values()):
+        p.allow_abbrev = False
     return parser
 
 

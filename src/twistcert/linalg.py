@@ -216,8 +216,8 @@ def norm_upper(x) -> float:
     and a Lanczos estimate that none of them proves falls back to the SVD's.
     ArithmeticError when no proof succeeds: an unproven number is never
     returned.  X = 0 gives 0.0.  X is scaled by a power of two when its
-    largest column norm leaves [2^-350, 2^350], so that the Gram neither
-    overflows nor underflows.
+    largest column norm leaves [2^-200, 2^200], so that neither the Gram
+    nor the squared norms of the Lanczos vectors overflow or underflow.
     """
     x = as_matrix(x)
     if x.size == 0:
@@ -229,7 +229,7 @@ def norm_upper(x) -> float:
     top = -float(np.min(c.diagonal().real))  # the largest squared column norm
     shift = 0
     lost = 0.0
-    if not 2.0 ** -700 <= top <= 2.0 ** 700:
+    if not 2.0 ** -400 <= top <= 2.0 ** 400:
         x = np.ascontiguousarray(x)
         big = float(np.max(np.abs(x.view(np.float64))))
         if big == 0.0:
@@ -242,8 +242,8 @@ def norm_upper(x) -> float:
         c = _negated_gram(x.T, trans)
     cdiag = -c.diagonal().real
     # ||X||_F^2 from above times the Gram's rounding; the floor covers
-    # underflow in zherk and potrf, and lies below 2^-290 relative to
-    # ||X||_2^2, which is at least the largest squared column norm 2^-700
+    # underflow in zherk and potrf, and lies below 2^-590 relative to
+    # ||X||_2^2, which is at least the largest squared column norm 2^-400
     gram_err = _gamma(2 * k + 4) * float(np.sum(cdiag)) * (1.0 + _gamma(2 * k + d + 4))
     floor = (k + d + 4) ** 2 * 2.0 ** -1021
     chol = _gamma(2 * d + 4)

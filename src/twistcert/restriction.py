@@ -53,32 +53,14 @@ def sqrt_defect(x: float) -> float:
     return 1.0 - np.sqrt(1.0 - x)
 
 
-class _LowestBand:
-    """The band argument of `BandSpec.lowest`: the `rank` lowest eigenvectors
-    of H, from a subset eigensolve or the constructor's own full eigh."""
-
-    def __init__(self, rank: int):
-        self.rank = rank
-
-    def partial(self, h: np.ndarray):
-        """(eigenvalues, eigenvectors) of the rank + 1 lowest eigenpairs of
-        the Hermitian h, ascending; None when the rank lies outside the space
-        or lambda_rank < 0, where the gap need not be lambda_rank and the full
-        eigh decides."""
-        if not 0 < self.rank < h.shape[0]:
-            return None
-        evals, evecs = scipy.linalg.eigh(h, subset_by_index=[0, self.rank], driver="evr")
-        return (evals, evecs) if evals[self.rank] >= 0 else None
-
-    def pick(self, evals: np.ndarray, evecs: np.ndarray):
-        """(P, gap, width) of the band from an ascending eigensystem."""
-        n = evals.size
-        if not 0 < self.rank < n:
-            raise ValueError(f"band rank must lie in [1, {n - 1}], got {self.rank}")
-        vecs = evecs[:, :self.rank]
-        p = vecs @ vecs.conj().T
-        return ((p + p.conj().T) / 2.0, float(np.min(np.abs(evals[self.rank:]))),
-                float(np.max(np.abs(evals[:self.rank]))))
+def _check_hermitian(h: np.ndarray, scale: float) -> None:
+    """ValueError unless ||H - H^dag||_2 <= config.HERMITICITY max(1, ||H||_2).
+    `scale`, max(1, |lambda|) over some eigenvalues of sym(H), is at most that
+    bound, so passing against it first passes the check."""
+    skew = h - h.conj().T
+    if not (norm_at_most(skew, HERMITICITY * scale) or norm_at_most(
+            skew, HERMITICITY * max(1.0, float(np.linalg.norm(h, 2))))):
+        raise ValueError("H is not Hermitian to tolerance")
 
 
 class BandSpec:
@@ -86,7 +68,7 @@ class BandSpec:
     band, the gap `gap` (distance of the complement spectrum from zero) and
     the width `width` = ||H P||_2 (norm of H on the band).
 
-    Validates on construction, from one eigh of (H + H^dag) / 2:
+    A stated P is validated on construction, from one eigh of (H + H^dag) / 2:
       * H Hermitian, P an orthogonal projector (to tolerance),
       * each eigenvector of H lies in range(P) or its complement,
       * ||H P||_2 <= width  and  H^2 >= gap^2 (I - P).
@@ -109,9 +91,8 @@ class BandSpec:
     message is the one the dense checks give; an omitted width is always
     measured by that SVD.
 
-    A band from `lowest` with lambda_rank >= 0 is validated from its rank + 1
-    lowest eigenpairs alone (see there): no full eigh and no n^3 projector
-    product runs.
+    `lowest` and `gibbs_transform` validate bands on eigenpairs they already
+    hold, without this constructor's eigh (see there).
 
     When `gap` or `width` is omitted it is computed from the spectrum.  A
     supplied gap may understate but never overstate the actual gap (the
@@ -124,37 +105,21 @@ class BandSpec:
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         h = as_matrix(h, square=True)
+        p = as_matrix(p, square=True)
+        if h.shape != p.shape:
+            raise ValueError(f"dimension mismatch: H {h.shape} vs P {p.shape}")
         self.h = (h + h.conj().T) / 2.0
-        partial = p.partial(self.h) if isinstance(p, _LowestBand) else None
-        if partial is None:
-            evals, evecs = np.linalg.eigh(self.h)
-            if isinstance(p, _LowestBand):
-                p, gap, width = p.pick(evals, evecs)
-            else:
-                p = as_matrix(p, square=True)
-                if h.shape != p.shape:
-                    raise ValueError(f"dimension mismatch: H {h.shape} vs P {p.shape}")
-        else:
-            evals, evecs = partial
-            band = evecs[:, :-1]
-            p = band @ band.conj().T
-            gap, width = float(evals[-1]), float(np.max(np.abs(evals[:-1])))
-        # the full spectrum's max |lambda|, or the partial one's: a partial
-        # scale only tightens the relative tolerances
+        self._validate(h, p, gap, width, *np.linalg.eigh(self.h))
+
+    def _validate(self, h, p, gap, width, evals, evecs) -> None:
+        """Validate the stated band P of the raw matrix h, with self.h its
+        Hermitian part and (evals, evecs) the ascending eigensystem of self.h,
+        and set every attribute but self.h."""
         scale = max(1.0, float(np.max(np.abs(evals))))
-        skew = h - h.conj().T
-        # ||sym(H)||_2 <= ||H||_2: passing against the eigenvalue scale passes
-        # against max(1, ||H||_2), which decides the check otherwise
-        if not (norm_at_most(skew, HERMITICITY * scale) or norm_at_most(
-                skew, HERMITICITY * max(1.0, float(np.linalg.norm(h, 2))))):
-            raise ValueError("H is not Hermitian to tolerance")
+        _check_hermitian(h, scale)
         if not norm_at_most(p - p.conj().T, PROJECTOR):
             raise ValueError("P is not Hermitian to tolerance")
-        if partial is not None:
-            # P = V V^dag with V^dag V = I + E has P^2 - P = V E V^dag
-            if not norm_at_most(evecs.conj().T @ evecs - np.eye(evals.size), PROJECTOR):
-                raise ArithmeticError("band eigenvectors are not orthonormal to tolerance")
-        elif not norm_at_most(p @ p - p, PROJECTOR):
+        if not norm_at_most(p @ p - p, PROJECTOR):
             raise ValueError("P is not idempotent to tolerance")
 
         self.p = (p + p.conj().T) / 2.0
@@ -163,35 +128,26 @@ class BandSpec:
         if self.rank < 1:
             raise ValueError("band projector has rank 0")
 
-        if partial is None:
-            pe = self.p @ evecs
-            weights = np.linalg.norm(pe, axis=0) ** 2
-            mix = np.minimum(weights, 1.0 - weights)
-            if np.max(mix) > BAND_WEIGHT:
-                raise ValueError(
-                    "P is not a spectral projector for H: eigenvector band weight "
-                    f"{np.max(mix):.3e} away from {{0, 1}}"
-                )
-            in_band = weights > 0.5
-            if int(np.sum(in_band)) != self.rank:
-                raise ValueError("band eigenvector count does not match rank of P")
-            self._band_evecs = evecs[:, in_band]
-            # D = ||P - V V^dag||_F = ||P E - E [in band]||_F for unitary E
-            pe[:, in_band] -= self._band_evecs
-            defect = float(np.linalg.norm(pe))
-        else:
-            # the eigenpairs themselves, in place of the band weights
-            if not norm_at_most(self.h @ evecs - evecs * evals, EIG_RESIDUAL * scale):
-                raise ArithmeticError("band eigenpair residual above tolerance")
-            in_band = np.arange(evals.size) < evals.size - 1
-            self._band_evecs = band
-            defect = float(np.linalg.norm(self.p - p))
-        self._band_evals = evals[in_band]
-        self._excited_evals = evals[~in_band]
+        pe = self.p @ evecs
+        weights = np.linalg.norm(pe, axis=0) ** 2
+        mix = np.minimum(weights, 1.0 - weights)
+        if np.max(mix) > BAND_WEIGHT:
+            raise ValueError(
+                "P is not a spectral projector for H: eigenvector band weight "
+                f"{np.max(mix):.3e} away from {{0, 1}}"
+            )
+        in_band = weights > 0.5
+        if int(np.sum(in_band)) != self.rank:
+            raise ValueError("band eigenvector count does not match rank of P")
+        self._band_evecs = evecs[:, in_band]
+        # D = ||P - V V^dag||_F = ||P E - E [in band]||_F for unitary E
+        pe[:, in_band] -= self._band_evecs
+        defect = float(np.linalg.norm(pe))
+        band_evals, excited_evals = evals[in_band], evals[~in_band]
 
-        if self._excited_evals.size == 0:
+        if excited_evals.size == 0:
             raise ValueError("band covers the whole space; no gapped complement")
-        gap_actual = float(np.min(np.abs(self._excited_evals)))
+        gap_actual = float(np.min(np.abs(excited_evals)))
 
         rel = SPECTRAL_REL
         # a margin for the eigensolve here and the dense check each bound
@@ -228,8 +184,8 @@ class BandSpec:
         # operational invariants
         if width_actual is not None and width_actual > self.width * (1.0 + rel) + rel * scale:
             raise ValueError("||H P|| exceeds the stated width")
-        floor = min(float(np.min(self._band_evals ** 2)),
-                    float(np.min(self._excited_evals ** 2 - self.gap ** 2)))
+        floor = min(float(np.min(band_evals ** 2)),
+                    float(np.min(excited_evals ** 2 - self.gap ** 2)))
         if not (floor - self.gap ** 2 * defect - backward * scale >= -rel * scale ** 2):
             h2 = self.h @ self.h - self.gap ** 2 * (np.eye(self.dim) - self.p)
             min_eig = float(np.min(np.linalg.eigvalsh((h2 + h2.conj().T) / 2.0)))
@@ -240,18 +196,60 @@ class BandSpec:
     def lowest(cls, h, rank: int) -> "BandSpec":
         """The band of the `rank` lowest eigenvalues of (H + H^dag) / 2, with
         gap = min |lambda| over the rest and width = max |lambda| over the
-        band, then validated like any stated band.
+        band.  ValueError unless 0 < rank < n.
 
         One subset eigensolve (scipy.linalg.eigh, driver "evr") finds the
-        rank + 1 lowest eigenpairs.  When lambda_rank >= 0, as for every
-        generated model, they settle everything: gap = lambda_rank,
-        width = max |lambda_0..lambda_{rank-1}|, P = sym(V V^dag) and
-        scale = max(1, |lambda_0|, |lambda_rank|).  The O(n^2 rank) checks
-        ||V^dag V - I||_2 <= config.PROJECTOR and
-        ||H V - V Lambda||_2 <= config.EIG_RESIDUAL * scale (ArithmeticError
-        otherwise) replace the n x n P^2 - P and band-weight checks.  When
-        lambda_rank < 0 the band is read off a full eigh, as for a stated P."""
-        return cls(h, _LowestBand(int(rank)))
+        rank + 1 lowest eigenpairs.  When lambda_rank < 0 the gap need not be
+        lambda_rank, and the band of one full eigh is validated as a stated
+        band.  Otherwise, as for every generated model, P = sym(V V^dag),
+        gap = lambda_rank, width = max |lambda_0..lambda_{rank-1}| and
+        scale = max(1, |lambda_0|, |lambda_rank|), and four O(n^2 rank)
+        checks run: H Hermitian, ||V^dag V - I||_2 <= config.PROJECTOR,
+        ||H V - V Lambda||_2 <= config.EIG_RESIDUAL scale (ArithmeticError
+        for these two) and gap > 0.  They imply the stated band's other checks:
+          * P is Hermitian: it is built as sym(V V^dag);
+          * round(tr P) = rank >= 1 with a nonempty complement: tr P lies
+            within rank PROJECTOR of rank, and 0 < rank < n holds;
+          * the stated gap and width are read off the same eigenvalues, so
+            comparing them with the actual ones checks nothing;
+          * ||H P||_2 <= width: ||H V_band||_2 <= width sqrt(1 + PROJECTOR)
+            + EIG_RESIDUAL scale, inside the width tolerance since
+            EIG_RESIDUAL is below SPECTRAL_REL;
+          * H^2 >= gap^2 (I - P): every eigenvalue past lambda_rank is at
+            least lambda_rank = gap >= 0.
+        """
+        h = as_matrix(h, square=True)
+        n = h.shape[0]
+        rank = int(rank)
+        if not 0 < rank < n:
+            raise ValueError(f"band rank must lie in [1, {n - 1}], got {rank}")
+        band = cls.__new__(cls)
+        band.h = (h + h.conj().T) / 2.0
+        evals, evecs = scipy.linalg.eigh(band.h, subset_by_index=[0, rank], driver="evr")
+        full = evals[rank] < 0
+        if full:
+            evals, evecs = np.linalg.eigh(band.h)
+        vecs = evecs[:, :rank]
+        p = vecs @ vecs.conj().T
+        p = (p + p.conj().T) / 2.0
+        gap = float(np.min(np.abs(evals[rank:])))
+        width = float(np.max(np.abs(evals[:rank])))
+        if full:
+            band._validate(h, p, gap, width, evals, evecs)
+            return band
+
+        scale = max(1.0, float(np.max(np.abs(evals))))
+        _check_hermitian(h, scale)
+        # P = V V^dag with V^dag V = I + E has P^2 - P = V E V^dag
+        if not norm_at_most(evecs.conj().T @ evecs - np.eye(rank + 1), PROJECTOR):
+            raise ArithmeticError("band eigenvectors are not orthonormal to tolerance")
+        if not norm_at_most(band.h @ evecs - evecs * evals, EIG_RESIDUAL * scale):
+            raise ArithmeticError("band eigenpair residual above tolerance")
+        if gap <= 0:
+            raise ValueError(f"gap must be positive, got {gap}")
+        band.p, band.dim, band.rank, band._band_evecs = p, n, rank, vecs
+        band.gap, band.width = gap, width
+        return band
 
     @cached_property
     def band_basis(self) -> np.ndarray:
@@ -471,13 +469,17 @@ def gibbs_transform(band: BandSpec, beta: float) -> BandSpec:
     Commutation with the unnormalized Gibbs weight exp(-beta H) is commutation
     with the transformed Hamiltonian, so at beta = ln(2)/gap an approximate
     symmetry certifies against a fixed gap of 1/2 regardless of the original
-    scale.  Computed by eigendecomposition of the Hermitian input.
+    scale.  Computed by one eigendecomposition of the Hermitian input: since
+    f(lambda) = 1 - exp(-beta lambda) is increasing, (f(lambda), V) is already
+    the ascending eigensystem of the new H, and the new band is validated on
+    it as a stated band.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
     evals, evecs = np.linalg.eigh(band.h)
     transformed = 1.0 - np.exp(-beta * evals)
     h2 = (evecs * transformed) @ evecs.conj().T
-    h2 = (h2 + h2.conj().T) / 2.0
-    new_gap = 1.0 - np.exp(-beta * band.gap)
-    return BandSpec(h2, band.p, gap=new_gap, width=None)
+    new = BandSpec.__new__(BandSpec)
+    new.h = (h2 + h2.conj().T) / 2.0
+    new._validate(new.h, band.p, 1.0 - np.exp(-beta * band.gap), None, transformed, evecs)
+    return new

@@ -125,13 +125,6 @@ class TestMinima:
         assert versions == {"9.9"}
         assert calls == ["twistcert"]
 
-    def test_worker_pool_matches_serial(self, tmp_path):
-        serial, pooled = tmp_path / "s.csv", tmp_path / "p.csv"
-        args = ["minima", "--g", "2,3", "--grid", "0:1:9"]
-        main(args + ["--out", str(serial)])
-        main(args + ["--workers", "2", "--out", str(pooled)])
-        assert serial.read_text() == pooled.read_text()
-
 
 class TestMountains:
     def test_reference_rows_present(self, tmp_path):

@@ -52,3 +52,21 @@ def test_certify_tol_flag_is_rejected(capsys):
         main(["certify", "--alpha", "0.25", "--delta", "0.5", "--tol", "1e-8"])
     assert exc.value.code == 2
     assert "--tol" in capsys.readouterr().err
+
+
+# the operator norm is the only certifying gauge, and minima runs serially
+@pytest.mark.parametrize("argv", [
+    ["certify", "--alpha", "0.25", "--delta", "0.5", "--norm", "fro"],
+    ["certify", "--alpha", "0.25", "--delta", "0.5", "--p", "2"],
+    ["certify", "--alpha", "0.25", "--delta", "0.5", "--k", "2"],
+    ["minima", "--g", "2", "--grid", "0:1:3", "--workers", "2"],
+])
+def test_removed_flag_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
+def test_certify_double_takes_no_slack_switch():
+    assert "compute_slack" not in inspect.signature(twistcert.certify_double).parameters

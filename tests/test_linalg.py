@@ -405,7 +405,7 @@ class TestNormUpper:
         sv = [1.0, 1.0 - 1e-12, 0.5, 0.25]
         self.assert_tight(with_singular_values(sv, n, n, seed=n), 1.0)
 
-    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e100, 1e-100])
     @pytest.mark.parametrize("n", [20, 120])
     def test_extreme_scales(self, scale, n):
         sv = scale * np.array([2.0, 1.0, 0.5])

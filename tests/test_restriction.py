@@ -470,6 +470,15 @@ class TestLowestBand:
         with pytest.raises(ValueError, match="band rank must lie in"):
             BandSpec.lowest(h, rank)
 
+    def test_zero_lambda_rank_is_no_gap(self, monkeypatch):
+        """lambda_rank = 0 takes the subset path, whose gap check rejects it."""
+        full = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: full.append(a.shape) or eigh(a))
+        with pytest.raises(ValueError, match=r"^gap must be positive, got 0\.0$"):
+            BandSpec.lowest(np.diag([-0.1, 0.0, 1.0, 2.0]), 1)
+        assert full == []
+
 
 class TestGroundSymmetryFull:
     @pytest.mark.parametrize("name", FACTOR_ONCE_CASES)
@@ -572,6 +581,35 @@ class TestGibbsTransform:
         new = gibbs_transform(band, 1.0)
         expected = np.diag([0.0, 1.0 - np.exp(-1.0), 1.0 - np.exp(-3.0)])
         assert np.allclose(new.h, expected, atol=1e-12)
+
+    def test_runs_one_full_eigh(self, monkeypatch):
+        band = flat_excited_band(delta=2.0)
+        full = []
+        np_eigh, sp_eigh = np.linalg.eigh, scipy.linalg.eigh
+
+        def scipy_eigh(a, *args, **kwargs):
+            if kwargs.get("subset_by_index") is None:
+                full.append("scipy")
+            return sp_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: full.append("numpy") or np_eigh(a))
+        monkeypatch.setattr(scipy.linalg, "eigh", scipy_eigh)
+        gibbs_transform(band, 0.7)
+        assert full == ["numpy"]
+
+    @pytest.mark.parametrize("beta", [0.05, 0.7, 3.0])
+    def test_equals_two_eigh_reference(self, beta):
+        h, p = spectral_pair([0.04, -0.03, 0.01], [1.0, 1.4, 1.9, 2.0], seed=36)
+        band = BandSpec(h, p)
+        new = gibbs_transform(band, beta)
+        evals, evecs = np.linalg.eigh(band.h)
+        h2 = (evecs * (1.0 - np.exp(-beta * evals))) @ evecs.conj().T
+        ref = BandSpec((h2 + h2.conj().T) / 2.0, band.p,
+                       gap=1.0 - np.exp(-beta * band.gap))
+        assert abs(new.gap - ref.gap) <= 1e-12
+        assert abs(new.width - ref.width) <= 1e-12
+        assert np.linalg.norm(new.p - ref.p, 2) <= 1e-12
+        assert np.linalg.norm(new.h - ref.h, 2) <= 1e-12
 
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError):
