@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .certify import (
     Certificate,
     _sweep_delta,
@@ -54,18 +55,6 @@ class CliIOError(Exception):
     pass
 
 
-@functools.cache
-def _version() -> str:
-    """The installed package version; looked up once per process, because
-    the metadata lookup scans every sys.path entry."""
-    try:
-        from importlib.metadata import version
-
-        return version("twistcert")
-    except Exception:
-        return "0.1.0"
-
-
 def _timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     stamp = int(epoch) if epoch is not None else int(time.time())
@@ -89,7 +78,7 @@ class RunManifest:
             command=command,
             parameters=jsonable(parameters),
             seed=seed,
-            version=_version(),
+            version=__version__,
             timestamp=_timestamp(),
         )
 

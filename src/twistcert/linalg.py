@@ -1,6 +1,10 @@
 """Dense complex linear algebra kernels: twisted commutators, Schatten-Ky Fan
 norms, eigensolvers with deterministic ordering, polar factors, and the
-permutation-minimized spectral distance."""
+permutation-minimized spectral distance.
+
+scipy is imported inside the functions that call it, so that a process loads
+only the scipy it uses: certify --alpha/--delta, check, mountains and minima
+load none, and skip the half second that importing it costs."""
 
 from __future__ import annotations
 
@@ -9,10 +13,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .config import (EIG_RESIDUAL, INPUT_UNITARITY, NORM_LANCZOS_BREAKDOWN,
                      NORM_LANCZOS_STEPS, NORM_SVD_BELOW, NORM_WIDENING, NORM_WIDENING_MAX,
@@ -139,6 +139,8 @@ def _lanczos_max(c: np.ndarray) -> float:
     random start (Kuczynski and Wozniakowski, SIAM J. Matrix Anal. Appl. 13
     (1992)).  The run stops early when the Krylov space is invariant, judged
     relative to the largest Lanczos diagonal entry, not by an absolute floor."""
+    import scipy.linalg
+
     d = c.shape[0]
     steps = min(d, int(NORM_LANCZOS_STEPS))
     rng = np.random.default_rng(0)
@@ -183,6 +185,8 @@ def _negated_gram(y: np.ndarray, trans: int) -> np.ndarray:
     """-y y^dag (trans 0) or -y^dag y (trans 2) by BLAS zherk, with the lower
     triangle filled in by blocks so that the result is the whole Hermitian
     matrix; negation is exact, and zherk reads and writes one buffer."""
+    import scipy.linalg
+
     c = scipy.linalg.blas.zherk(-1.0, y, trans=trans)
     d = c.shape[0]
     for j in range(0, d, 64):
@@ -219,6 +223,8 @@ def norm_upper(x) -> float:
     largest column norm leaves [2^-200, 2^200], so that neither the Gram
     nor the squared norms of the Lanczos vectors overflow or underflow.
     """
+    import scipy.linalg
+
     x = as_matrix(x)
     if x.size == 0:
         return 0.0
@@ -322,6 +328,8 @@ def eig_normal(a) -> EigDecomp:
     matrices whose relative normality defect exceeds config.NORMALITY, and
     fails when a residual exceeds config.EIG_RESIDUAL * max(1, ||A||_2).
     """
+    import scipy.linalg
+
     a = as_matrix(a, square=True)
     defect = normality_defect(a)
     if defect > NORMALITY:
@@ -346,6 +354,8 @@ def eig_normal(a) -> EigDecomp:
 def eig_general(a) -> np.ndarray:
     """Eigenvalues of a general square matrix (Schur-type reduction),
     deterministically ordered."""
+    import scipy.linalg
+
     a = as_matrix(a, square=True)
     if a.shape[0] == 0:
         return np.array([], dtype=complex)
@@ -359,6 +369,8 @@ def right_eigenvector(a, target: complex) -> tuple[complex, np.ndarray, float]:
     Returns (eigenvalue, unit vector, residual ||A x - lam x||_2).  The input
     need not be normal; the residual is reported rather than enforced.
     """
+    import scipy.linalg
+
     a = as_matrix(a, square=True)
     vals, vecs = scipy.linalg.eig(a)
     idx = int(np.argmin(np.abs(vals - target)))
@@ -444,6 +456,9 @@ def _require_normal_pair(a, b):
 def _bottleneck_assignment(cost: np.ndarray) -> float:
     """Minimal over permutations of the maximal cost entry, by bisection over
     the distinct costs with a bipartite perfect-matching test."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     n = cost.shape[0]
     levels = np.unique(cost)
     lo, hi = 0, len(levels) - 1
@@ -473,6 +488,8 @@ def spectral_distance(a, b, p: float = 2.0) -> float:
     Solved exactly: Hungarian assignment on the cost |lam_i - mu_j|^p for
     finite p, bottleneck assignment for p = inf.
     """
+    from scipy.optimize import linear_sum_assignment
+
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     a, b = _require_normal_pair(a, b)

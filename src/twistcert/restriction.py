@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .config import (BAND_WEIGHT, BOUND_SLACK, EIG_RESIDUAL, GROUND_SLACK, HERMITICITY,
                      PROJECTOR, SPECTRAL_REL)
@@ -218,6 +217,8 @@ class BandSpec:
           * H^2 >= gap^2 (I - P): every eigenvalue past lambda_rank is at
             least lambda_rank = gap >= 0.
         """
+        import scipy.linalg
+
         h = as_matrix(h, square=True)
         n = h.shape[0]
         rank = int(rank)

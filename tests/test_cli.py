@@ -109,21 +109,14 @@ class TestMinima:
         assert capsys.readouterr().err.strip() == (
             f"error: bad grid spec {grid!r}; bounds must be finite")
 
-    def test_version_looked_up_once(self, monkeypatch):
-        import importlib.metadata
+    def test_version_has_one_source(self):
+        import tomllib
+        from pathlib import Path
 
-        from twistcert import cli
-
-        calls = []
-        monkeypatch.setattr(importlib.metadata, "version",
-                            lambda name: calls.append(name) or "9.9")
-        cli._version.cache_clear()
-        try:
-            versions = {cli.RunManifest.build("minima", {}).version for _ in range(3)}
-        finally:
-            cli._version.cache_clear()
-        assert versions == {"9.9"}
-        assert calls == ["twistcert"]
+        assert cli_module.RunManifest.build("minima", {}).version == twistcert.__version__
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == twistcert.__version__
 
 
 class TestMountains:
