@@ -27,8 +27,7 @@ for s in (0.0, 0.005, 0.01, 0.02, 0.05, 0.1):
     model = clock_model(spec)
     res = restrict_pair(model.u, model.v, model.band, model.alpha)
     bound = res.delta_out_bound
-    cert = certify_single(model.alpha, max(bound, 1e-6) if bound > 0 else 0.0,
-                          compute_slack=False)
+    cert = certify_single(model.alpha, max(bound, 1e-6) if bound > 0 else 0.0)
     print(f"{s:7.3f} {max(res.eps_u, res.eps_v):9.5f} {res.xi:8.5f}"
           f" {bound:9.5f} {res.delta_out_measured:9.2e} {cert.d_min:6d}")
 print("the measured restricted value sits far below its certified budget,")

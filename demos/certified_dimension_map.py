@@ -10,6 +10,7 @@ many distinct eigenvalues u must have.  This script reproduces the worked
 import numpy as np
 
 from twistcert import (
+    certify_grid,
     certify_single,
     greedy_transversal,
     minimal_intervals,
@@ -34,18 +35,18 @@ print(f"  certificate weakens once delta exceeds {delta + cert.slack:.6f}")
 # at twist 1/d, any value strictly below 2 (1 - cos(pi/d)) / (d - 1)
 # certifies dimension d; the sweep recovers each of them
 print("\nclosed-form thresholds vs the sweep:")
-for d in range(2, 9):
-    thr = single_pair_threshold(d)
-    certified = certify_single(1.0 / d, thr - 1e-9, compute_slack=False).d_min
-    print(f"  d={d}: threshold {thr:.6f} -> certified {certified}")
+dims = range(2, 9)
+thresholds = [single_pair_threshold(d) for d in dims]
+certified = certify_grid((1.0 / d, thr - 1e-9) for d, thr in zip(dims, thresholds))
+for d, thr, got in zip(dims, thresholds, certified):
+    print(f"  d={d}: threshold {thr:.6f} -> certified {got}")
 
 # -- a coarse map of certified dimension over (alpha, delta) ------------------
 print("\ncertified dimension (rows: delta, cols: alpha):")
 alphas = np.linspace(0.05, 0.95, 19)
 print("        " + " ".join(f"{a:4.2f}" for a in alphas))
 for delta in (1.0, 0.5, 0.2, 0.1, 0.05, 0.02):
-    row = [certify_single(float(a), delta, compute_slack=False).d_min
-           for a in alphas]
+    row = certify_grid((a, delta) for a in alphas)
     print(f"  {delta:5.2f} " + " ".join(f"{d:4d}" for d in row))
 
 # exact twisted commutation at a rational twist forces divisibility, so the

@@ -54,7 +54,6 @@ __all__ = [
     "DoubleWitnessReport",
     "single_pair_threshold",
     "eigenvalue_arc",
-    "build_arcs",
     "minimal_intervals",
     "greedy_transversal",
     "certify_single",
@@ -84,12 +83,12 @@ METHODS = (
 # passes its test (alpha close to, but not at, a rational with small q).
 _MIN_DELTA = 1e-6
 # Rounding allowance of the nesting test in _nesting_power beside the centres'
-# 2^-48 (jmax + 2) and 2 merge_tol.  A computed half-width
+# 2^-48 (jmax + 2) and 2 ANGLE_MERGE.  A computed half-width
 # arccos(1 - fl(|j| delta)) has its argument off by at most 3u (u = 2^-53)
 # and arccos is 1/2-Hoelder with constant pi / sqrt(2), so with libm's few ulp
 # it lies within 4.1e-8 of the exact one; two half-widths and the few
-# roundings (each under 2 pi u) of the endpoints and distances to 0 stay
-# below this.
+# roundings (each under 2 pi u) of _unfold's endpoints and distances to 0
+# stay below this.
 _HALF_WIDTH_ROUNDING = 1e-7
 # Orbit powers certify_grid sweeps per _minimal call: it batches consecutive
 # cells up to this many powers, so a grid of small deltas cannot allocate
@@ -193,7 +192,7 @@ def _arc_arrays(alpha: float, delta: float):
     return _arcs(alpha, delta, _powers(_full_range(delta)))
 
 
-def _nesting_power(alpha: float, delta: float, merge_tol: float) -> int:
+def _nesting_power(alpha: float, delta: float) -> int:
     """The largest |j| whose arc can be inclusion-minimal at delta: the first
     continued-fraction denominator m of alpha (1, q_1, q_2, ...) that passes
         2 pi ||m alpha|| <= m delta / 2 - allowance,
@@ -206,7 +205,7 @@ def _nesting_power(alpha: float, delta: float, merge_tol: float) -> int:
     arc k or, like arc k, passes through angle 0; it is never minimal, and
     every interval it shows non-minimal arc k shows so too (by induction a
     power |k| <= m does).  Dropping every |j| > m thus leaves the minimal
-    intervals unchanged.  The allowance covers 2 merge_tol, the rounding of
+    intervals unchanged.  The allowance covers 2 ANGLE_MERGE, the rounding of
     the computed centres (2 pi alpha j differs from its float by at most
     u 2 pi |j|, u = 2^-53, so 2^-48 (jmax + 2) bounds the three that enter)
     and _HALF_WIDTH_ROUNDING.  Correctness rests on the checked inequality
@@ -214,7 +213,7 @@ def _nesting_power(alpha: float, delta: float, merge_tol: float) -> int:
     the float alpha serves."""
     jmax = _full_range(delta)
     turn = TWO_PI * alpha  # the factor of the centres in _arcs
-    allowance = 2.0 * merge_tol + _HALF_WIDTH_ROUNDING + 2.0 ** -48 * (jmax + 2)
+    allowance = 2.0 * ANGLE_MERGE + _HALF_WIDTH_ROUNDING + 2.0 ** -48 * (jmax + 2)
     frac = alpha % 1.0
     num, den = frac.as_integer_ratio() if math.isfinite(frac) else (0, 1)
     q_prev, q = 0, 1
@@ -229,47 +228,48 @@ def _nesting_power(alpha: float, delta: float, merge_tol: float) -> int:
     return jmax
 
 
-def build_arcs(alpha: float, delta: float) -> list[Arc]:
-    """Nontrivial eigenvalue arcs for orbit powers j != 0: centered at
-    2 pi alpha j with half-width arccos(1 - |j| delta).  Powers with
-    |j| delta >= 2 give the full circle and are excluded; |j| <= floor(2/delta)
-    suffices.  The j = 0 arc is the single point +1 (handled by the caller)."""
-    _, js, half, centers = _arc_arrays(alpha, delta)
-    return [Arc(float(c), float(h), int(j)) for c, h, j in zip(centers, half, js)]
+def _unfold(half: np.ndarray, centers: np.ndarray):
+    """The arc expressions that the certifier and its verifier share, for
+    arcs of half-widths half and centres in [0, 2 pi): as (dist0, clear, lo,
+    hi), each centre's distance dist0 from angle 0 (the half-widths do not
+    enter it), whether the arc is clear of angle 0 by more than ANGLE_MERGE
+    (dist0 > half + ANGLE_MERGE), and its endpoints
+    lo = (center - half) mod 2 pi and hi = lo + 2 half on the circle unfolded
+    at angle 0 (0 < lo < hi < 2 pi for a clear arc)."""
+    dist0 = np.minimum(centers, TWO_PI - centers)
+    lo = (centers - half) % TWO_PI
+    return dist0, dist0 > half + ANGLE_MERGE, lo, lo + 2.0 * half
 
 
-def _minimal(seg: np.ndarray, js: np.ndarray, half: np.ndarray,
-             centers: np.ndarray, merge_tol: float):
+def _minimal(seg: np.ndarray, js: np.ndarray, half: np.ndarray, centers: np.ndarray):
     """The body of minimal_intervals on given arcs, segment by segment: the
     segment ids, powers j and endpoints lo, hi of the inclusion-minimal
     intervals of each segment.  The result ascends in segment id and, within
-    a segment, in lo and in hi (hi by more than merge_tol from one interval
+    a segment, in lo and in hi (hi by more than ANGLE_MERGE from one interval
     to the next).  Arcs are compared only with arcs of their own segment, so
     one call sweeps the arcs of many (alpha, delta) cells (certify_grid), and
     a single certificate's arcs form one segment."""
-    dist0 = np.minimum(centers, TWO_PI - centers)
-    away = dist0 > half + merge_tol  # arcs through the forced point drop out
-    seg, js, half, centers = seg[away], js[away], half[away], centers[away]
-    lo = (centers - half) % TWO_PI
-    hi = lo + 2.0 * half
+    _, clear, lo, hi = _unfold(half, centers)
+    # arcs through the forced point drop out
+    seg, js, lo, hi = seg[clear], js[clear], lo[clear], hi[clear]
     if js.size == 0:
         return seg, js, lo, hi
 
     order = np.lexsort((-hi, lo, seg))  # by segment, lo ascending, hi descending
     seg, js, lo, hi = seg[order], js[order], lo[order], hi[order]
     dup = np.zeros(lo.size, dtype=bool)
-    dup[1:] = ((seg[1:] == seg[:-1]) & (np.abs(np.diff(lo)) <= merge_tol)
-               & (np.abs(np.diff(hi)) <= merge_tol))
+    dup[1:] = ((seg[1:] == seg[:-1]) & (np.abs(np.diff(lo)) <= ANGLE_MERGE)
+               & (np.abs(np.diff(hi)) <= ANGLE_MERGE))
     seg, js, lo, hi = seg[~dup], js[~dup], lo[~dup], hi[~dup]
     # with this ordering any interval contained in [lo_i, hi_i] appears later
     # in its segment, so interval i is minimal iff every later right endpoint
-    # of the segment exceeds hi_i + merge_tol.  numpy orders complex numbers
+    # of the segment exceeds hi_i + ANGLE_MERGE.  numpy orders complex numbers
     # lexicographically, so the running minimum of seg + i hi from the end
     # either lies in a later segment or holds the least later hi of this one
     key = seg + 1j * hi
     after = np.minimum.accumulate(key[::-1])[::-1]
     keep = np.ones(hi.size, dtype=bool)
-    keep[:-1] = after[1:] > key[:-1] + 1j * merge_tol
+    keep[:-1] = after[1:] > key[:-1] + 1j * ANGLE_MERGE
     return seg[keep], js[keep], lo[keep], hi[keep]
 
 
@@ -284,8 +284,7 @@ class MinimalIntervals(list):
         self.powers = js
 
 
-def minimal_intervals(alpha: float, delta: float,
-                      merge_tol: float | None = None) -> MinimalIntervals:
+def minimal_intervals(alpha: float, delta: float) -> MinimalIntervals:
     """The inclusion-minimal interval system on (0, 2 pi) after forcing an
     eigenvalue at angle 0: arcs containing 0 are discarded, the circle is
     unfolded at 0, duplicates are merged, and intervals containing another
@@ -293,36 +292,35 @@ def minimal_intervals(alpha: float, delta: float,
     returned list of (lo, hi) pairs is ascending and carries the orbit power
     of each pair in its `powers` attribute.
 
-    Only the powers 0 < |j| <= _nesting_power(alpha, delta, merge_tol) are
-    swept: every arc beyond nests around a smaller one and is never minimal,
-    so the result equals that of the full range |j| <= floor(2 / delta)."""
-    merge_tol = ANGLE_MERGE if merge_tol is None else merge_tol
-    js = _powers(_nesting_power(alpha, delta, merge_tol))
-    return MinimalIntervals(*_minimal(*_arcs(alpha, delta, js), merge_tol)[1:])
+    Only the powers 0 < |j| <= _nesting_power(alpha, delta) are swept: every
+    arc beyond nests around a smaller one and is never minimal, so the result
+    equals that of the full range |j| <= floor(2 / delta)."""
+    js = _powers(_nesting_power(alpha, delta))
+    return MinimalIntervals(*_minimal(*_arcs(alpha, delta, js))[1:])
 
 
-def _stab_indices(lo: list[float], hi: list[float], merge_tol: float) -> list[int]:
+def _stab_indices(lo: list[float], hi: list[float]) -> list[int]:
     """The greedy stabbing on intervals sorted by right endpoint: the indices
     of the intervals whose right end becomes a stab.  Each lies more than
-    merge_tol beyond the previous one, so they form a packing."""
+    ANGLE_MERGE beyond the previous one, so they form a packing."""
+    merge = ANGLE_MERGE  # a local: the loop reads it once per interval
     picked: list[int] = []
     last = -math.inf
     for i, (a, b) in enumerate(zip(lo, hi)):
-        if last < a - merge_tol:
+        if last < a - merge:
             picked.append(i)
             last = b
     return picked
 
 
-def greedy_transversal(intervals, merge_tol: float | None = None) -> list[float]:
+def greedy_transversal(intervals) -> list[float]:
     """Minimum stabbing points for closed intervals on a line: sort by right
     endpoint and stab at the right end of each interval not already covered.
     Optimal for interval systems (exchange argument on the earliest right
     endpoint)."""
-    merge_tol = ANGLE_MERGE if merge_tol is None else merge_tol
     ordered = sorted(intervals, key=lambda t: t[1])
     his = [hi for _, hi in ordered]
-    return [his[i] for i in _stab_indices([lo for lo, _ in ordered], his, merge_tol)]
+    return [his[i] for i in _stab_indices([lo for lo, _ in ordered], his)]
 
 
 def _rational_twist(alpha: float, cap: int = 10 ** 6) -> tuple[int, int] | None:
@@ -335,28 +333,29 @@ def _rational_twist(alpha: float, cap: int = 10 ** 6) -> tuple[int, int] | None:
     return None
 
 
-def _packing_event(alpha: float, js: np.ndarray, merge_tol: float) -> float:
+def _packing_event(alpha: float, js: np.ndarray) -> float:
     """The smallest delta at which the intervals of the powers js (ascending,
-    clear of angle 0 and of each other by more than merge_tol) stop forming
-    such a packing: one comes within merge_tol of angle 0, or two neighbours
-    come within merge_tol of each other.
+    clear of angle 0 and of each other by more than ANGLE_MERGE) stop forming
+    such a packing: one comes within ANGLE_MERGE of angle 0, or two
+    neighbours come within ANGLE_MERGE of each other.
 
     An arc's half-width x = arccos(1 - |j| delta) is reached at
-    delta = 2 sin^2(x / 2) / |j|.  Two neighbours a = |j|, b = |k| with
-    centres c_j < c_k meet at x_j + x_k = c_k - c_j - merge_tol = 2 e; with
-    sin(x_j / 2) = sqrt(a delta / 2) and the like for k, the sine of
+    delta = 2 sin^2(x / 2) / |j|; an arc stops being clear of angle 0 (in
+    _unfold) at x = dist0 - ANGLE_MERGE.  Two neighbours a = |j|, b = |k|
+    with centres c_j < c_k meet at x_j + x_k = c_k - c_j - ANGLE_MERGE = 2 e;
+    with sin(x_j / 2) = sqrt(a delta / 2) and the like for k, the sine of
     x_j / 2 = e - x_k / 2 gives
         delta = 2 sin^2 e / (a + b + 2 sqrt(a b) cos e),
     a root of the meeting equation while sqrt(b) + sqrt(a) cos e and
     sqrt(a) + sqrt(b) cos e are nonnegative; otherwise an arc reaches angle 0
     first."""
     a = np.abs(js).astype(float)
-    centers = (TWO_PI * alpha * js) % TWO_PI
-    reach = np.minimum(centers, TWO_PI - centers) - merge_tol
+    centers = (TWO_PI * alpha * js) % TWO_PI  # as in _arcs
+    reach = _unfold(0.0, centers)[0] - ANGLE_MERGE  # dist0 needs no half-width
     first = float(np.min(2.0 * np.sin(reach / 2.0) ** 2 / a))
     if js.size < 2:
         return first
-    e = (np.diff(centers) - merge_tol) / 2.0
+    e = (np.diff(centers) - ANGLE_MERGE) / 2.0
     cos_e = np.cos(e)
     ra, rb = np.sqrt(a[:-1]), np.sqrt(a[1:])
     meet = 2.0 * np.sin(e) ** 2 / (a[:-1] + a[1:] + 2.0 * ra * rb * cos_e)
@@ -365,7 +364,7 @@ def _packing_event(alpha: float, js: np.ndarray, merge_tol: float) -> float:
 
 
 def _slack(alpha: float, delta: float, d_min: int, powers: np.ndarray,
-           pack: np.ndarray, merge_tol: float) -> tuple[float, np.ndarray]:
+           pack: np.ndarray) -> tuple[float, np.ndarray]:
     """How far delta can grow while the sweep still certifies d_min (see
     certify_single): the largest probed delta top that still certifies it,
     with the powers of the d_min - 1 intervals the greedy stabs there.
@@ -375,15 +374,15 @@ def _slack(alpha: float, delta: float, d_min: int, powers: np.ndarray,
     def packing(x: float, js: np.ndarray):
         """The powers minimal at x among js, with the powers of the greedy's
         stabbed intervals (None when they certify less than d_min)."""
-        _, js, lo, hi = _minimal(*_arcs(alpha, x, js), merge_tol)
-        picked = _stab_indices(lo.tolist(), hi.tolist(), merge_tol)
+        _, js, lo, hi = _minimal(*_arcs(alpha, x, js))
+        picked = _stab_indices(lo.tolist(), hi.tolist())
         return js, (js[picked] if len(picked) + 1 >= d_min else None)
 
     good, bad = delta, 2.0  # no arc is left at delta = 2: it certifies 1
     while True:
         # the packing holds up to its event, which rounding misplaces by less
         # than _EVENT_STEP: probe just past the event, then just before it
-        event = _packing_event(alpha, pack, merge_tol)
+        event = _packing_event(alpha, pack)
         if event <= good:
             break  # rounding put the event at or below the current point
         after, before = event + _EVENT_STEP, event - _EVENT_STEP
@@ -410,8 +409,7 @@ def _slack(alpha: float, delta: float, d_min: int, powers: np.ndarray,
     return good, pack
 
 
-def certify_single(alpha: float, delta: float, compute_slack: bool = True,
-                   merge_tol: float | None = None) -> Certificate:
+def certify_single(alpha: float, delta: float) -> Certificate:
     """Certified minimum dimension of unitaries u, v with
     || u v - exp(2 pi i alpha) v u || <= delta (operator norm).
 
@@ -422,20 +420,21 @@ def certify_single(alpha: float, delta: float, compute_slack: bool = True,
     arbitrary alpha; at twist 1/d it certifies at least d for every delta
     below single_pair_threshold(d).
 
-    With compute_slack, a sweep certificate of d_min > 1 reports as slack how
-    far delta can grow before the sweep certifies less than d_min.  Arc k can
-    sit inside arc j only if |k| <= |j|, and then the containment, like an
-    arc's passage through angle 0, persists as delta grows.  So the powers
-    minimal at any larger delta are among those minimal at delta, and every
-    probe of the search sweeps only those; the search starts from the main
-    sweep's minimal powers and stabbed intervals.  The intervals the greedy
-    stabs are disjoint, so they keep certifying d_min until the first packing
-    event, where two neighbours meet or one reaches angle 0 (closed forms in
-    _packing_event).  The search probes just past that event; while d_min
-    holds there it takes the new packing and repeats, otherwise it confirms
-    the point just before the event.  Where rounding contradicts the computed
-    event (it falls at or below the current point, or the point just before
-    it fails), a bisection on the same minimal powers finishes.  The slack agrees with a bisection
+    A sweep certificate of d_min > 1 reports as slack how far delta can grow
+    before the sweep certifies less than d_min (certify_grid gives d_min
+    alone, for many cells at once).  Arc k can sit inside arc j only if
+    |k| <= |j|, and then the containment, like an arc's passage through
+    angle 0, persists as delta grows.  So the powers minimal at any larger delta are
+    among those minimal at delta, and every probe of the search sweeps only
+    those; the search starts from the main sweep's minimal powers and stabbed
+    intervals.  The intervals the greedy stabs are disjoint, so they keep
+    certifying d_min until the first packing event, where two neighbours meet
+    or one reaches angle 0 (closed forms in _packing_event).  The search
+    probes just past that event; while d_min holds there it takes the new
+    packing and repeats, otherwise it confirms the point just before the
+    event.  Where rounding contradicts the computed event (it falls at or
+    below the current point, or the point just before it fails), a bisection
+    on the same minimal powers finishes.  The slack agrees with a bisection
     over full sweeps to within 2 * _EVENT_STEP (7e-15).
 
     The witness records the stabbed intervals' orbit powers as `packing`
@@ -444,7 +443,6 @@ def certify_single(alpha: float, delta: float, compute_slack: bool = True,
     from these alone.
     """
     _check_domain(alpha, delta)
-    merge_tol = ANGLE_MERGE if merge_tol is None else merge_tol
 
     if delta == 0.0:
         q = _exact_dimension(alpha)
@@ -456,15 +454,15 @@ def certify_single(alpha: float, delta: float, compute_slack: bool = True,
             witness={"exact": True, "denominator": q},
         )
 
-    intervals = minimal_intervals(alpha, delta, merge_tol)
+    intervals = minimal_intervals(alpha, delta)
     # the intervals ascend in hi, the order greedy_transversal sorts them into
-    picked = _stab_indices(intervals.lo, intervals.hi, merge_tol)
+    picked = _stab_indices(intervals.lo, intervals.hi)
     stabs = [intervals.hi[i] for i in picked]
     d_min = 1 + len(stabs)
     top, pack = delta, intervals.powers[picked]
     slack = None
-    if compute_slack and d_min > 1:
-        top, pack = _slack(alpha, delta, d_min, intervals.powers, pack, merge_tol)
+    if d_min > 1:
+        top, pack = _slack(alpha, delta, d_min, intervals.powers, pack)
         slack = top - delta
 
     return Certificate(
@@ -477,7 +475,7 @@ def certify_single(alpha: float, delta: float, compute_slack: bool = True,
             "stab_angles": [float(s % TWO_PI) for s in stabs],
             "minimal_interval_count": len(intervals),
             "packing_delta": top,
-            "packing": pack,
+            "packing": pack.tolist(),
         },
     )
 
@@ -495,8 +493,8 @@ def _exact_dimension(alpha: float) -> int:
 
 
 def certify_grid(cells) -> list[int]:
-    """certify_single(alpha, delta, compute_slack=False).d_min for every
-    (alpha, delta) pair of cells, in order, from batched sweeps.
+    """certify_single(alpha, delta).d_min for every (alpha, delta) pair of
+    cells, in order, from batched sweeps and with no slack search.
 
     Every cell is checked first, in order, so an invalid cell raises
     certify_single's message for it before any sweep runs.  delta = 0 cells
@@ -513,7 +511,7 @@ def certify_grid(cells) -> list[int]:
             continue
         dims.append(1)
         swept.append(i)
-        reach.append(_nesting_power(alpha, delta, ANGLE_MERGE))
+        reach.append(_nesting_power(alpha, delta))
     start = 0
     while start < len(swept):
         stop, total = start + 1, 2 * reach[start]
@@ -537,10 +535,10 @@ def _batch_stabs(cells: list[tuple[float, float]], reach: np.ndarray) -> list[in
     k = np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts)
     js = k - reach[seg] + (k >= reach[seg])  # -r .. -1, then 1 .. r
     alpha, delta = np.array(cells).T
-    seg, _, lo, hi = _minimal(*_arcs(alpha[seg], delta[seg], js, seg), ANGLE_MERGE)
+    seg, _, lo, hi = _minimal(*_arcs(alpha[seg], delta[seg], js, seg))
     bounds = np.searchsorted(seg, np.arange(len(cells) + 1)).tolist()
     lo, hi = lo.tolist(), hi.tolist()
-    return [len(_stab_indices(lo[a:b], hi[a:b], ANGLE_MERGE))
+    return [len(_stab_indices(lo[a:b], hi[a:b]))
             for a, b in zip(bounds, bounds[1:])]
 
 
@@ -575,12 +573,12 @@ def _packing_failure(alpha: float, delta: float, d_min: int, packing,
     does angle 0.  So d_min - 1 arcs that avoid angle 0 and each other prove
     d_min distinct eigenvalues.  Half-widths only grow with delta, so arcs
     that do so at packing_delta do so at every delta' <= packing_delta.  The
-    arcs are recomputed with _arcs at delta and at packing_delta, and tested
-    with the certifier's own expressions at its default merge_tol
-    (config.ANGLE_MERGE): _minimal's test against angle 0 and _stab_indices'
-    separation of neighbours.  So every certificate that certify_single
-    emits with that merge_tol passes.  The slack, when given, must equal
-    packing_delta - delta exactly.  O(d log d); no sweep runs."""
+    arcs are recomputed with _arcs at delta and at packing_delta, tested
+    against angle 0 with _unfold, the test _minimal applies, and their
+    neighbours with _stab_indices' separation (more than ANGLE_MERGE).  So
+    every certificate that certify_single emits passes.  The slack, when
+    given, must equal packing_delta - delta exactly.  O(d log d); no sweep
+    runs."""
     _check_domain(alpha, delta)
     if not (math.isfinite(packing_delta) and packing_delta >= delta):
         raise ValueError(f"packing_delta must be finite and at least delta = "
@@ -599,13 +597,11 @@ def _packing_failure(alpha: float, delta: float, d_min: int, packing,
             kept = set(js.tolist())
             j = next(j for j in packing if j not in kept)
             return f"the arc of power {j} is the whole circle at delta = {x!r}"
-        dist0 = np.minimum(centers, TWO_PI - centers)
-        through = np.flatnonzero(~(dist0 > half + ANGLE_MERGE))
+        _, clear, lo, hi = _unfold(half, centers)
+        through = np.flatnonzero(~clear)
         if through.size:
             return (f"the arc of power {js[through[0]]} reaches angle 0 at "
                     f"delta = {x!r}")
-        lo = (centers - half) % TWO_PI
-        hi = lo + 2.0 * half
         order = np.argsort(lo, kind="stable")
         js, lo, hi = js[order], lo[order], hi[order]
         meet = np.flatnonzero(~(hi[:-1] < lo[1:] - ANGLE_MERGE))

@@ -490,7 +490,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): point stdout at devnull,
+        # as the SIGPIPE note of Python's signal docs does, so that the
+        # interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     except CliIOError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

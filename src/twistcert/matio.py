@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import Certificate
+from .certify import Certificate, _integer
 
 __all__ = [
     "MAGIC",
@@ -117,12 +117,10 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def certificate_from_dict(data: dict) -> Certificate:
-    """Inverse of certificate_to_dict; a non-integral d_min raises ValueError."""
-    d_min = data["d_min"]
-    if not float(d_min).is_integer():
-        raise ValueError(f"d_min must be an integer, got {d_min!r}")
+    """Inverse of certificate_to_dict; a d_min that is not an int (a string,
+    a bool or a float, even an integral one) raises ValueError."""
     return Certificate(
-        d_min=int(d_min),
+        d_min=_integer(data["d_min"], "d_min"),
         method=data["method"],
         inputs=data["inputs"],
         slack=data.get("slack"),

@@ -87,11 +87,11 @@ def test_criterion_2_brute_force_floor():
 
 def test_criterion_3_transversal_reproduction():
     t0 = time.time()
-    ok = certify_single(0.25, 0.5, compute_slack=False).d_min == 3
+    ok = certify_single(0.25, 0.5).d_min == 3
     detail = ["worked example d=3" if ok else "worked example FAILED"]
     for d in range(2, 9):
         delta = single_pair_threshold(d) - 1e-9
-        got = certify_single(1.0 / d, delta, compute_slack=False).d_min
+        got = certify_single(1.0 / d, delta).d_min
         if got < d:
             ok = False
             detail.append(f"threshold point d={d} gave {got}")
@@ -325,7 +325,7 @@ def test_criterion_8_cross_module_soundness():
              for delta in np.linspace(0.02, 2.0, 100)]
     dims = []
     for alpha, delta in cells:
-        d = certify_single(alpha, delta, compute_slack=False).d_min
+        d = certify_single(alpha, delta).d_min
         dims.append(d)
         for g in range(1, d):
             if not delta < lambda_min(g, alpha):

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from twistcert import certify as certify_module
 from twistcert import (
+    Arc,
     NormSpec,
     certify_double,
     certify_grid,
@@ -32,18 +33,15 @@ from twistcert import (
     verify_double_witness,
     TwistedPair,
 )
-from twistcert.config import ANGLE_MERGE
 from twistcert.matio import certificate_from_dict, certificate_to_dict, jsonable
 
 
-def bisection_slack(alpha, delta, merge_tol=None):
+def bisection_slack(alpha, delta):
     """The slack search certify_single ran before the packing-event walk,
-    kept verbatim as a reference: 60 bisection steps, each a full sweep."""
-    merge_tol = ANGLE_MERGE if merge_tol is None else merge_tol
+    kept as a reference: 60 bisection steps, each a full sweep."""
 
     def certified_dim(x):
-        intervals = minimal_intervals(alpha, x, merge_tol)
-        return 1 + len(greedy_transversal(intervals, merge_tol))
+        return 1 + len(greedy_transversal(minimal_intervals(alpha, x)))
 
     d_min = certified_dim(delta)
     lo, hi = delta, 2.0 + 1e-9
@@ -85,11 +83,15 @@ class TestThreshold:
             single_pair_threshold(1)
 
 
+def arc_objects(alpha, delta):
+    """The arcs of certify_module._arc_arrays as Arc objects."""
+    _, js, half, centers = certify_module._arc_arrays(alpha, delta)
+    return [Arc(float(c), float(h), int(j)) for c, h, j in zip(centers, half, js)]
+
+
 class TestBuildArcs:
     def test_worked_example_structure(self):
-        from twistcert.certify import build_arcs
-
-        arcs = build_arcs(0.25, 0.5)
+        arcs = arc_objects(0.25, 0.5)
         assert sorted(a.index for a in arcs) == [-3, -2, -1, 1, 2, 3]
         by_index = {a.index: a for a in arcs}
         assert by_index[1].half_width == pytest.approx(np.arccos(0.5))
@@ -100,9 +102,7 @@ class TestBuildArcs:
         assert not by_index[1].contains(0.0)
 
     def test_trivial_arcs_excluded(self):
-        from twistcert.certify import build_arcs
-
-        arcs = build_arcs(0.3, 1.0)
+        arcs = arc_objects(0.3, 1.0)
         assert all(abs(a.index) * 1.0 < 2.0 for a in arcs)
 
 
@@ -138,13 +138,13 @@ class TestCertifySingle:
     def test_blue_cross_thresholds(self):
         for d in range(2, 9):
             delta = single_pair_threshold(d) - 1e-9
-            assert certify_single(1.0 / d, delta, compute_slack=False).d_min >= d
+            assert certify_single(1.0 / d, delta).d_min >= d
 
     def test_monotone_in_delta(self):
         for alpha in (0.21, 1.0 / 3.0, 0.5, 0.77):
             prev = None
             for delta in np.linspace(0.02, 2.1, 60):
-                d = certify_single(alpha, float(delta), compute_slack=False).d_min
+                d = certify_single(alpha, float(delta)).d_min
                 if prev is not None:
                     assert d <= prev
                 prev = d
@@ -154,8 +154,8 @@ class TestCertifySingle:
         for _ in range(60):
             alpha = float(rng.uniform(0.01, 0.99))
             delta = float(rng.uniform(0.02, 2.0))
-            a = certify_single(alpha, delta, compute_slack=False).d_min
-            b = certify_single(1.0 - alpha, delta, compute_slack=False).d_min
+            a = certify_single(alpha, delta).d_min
+            b = certify_single(1.0 - alpha, delta).d_min
             assert a == b
 
     def test_greedy_equals_exhaustive(self):
@@ -194,23 +194,22 @@ class TestCertifySingle:
     def test_slack_is_distance_to_weaker_certificate(self):
         cert = certify_single(0.25, 0.5)
         assert cert.slack is not None
-        at_edge = certify_single(0.25, 0.5 + cert.slack - 1e-9, compute_slack=False)
-        beyond = certify_single(0.25, 0.5 + cert.slack + 1e-9, compute_slack=False)
+        at_edge = certify_single(0.25, 0.5 + cert.slack - 1e-9)
+        beyond = certify_single(0.25, 0.5 + cert.slack + 1e-9)
         assert at_edge.d_min >= cert.d_min
         assert beyond.d_min < cert.d_min
 
-    @pytest.mark.parametrize("merge_tol", [None, 1e-9])
-    def test_slack_matches_bisection(self, merge_tol):
+    def test_slack_matches_bisection(self):
         rng = np.random.default_rng(9)
         alphas = [float(a) for a in rng.uniform(0.01, 0.99, 3)]
         alphas += [1 / 3, 5 / 12, 7 / 11]
         for alpha in alphas:
             for delta in np.geomspace(1e-4, 2.0, 6):
-                cert = certify_single(alpha, float(delta), merge_tol=merge_tol)
+                cert = certify_single(alpha, float(delta))
                 if cert.d_min == 1:
                     assert cert.slack is None
                     continue
-                reference = bisection_slack(alpha, float(delta), merge_tol)
+                reference = bisection_slack(alpha, float(delta))
                 assert cert.slack == pytest.approx(reference, rel=0, abs=1e-12)
 
     def test_slack_symmetric_under_conjugation(self):
@@ -238,7 +237,7 @@ class TestCertifySingle:
         alpha, delta = 1 / 3 + 0.01, 1e-3
         cert = certify_single(alpha, delta)
         assert cert.slack is not None and cert.slack > 0
-        reach = certify_module._nesting_power(alpha, delta, ANGLE_MERGE)
+        reach = certify_module._nesting_power(alpha, delta)
         assert reach < int(2 / delta)  # 67 of 2000: a denominator of 103/300
         assert sizes[0] == 2 * reach and sizes.count(2 * reach) == 1
         probes = sizes[1:]
@@ -269,7 +268,7 @@ class TestCertifySingle:
         for _ in range(200):
             alpha = float(rng.uniform(0.005, 0.995))
             delta = float(rng.uniform(0.02, 2.0))
-            d = certify_single(alpha, delta, compute_slack=False).d_min
+            d = certify_single(alpha, delta).d_min
             for g in range(1, d):
                 assert delta < lambda_min(g, alpha)
 
@@ -307,15 +306,14 @@ class TestCertifyGrid:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(certify_module, "_BATCH_POWERS", cap)  # split batches mid-grid
             dims = certify_grid(cells)
-        assert dims == [certify_single(a, d, compute_slack=False).d_min
-                        for a, d in cells]
+        assert dims == [certify_single(a, d).d_min for a, d in cells]
 
     @pytest.mark.parametrize("bad", [(math.nan, 0.1), (0.3, 1e-7), (math.pi - 3, 0.0)],
                              ids=["nan-alpha", "delta-below-floor", "irrational-exact"])
     @pytest.mark.parametrize("k", [0, 3, 7])
     def test_invalid_cell_raises_before_any_sweep(self, monkeypatch, bad, k):
         with pytest.raises(ValueError) as single:
-            certify_single(*bad, compute_slack=False)
+            certify_single(*bad)
 
         def refuse(*args):
             raise AssertionError("a sweep ran before every cell was checked")
@@ -338,24 +336,22 @@ class TestNestingCutoff:
                st.builds(_near_rational,
                          st.fractions(0, 1, max_denominator=40).filter(lambda f: f < 1),
                          st.sampled_from([-1, 1]))),
-           delta=st.floats(-6.0, float(np.log10(2.0))).map(lambda e: 10.0 ** e),
-           merge_tol=st.sampled_from([1e-12, 1e-9]))
-    @example(alpha=0.0, delta=1e-3, merge_tol=1e-12)
-    @example(alpha=1.0 - 2.0 ** -53, delta=1e-3, merge_tol=1e-9)
-    @example(alpha=0.0, delta=certify_module._MIN_DELTA, merge_tol=1e-12)
-    @example(alpha=1.0 - 2.0 ** -53, delta=certify_module._MIN_DELTA, merge_tol=1e-12)
-    @example(alpha=0.3141592653589793, delta=certify_module._MIN_DELTA, merge_tol=1e-9)
-    def test_cutoff_matches_full_range(self, alpha, delta, merge_tol):
-        cut = minimal_intervals(alpha, delta, merge_tol)
-        _, js, lo, hi = certify_module._minimal(
-            *certify_module._arc_arrays(alpha, delta), merge_tol)
+           delta=st.floats(-6.0, float(np.log10(2.0))).map(lambda e: 10.0 ** e))
+    @example(alpha=0.0, delta=1e-3)
+    @example(alpha=1.0 - 2.0 ** -53, delta=1e-3)
+    @example(alpha=0.0, delta=certify_module._MIN_DELTA)
+    @example(alpha=1.0 - 2.0 ** -53, delta=certify_module._MIN_DELTA)
+    @example(alpha=0.3141592653589793, delta=certify_module._MIN_DELTA)
+    def test_cutoff_matches_full_range(self, alpha, delta):
+        cut = minimal_intervals(alpha, delta)
+        _, js, lo, hi = certify_module._minimal(*certify_module._arc_arrays(alpha, delta))
         assert cut.powers.tolist() == js.tolist()
         assert list(cut) == list(zip(lo.tolist(), hi.tolist()))
 
     @pytest.mark.parametrize("p, q", [(1, 2), (1, 3), (5, 12), (17, 40)])
     def test_rational_twist_sweeps_at_most_q(self, p, q):
         for delta in (1e-2, 1e-4, 1e-6):
-            assert certify_module._nesting_power(p / q, delta, 1e-9) <= q
+            assert certify_module._nesting_power(p / q, delta) <= q
 
 
 class TestPackingWitness:
@@ -371,7 +367,7 @@ class TestPackingWitness:
     @example(alpha=0.0, delta=1e-5)
     def test_packing_verifies_its_certificate(self, alpha, delta):
         cert = certify_single(alpha, delta)
-        packing = cert.witness["packing"].tolist()
+        packing = list(cert.witness["packing"])
         top = cert.witness["packing_delta"]
         assert len(packing) == cert.d_min - 1
         assert set(packing) <= set(minimal_intervals(alpha, delta).powers.tolist())
@@ -405,14 +401,23 @@ class TestCertificateRoundTrip:
             assert getattr(back, name) == jsonable(getattr(cert, name)), name
         assert certify_module.verify_certificate(back) is None
 
+    @pytest.mark.parametrize("make", [
+        lambda: certify_single(0.25, 0.5),
+        lambda: certify_double(2, 3, 0.5, 0.3),
+        lambda: certify_single(0.25, 0.0),
+        lambda: certify_double(2, 3, 1e-8, 1e-8),
+    ], ids=["greedy", "fallback", "closed-form", "double-pair"])
+    def test_verifies_in_memory(self, make):
+        cert = make()
+        assert certify_module.verify_certificate(cert) is None
+
     @settings(max_examples=100, deadline=None)
     @given(query=st.one_of(st.tuples(RATIONAL_ALPHAS, st.just(0.0)),
-                           st.tuples(ALPHAS, log_uniform(-6.0, math.log10(2.0)))),
-           slack=st.booleans())
-    @example(query=(0.0, 1e-6), slack=True)
-    @example(query=(0.25, 0.0), slack=True)
-    def test_single(self, query, slack):
-        self.assert_round_trip(certify_single(*query, compute_slack=slack))
+                           st.tuples(ALPHAS, log_uniform(-6.0, math.log10(2.0)))))
+    @example(query=(0.0, 1e-6))
+    @example(query=(0.25, 0.0))
+    def test_single(self, query):
+        self.assert_round_trip(certify_single(*query))
 
     @settings(max_examples=100, deadline=None)
     @given(dims=st.tuples(st.integers(2, 6), st.integers(2, 6)).map(sorted),

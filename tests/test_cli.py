@@ -3,6 +3,10 @@ certification pipelines from model manifests and from matrix files,
 re-validation, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,12 +115,27 @@ class TestMinima:
 
     def test_version_has_one_source(self):
         import tomllib
-        from pathlib import Path
 
         assert cli_module.RunManifest.build("minima", {}).version == twistcert.__version__
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         with pyproject.open("rb") as fh:
             assert tomllib.load(fh)["project"]["version"] == twistcert.__version__
+
+
+# each writes well over a pipe's 64 KiB buffer, so a write fails once the
+# reader has closed the pipe
+@pytest.mark.parametrize("argv", [["minima", "--grid", "0:1:2001"], ["mountains"]],
+                         ids=["minima", "mountains"])
+def test_closed_stdout_exits_quietly(argv):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "twistcert.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"# twistcert-manifest: ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 class TestMountains:
@@ -521,6 +540,11 @@ class TestCheck:
                                 for key in ("packing", "packing_delta")]),
         ("lambda-exclusion", lambda doc: doc["certificate"]["witness"].update(
             excluded_dimensions="1,2,3")),
+        ("direct", lambda doc: doc["certificate"].update(
+            d_min=str(doc["certificate"]["d_min"]))),
+        ("direct", lambda doc: doc["certificate"].update(
+            d_min=float(doc["certificate"]["d_min"]))),
+        ("direct", lambda doc: doc["certificate"].update(d_min=True)),
     ], ids=["missing-alpha", "non-numeric-slack", "nan-delta", "fractional-d_min",
             "top-level-list", "negative-g_max", "fractional-g_max", "fractional-k",
             "non-numeric-p", "fractional-d1", "fractional-d2", "d_min-above-g_max",
@@ -529,7 +553,7 @@ class TestCheck:
             "fallback-null-packing_delta", "stab_angles-not-a-list", "bool-stab-angle",
             "missing-stab_angles", "float-interval-count", "missing-interval-count",
             "non-numeric-failed_by", "missing-failed_by", "witness-without-packing",
-            "excluded-not-a-list"])
+            "excluded-not-a-list", "string-d_min", "integral-float-d_min", "bool-d_min"])
     def test_malformed_certificate_exits_1(self, tmp_path, capsys, kind, mutate):
         out = tmp_path / "cert.json"
         doc = self.certificate_doc(kind, tmp_path)

@@ -10,7 +10,7 @@ import twistcert.cli
 import twistcert.config
 from twistcert.cli import main
 
-TOLERANCE_PARAMETERS = {"tol", "slack", "seed_atol"}
+TOLERANCE_PARAMETERS = {"tol", "slack", "seed_atol", "merge_tol"}
 # is_unitary(m, tol) measures at a caller's threshold, and Certificate.slack
 # is a certificate's computed margin: neither is a setting
 EXEMPT = {"is_unitary", "Certificate"}
@@ -69,4 +69,5 @@ def test_removed_flag_is_rejected(argv, capsys):
 
 
 def test_certify_double_takes_no_slack_switch():
-    assert "compute_slack" not in inspect.signature(twistcert.certify_double).parameters
+    for certifier in (twistcert.certify_single, twistcert.certify_double):
+        assert "compute_slack" not in inspect.signature(certifier).parameters

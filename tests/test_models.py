@@ -112,8 +112,7 @@ class TestClockModel:
                 break
             res = restrict_pair(model.u, model.v, model.band, model.alpha)
             bound = res.delta_out_bound
-            cert = certify_single(model.alpha, max(bound, 1e-6) if bound > 0 else 0.0,
-                                  compute_slack=False)
+            cert = certify_single(model.alpha, max(bound, 1e-6) if bound > 0 else 0.0)
             if s == 0.0:
                 assert cert.d_min == g
             if previous is not None:
