@@ -184,18 +184,18 @@ def _fro2(x: np.ndarray) -> np.ndarray:
     return np.sum(x.real ** 2 + x.imag ** 2, axis=(-2, -1))
 
 
-def _descend(u: np.ndarray, v: np.ndarray, alpha: float, iters: int,
-             step0: float) -> tuple[np.ndarray, np.ndarray]:
+def _descend(u: np.ndarray, v: np.ndarray, alpha: float,
+             iters: int) -> tuple[np.ndarray, np.ndarray]:
     """Projected gradient descent on the smooth Frobenius-squared objective
     ||u v - eta v u||_F^2, with polar retraction to the unitary group and a
     backtracking line search, run on every pair of the (R, g, g) stacks u, v
     at once.  Frobenius minimizers have flat-spectrum twisted commutators,
     so they minimize every (p, k) norm simultaneously.
 
-    Each restart keeps its own step, accepted-step count, value and
-    gradient.  A round gives every active restart one trial: all trials of
-    the round share one polar retraction (a batched SVD), one commutator and
-    one Armijo test.  An accepted trial grows the step by 1.3 (capped at 1)
+    Each restart keeps its own step (starting at 0.25), accepted-step
+    count, value and gradient.  A round gives every active restart one
+    trial: all trials of the round share one polar retraction (a batched
+    SVD), one commutator and one Armijo test.  An accepted trial grows the step by 1.3 (capped at 1)
     and refreshes that restart's gradient; a rejected one halves the step.
     A restart stops after `iters` accepted steps, at a vanishing gradient,
     or once its step falls to 1e-14.  Every slice is computed on its own, so
@@ -206,7 +206,7 @@ def _descend(u: np.ndarray, v: np.ndarray, alpha: float, iters: int,
     u, v = u.copy(), v.copy()
     t = twisted_commutator(u, v, alpha)
     fval = _fro2(t)
-    step = np.full(u.shape[0], float(step0))
+    step = np.full(u.shape[0], 0.25)
     taken = np.zeros(u.shape[0], dtype=int)
     gu, gv = np.empty_like(u), np.empty_like(v)
     gnorm2 = np.empty(u.shape[0])
@@ -243,7 +243,7 @@ def _descend(u: np.ndarray, v: np.ndarray, alpha: float, iters: int,
 
 def brute_min(g: int, alpha: float, spec: NormSpec = OPERATOR,
               restarts: int = 50, seed: int = 0, iters: int = 300,
-              step0: float = 0.25, trace: bool = False):
+              trace: bool = False):
     """Locally minimize the twisted commutation value over pairs of g x g
     unitaries by seeded random restarts and projected descent.
 
@@ -265,8 +265,6 @@ def brute_min(g: int, alpha: float, spec: NormSpec = OPERATOR,
         raise ValueError("restarts must be >= 1")
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
-    if not (math.isfinite(step0) and step0 > 0):
-        raise ValueError(f"step0 must be finite and positive, got {step0}")
     if spec.k > g:
         raise ValueError(f"k = {spec.k} exceeds dimension {g}")
     u0 = np.empty((restarts, g, g), dtype=np.complex128)
@@ -275,7 +273,7 @@ def brute_min(g: int, alpha: float, spec: NormSpec = OPERATOR,
         rng = np.random.default_rng([seed, r])
         u0[r] = haar_unitary(g, rng)
         v0[r] = haar_unitary(g, rng)
-    u, v = _descend(u0, v0, alpha, iters=iters, step0=step0)
+    u, v = _descend(u0, v0, alpha, iters=iters)
     t = twisted_commutator(u, v, alpha)
     best = min(schatten_kyfan_norm(t_r, spec) for t_r in t)
     if trace:

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .certify import pair_values
-from .linalg import haar_unitary, norm_upper, operator_norm, twisted_commutator
+from .certify import _integer, _real, pair_values
+from .linalg import haar_unitary, norm_upper
 from .minima import clock_matrix, shift_matrix
-from .restriction import BandSpec, commutator_epsilon
+from .restriction import BandSpec
 
 __all__ = [
     "ModelSpec",
@@ -50,7 +49,9 @@ class ModelSpec:
     perturbation_strength : operator norm of the Hermitian perturbation: at
                             most this, and within 1e-9 relative of it for
                             n <= 1000
-    seed                  : 64-bit seed for all randomness
+    seed                  : nonnegative seed for all randomness
+
+    The integers must be ints (not bools or floats) and the reals finite.
     """
 
     kind: str
@@ -65,6 +66,12 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        for name in ("g", "g2", "n_excited", "seed"):
+            _integer(getattr(self, name), name)
+        for name in ("gap", "width", "perturbation_strength"):
+            _real(getattr(self, name), name)
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.g < 2:
             raise ValueError("code dimension must be >= 2")
         if self.kind == "tensor-double" and self.g2 < 2:
@@ -166,15 +173,8 @@ def _assemble(spec: ModelSpec, code_ops: list[np.ndarray]):
 @dataclass
 class ClockModel:
     """A clock/shift pair embedded as approximate symmetries of a gapped
-    Hamiltonian, with every figure of merit measured on the instance.
-
-    eps_u, eps_v (||[U, H]||, ||[V, H]||), delta (the ambient twisted
-    commutation value), xi = (max epsilon + width) / gap and flagged
-    (xi >= 1: restriction hypotheses void; kept for negative tests) are
-    operator-norm measurements taken on first access and then kept, so a
-    pipeline that measures them itself pays for none of them.  The epsilons
-    are proven upper bounds (`commutator_epsilon`); delta is the SVD's value.
-    """
+    Hamiltonian.  Its epsilons, xi and ambient twisted commutation value are
+    measured by `restriction.restrict_pair`."""
 
     spec: ModelSpec
     band: BandSpec
@@ -182,33 +182,13 @@ class ClockModel:
     v: np.ndarray
     alpha: float
 
-    @cached_property
-    def eps_u(self) -> float:
-        return commutator_epsilon(self.u, self.band)
-
-    @cached_property
-    def eps_v(self) -> float:
-        return commutator_epsilon(self.v, self.band)
-
-    @cached_property
-    def delta(self) -> float:
-        return operator_norm(twisted_commutator(self.u, self.v, self.alpha))
-
-    @cached_property
-    def xi(self) -> float:
-        return (max(self.eps_u, self.eps_v) + self.band.width) / self.band.gap
-
-    @cached_property
-    def flagged(self) -> bool:
-        return self.xi >= 1.0
-
 
 def clock_model(spec: ModelSpec) -> ClockModel:
     """Generate a (possibly perturbed) clock-block or flat-band instance.
 
     The code block carries the exact pair (C, S) of twist 1/g; the excited
     block carries an exactly compatible pair, so the unperturbed instance has
-    eps_u = eps_v = delta = 0.
+    ||[U, H]|| = ||[V, H]|| = ||[[U, V]]_alpha|| = 0.
     """
     if spec.kind not in ("clock-block", "flat-band"):
         raise ValueError(f"clock_model got kind {spec.kind!r}")
@@ -221,9 +201,7 @@ def clock_model(spec: ModelSpec) -> ClockModel:
 class TensorDoubleModel:
     """Two mutually compatible twisted pairs on a tensor-product code space,
     embedded as approximate symmetries; gamma and the four deltas are the
-    ambient values, proven upper bounds from `certify.pair_values`.  eps_max
-    (the largest ||[op, H]||), xi and flagged are measured on first access,
-    as in ClockModel."""
+    ambient values, proven upper bounds from `certify.pair_values`."""
 
     spec: ModelSpec
     band: BandSpec
@@ -235,19 +213,6 @@ class TensorDoubleModel:
     alpha2: float
     gamma: float
     deltas: dict
-
-    @cached_property
-    def eps_max(self) -> float:
-        return max(commutator_epsilon(op, self.band)
-                   for op in (self.u1, self.u2, self.v1, self.v2))
-
-    @cached_property
-    def xi(self) -> float:
-        return (self.eps_max + self.band.width) / self.band.gap
-
-    @cached_property
-    def flagged(self) -> bool:
-        return self.xi >= 1.0
 
 
 def tensor_double_model(spec: ModelSpec) -> TensorDoubleModel:

@@ -20,14 +20,12 @@ import numpy as np
 from .config import (BAND_WEIGHT, BOUND_SLACK, EIG_RESIDUAL, GROUND_SLACK, HERMITICITY,
                      PROJECTOR, SPECTRAL_REL)
 from .linalg import (
-    NormSpec,
-    OPERATOR,
     as_matrix,
     norm_at_most,
     norm_upper,
+    operator_norm,
     polar_unitary,
     require_unitary,
-    schatten_kyfan_norm,
     twisted_commutator,
 )
 
@@ -271,28 +269,21 @@ class BandSpec:
         return np.eye(self.dim) - self.p
 
 
-def _budget_norm(x, spec: NormSpec) -> float:
-    """||X|| in the gauge `spec` for a certificate's budget: the proven upper
-    bound `norm_upper` for the operator norm, the SVD value otherwise."""
-    return norm_upper(x) if math.isinf(spec.p) else schatten_kyfan_norm(x, spec)
-
-
-def commutator_epsilon(u, band: BandSpec, spec: NormSpec = OPERATOR) -> float:
-    """||[U, H]|| in the chosen norm: the epsilon of an approximate symmetry.
-    In the operator norm it is an upper bound proven by `linalg.norm_upper`,
-    at most 1e-9 relative above the true value for n <= 1000; other gauges
-    take the SVD's value."""
+def commutator_epsilon(u, band: BandSpec) -> float:
+    """||[U, H]||_2: the epsilon of an approximate symmetry, an upper bound
+    proven by `linalg.norm_upper`, at most 1e-9 relative above the true value
+    for n <= 1000."""
     u = require_unitary(u, "U")
-    return _budget_norm(u @ band.h - band.h @ u, spec)
+    return norm_upper(u @ band.h - band.h @ u)
 
 
-def offdiag_norm(u, band: BandSpec, spec: NormSpec = OPERATOR) -> float:
-    """||Pbar U P + P U Pbar||: the off-block-diagonal part of U with respect
-    to the band.  Bounded by commutator_epsilon / gap for zero-width bands,
-    with equality in the operator norm when H = gap * Pbar."""
+def offdiag_norm(u, band: BandSpec) -> float:
+    """||Pbar U P + P U Pbar||_2: the off-block-diagonal part of U with
+    respect to the band.  Bounded by commutator_epsilon / gap for zero-width
+    bands, with equality when H = gap * Pbar."""
     u = require_unitary(u, "U")
     pb = band.p_bar
-    return schatten_kyfan_norm(pb @ u @ band.p + band.p @ u @ pb, spec)
+    return operator_norm(pb @ u @ band.p + band.p @ u @ pb)
 
 
 @dataclass
@@ -301,8 +292,8 @@ class GroundSymmetry:
 
     full      : operator on the whole space commuting with P, unitary on the band
     on_band   : its restriction to the band basis (rank x rank unitary)
-    xi        : (epsilon + width) / gap for the norm used
-    epsilon   : measured ||[U, H]||
+    xi        : (epsilon + width) / gap
+    epsilon   : ||[U, H]||_2, a proven upper bound (`commutator_epsilon`)
     dist_full_measured / dist_full_bound   : ||U - full|| vs xi + f(xi^2)
     dist_band_measured / dist_band_bound   : ||P (U - full) P|| vs f(xi^2)
 
@@ -321,25 +312,14 @@ class GroundSymmetry:
     dist_band_bound: float
 
 
-def _band_norm(spec: NormSpec, band: BandSpec) -> NormSpec:
-    """One unitarily invariant gauge usable on the ambient and band spaces at
-    once: clamp k to the band rank.  On the band, (2, rank) is the Frobenius
-    norm; the restriction bounds hold for any single such gauge applied to
-    every quantity in the chain."""
-    if spec.k <= band.rank:
-        return spec
-    return NormSpec(spec.p, band.rank)
-
-
-def ground_symmetry(u, band: BandSpec, spec: NormSpec = OPERATOR) -> GroundSymmetry:
+def ground_symmetry(u, band: BandSpec) -> GroundSymmetry:
     """Construct the nearby band symmetry: polar-unitarize the band block of U
     and keep U on the complement.
 
     Requires xi = (epsilon + width) / gap < 1, which keeps the band block of U
     invertible (its singular values are at least 1 - f(xi^2) > 0).  The
     measured distances are checked against their certified bounds, with
-    allowance config.GROUND_SLACK.  A spec with k above the band rank is
-    clamped so the same norm applies on the band.
+    allowance config.GROUND_SLACK.
 
     With B the band basis (so P = B B^dag), A = B^dag U B, W its polar
     factor and thin QRs Pbar U B = Q_f R_f and Pbar U^dag B = Q_e R_e,
@@ -355,8 +335,7 @@ def ground_symmetry(u, band: BandSpec, spec: NormSpec = OPERATOR) -> GroundSymme
     ||P (U - full) P|| = ||A - W||.
     """
     u = as_matrix(u, square=True)
-    spec = _band_norm(spec, band)
-    eps = commutator_epsilon(u, band, spec)  # also checks that U is unitary
+    eps = commutator_epsilon(u, band)  # also checks that U is unitary
     xi = (eps + band.width) / band.gap
     if xi >= 1.0:
         raise ValueError(
@@ -377,8 +356,8 @@ def ground_symmetry(u, band: BandSpec, spec: NormSpec = OPERATOR) -> GroundSymme
     core[g:, :g] = np.linalg.qr(ub - basis @ block, mode="r")
 
     fx = sqrt_defect(xi ** 2)
-    dist_full = schatten_kyfan_norm(core, spec)
-    dist_band = schatten_kyfan_norm(core[:g, :g], spec)
+    dist_full = operator_norm(core)
+    dist_band = operator_norm(core[:g, :g])
     bound_full = xi + fx
     bound_band = fx
     if dist_full > bound_full + GROUND_SLACK or dist_band > bound_band + GROUND_SLACK:
@@ -418,31 +397,26 @@ class RestrictionResult:
     ground_v: GroundSymmetry
 
 
-def restrict_pair(u, v, band: BandSpec, alpha: float,
-                  spec: NormSpec = OPERATOR) -> RestrictionResult:
+def restrict_pair(u, v, band: BandSpec, alpha: float) -> RestrictionResult:
     """Restrict two approximate symmetries to the band and certify the twisted
     commutation value of the restrictions:
 
         || [[u, v]]_alpha || <= delta + 2 xi^2 + 4 f(xi^2),
 
     with xi = (max epsilon + width) / gap and delta the measured ambient
-    twisted commutation value.  In the operator norm epsilon and delta are
-    upper bounds proven by `linalg.norm_upper` (at most 1e-9 relative above
-    the true values for n <= 1000), so no SVD rounding can understate the
-    budget; other gauges take the SVD's values.  The measured restricted
-    value is asserted against the bound with allowance config.BOUND_SLACK
-    (violation would indicate a numerical failure).  One gauge is used
-    throughout: a spec with k above the band rank is clamped.
+    twisted commutation value, all in the operator norm.  Epsilon and delta
+    are upper bounds proven by `linalg.norm_upper` (at most 1e-9 relative
+    above the true values for n <= 1000), so no SVD rounding can understate
+    the budget.  The measured restricted value is asserted against the bound
+    with allowance config.BOUND_SLACK (violation would indicate a numerical
+    failure).
     """
-    spec = _band_norm(spec, band)
-    gs_u = ground_symmetry(u, band, spec)
-    gs_v = ground_symmetry(v, band, spec)
+    gs_u = ground_symmetry(u, band)
+    gs_v = ground_symmetry(v, band)
     xi = max(gs_u.xi, gs_v.xi)
-    delta_in = _budget_norm(twisted_commutator(u, v, alpha), spec)
+    delta_in = norm_upper(twisted_commutator(u, v, alpha))
     bound = delta_in + 2.0 * xi ** 2 + 4.0 * sqrt_defect(xi ** 2)
-    measured = schatten_kyfan_norm(
-        twisted_commutator(gs_u.on_band, gs_v.on_band, alpha), spec
-    )
+    measured = operator_norm(twisted_commutator(gs_u.on_band, gs_v.on_band, alpha))
     if measured > bound + BOUND_SLACK:
         raise ArithmeticError(
             f"restricted twisted commutation value {measured:.6e} exceeds the "

@@ -139,9 +139,10 @@ def test_criterion_4_restriction_bounds():
                          width=width, perturbation_strength=s,
                          seed=int(rng.integers(0, 2 ** 31)))
         model = clock_model(spec)
-        if model.flagged:
+        try:
+            res = restrict_pair(model.u, model.v, model.band, model.alpha)
+        except ValueError:  # xi >= 1
             continue
-        res = restrict_pair(model.u, model.v, model.band, model.alpha)
         if not (is_unitary(res.u, 1e-10) and is_unitary(res.v, 1e-10)):
             ok = False
             detail.append(f"non-unitary restriction at seed {spec.seed}")
@@ -276,10 +277,12 @@ def _tuned_tensor_model(d1, d2, seed):
                          n_excited=d1 * d2, gap=1.0,
                          perturbation_strength=s, seed=seed)
         model = tensor_double_model(spec)
-        if not model.flagged:
-            band = model.band
-            ops = [ground_symmetry(op, band).on_band
+        try:
+            ops = [ground_symmetry(op, model.band).on_band
                    for op in (model.u1, model.u2, model.v1, model.v2)]
+        except ValueError:  # xi >= 1
+            pass
+        else:
             rep = verify_double_witness(ops[0], ops[1], ops[2], ops[3], d1, d2)
             if rep.ok:
                 return model, rep, s

@@ -20,6 +20,7 @@ from twistcert import (
     certify_single,
     clock_model,
     ground_symmetry,
+    restrict_pair,
 )
 from twistcert import certify as certify_module
 from twistcert import cli as cli_module
@@ -251,7 +252,8 @@ class TestCertify:
         spec = ModelSpec(kind="clock-block", g=2, n_excited=4, gap=1.0, seed=9,
                          perturbation_strength=0.8)
         model = clock_model(spec)
-        assert model.flagged  # construction premise of this test
+        with pytest.raises(ValueError, match="xi"):  # construction premise of this test
+            restrict_pair(model.u, model.v, model.band, model.alpha)
         manifest = tmp_path / "model.json"
         manifest.write_text(spec.to_json())
         rc = main(["certify", "--manifest", str(manifest),
@@ -296,6 +298,23 @@ class TestCertify:
     def test_missing_file_exits_1(self, tmp_path):
         rc = main(["certify", "--manifest", str(tmp_path / "nope.json")])
         assert rc == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("perturbation_strength", float("nan")), ("gap", float("inf")),
+        ("seed", 1.5), ("seed", -1), ("g", 3.0), ("n_excited", 6.0), ("g2", 2.0),
+    ])
+    def test_malformed_model_field_exits_1(self, tmp_path, capsys, field, value):
+        fields = {"kind": "tensor-double", "g": 3, "g2": 2, "n_excited": 6,
+                  "gap": 1.0, "seed": 1}  # a valid manifest but for `field`
+        manifest = tmp_path / "model.json"
+        manifest.write_text(json.dumps({**fields, field: value}))
+        out = tmp_path / "cert.json"
+        rc = main(["certify", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "Traceback" not in err[0]
+        assert err[0].startswith(f"error: bad model manifest {manifest}: {field} ")
 
     @pytest.mark.parametrize("name", ["gap", "width"])
     def test_non_finite_stated_band_value_exits_2(self, tmp_path, capsys, name):

@@ -287,8 +287,7 @@ class TestBatchedDescent:
             assert np.array_equal(v, haar_unitary(2, rng))
 
     @pytest.mark.parametrize("kwargs", [
-        {"iters": -5}, {"step0": -1.0}, {"step0": 0.0}, {"step0": math.nan},
-        {"step0": math.inf}, {"spec": NormSpec(2.0, 3)}, {"restarts": 0},
+        {"iters": -5}, {"spec": NormSpec(2.0, 3)}, {"restarts": 0},
     ])
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(ValueError):

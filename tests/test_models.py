@@ -9,6 +9,7 @@ from twistcert import (
     ModelSpec,
     certify_single,
     clock_model,
+    ground_symmetry,
     hermitian_perturbation,
     lambda_min,
     operator_norm,
@@ -16,6 +17,12 @@ from twistcert import (
     tensor_double_model,
     twisted_commutator,
 )
+
+
+def eps_max(model):
+    """The largest measured ||[op, H]|| of a tensor-double model."""
+    return max(ground_symmetry(op, model.band).epsilon
+               for op in (model.u1, model.u2, model.v1, model.v2))
 
 
 def spec_for(g=3, s=0.0, seed=0, kind="clock-block", ne=None, width=0.0):
@@ -60,16 +67,18 @@ class TestClockModel:
     def test_exact_at_zero_perturbation(self):
         for g in (2, 3, 5):
             model = clock_model(spec_for(g=g, s=0.0, seed=g))
-            assert model.eps_u == pytest.approx(0.0, abs=1e-12)
-            assert model.eps_v == pytest.approx(0.0, abs=1e-12)
-            assert model.delta == pytest.approx(0.0, abs=1e-12)
-            assert not model.flagged
+            # raises ValueError when xi >= 1
+            res = restrict_pair(model.u, model.v, model.band, model.alpha)
+            assert res.eps_u == pytest.approx(0.0, abs=1e-12)
+            assert res.eps_v == pytest.approx(0.0, abs=1e-12)
+            assert res.delta_in == pytest.approx(0.0, abs=1e-12)
 
     def test_flat_band_small_perturbation(self):
         # triangle inequality: eps <= 2 s, so eps / gap <= 0.02 at s = 0.01
         model = clock_model(spec_for(g=3, s=0.01, seed=1, kind="flat-band"))
-        assert model.eps_u <= 0.02 + 1e-12
-        assert model.eps_v <= 0.02 + 1e-12
+        res = restrict_pair(model.u, model.v, model.band, model.alpha)
+        assert res.eps_u <= 0.02 + 1e-12
+        assert res.eps_v <= 0.02 + 1e-12
 
     def test_band_projector_is_spectral(self):
         for seed in range(20):
@@ -83,8 +92,8 @@ class TestClockModel:
     def test_width_variant(self):
         model = clock_model(spec_for(g=3, s=0.0, seed=2, width=0.2))
         assert model.band.width == pytest.approx(0.2, abs=1e-10)
-        assert model.delta == pytest.approx(0.0, abs=1e-12)
         res = restrict_pair(model.u, model.v, model.band, model.alpha)
+        assert res.delta_in == pytest.approx(0.0, abs=1e-12)
         assert res.xi == pytest.approx(0.2 / model.band.gap, rel=1e-8)
         assert res.delta_out_measured <= res.delta_out_bound + 1e-10
 
@@ -108,9 +117,10 @@ class TestClockModel:
         previous = None
         for s in (0.0, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1):
             model = clock_model(spec_for(g=g, s=s, seed=11))
-            if model.flagged:
+            try:
+                res = restrict_pair(model.u, model.v, model.band, model.alpha)
+            except ValueError:  # xi >= 1
                 break
-            res = restrict_pair(model.u, model.v, model.band, model.alpha)
             bound = res.delta_out_bound
             cert = certify_single(model.alpha, max(bound, 1e-6) if bound > 0 else 0.0)
             if s == 0.0:
@@ -128,13 +138,13 @@ class TestTensorDoubleModel:
         assert model.gamma == pytest.approx(0.0, abs=1e-12)
         for val in model.deltas.values():
             assert val == pytest.approx(0.0, abs=1e-12)
-        assert model.eps_max == pytest.approx(0.0, abs=1e-12)
+        assert eps_max(model) == pytest.approx(0.0, abs=1e-12)
 
     def test_perturbed_measurements_scale(self):
         spec = ModelSpec(kind="tensor-double", g=2, g2=3, n_excited=6, gap=1.0,
                          seed=1, perturbation_strength=0.01)
         model = tensor_double_model(spec)
-        assert model.eps_max <= 0.02 + 1e-12
+        assert eps_max(model) <= 0.02 + 1e-12
         # the ambient pair relations do not involve H and stay exact
         assert model.gamma == pytest.approx(0.0, abs=1e-12)
 
