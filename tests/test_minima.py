@@ -287,7 +287,9 @@ class TestBatchedDescent:
             assert np.array_equal(v, haar_unitary(2, rng))
 
     @pytest.mark.parametrize("kwargs", [
-        {"iters": -5}, {"spec": NormSpec(2.0, 3)}, {"restarts": 0},
+        {"iters": -5}, {"iters": -1}, {"restarts": -3},
+        {"spec": NormSpec(1.0, 3)}, {"spec": NormSpec(math.inf, 4)},
+        {"spec": NormSpec(2.0, 3)}, {"restarts": 0},
     ])
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(ValueError):
