@@ -15,6 +15,7 @@ from twistcert import (
     tensor_double_model,
     verify_double_witness,
 )
+from twistcert.certify import pair_values
 
 # -- the closed-form threshold ------------------------------------------------
 print("certification threshold sin^2(pi/2 d1) / (d1 d2 - 1)^2:")
@@ -41,7 +42,8 @@ spec = ModelSpec(kind="tensor-double", g=d1, g2=d2, n_excited=d1 * d2,
 model = tensor_double_model(spec)
 ground = [ground_symmetry(op, model.band)
           for op in (model.u1, model.u2, model.v1, model.v2)]
-print(f"\nperturbed tensor model: ambient gamma = {model.gamma:.2e},"
+gamma, _ = pair_values(model.u1, model.u2, model.v1, model.v2, d1, d2)
+print(f"\nperturbed tensor model: ambient gamma = {gamma:.2e},"
       f" xi = {max(gs.xi for gs in ground):.4f}")
 
 report = verify_double_witness(*(gs.on_band for gs in ground), d1, d2)

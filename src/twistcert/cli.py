@@ -235,8 +235,6 @@ def double_pipeline(model) -> dict:
     cert = certify_double(d1, d2, report.gamma, report.delta)
     return {
         "measured": {
-            "ambient_gamma": model.gamma,
-            "ambient_deltas": model.deltas,
             "xi": max(gs.xi for gs in ground),
             "band_gamma": report.gamma,
             "band_delta": report.delta,
@@ -255,30 +253,34 @@ def double_pipeline(model) -> dict:
     }
 
 
-def _model_from_manifest(path: str):
+def _model_from_manifest(path: str, command: str = "certify"):
+    """The manifest's model; only certify takes a tensor-double one."""
     data = _load_json_file(path)
     try:
         spec = ModelSpec(**data)
     except (TypeError, ValueError) as exc:
         raise CliIOError(f"bad model manifest {path}: {exc}") from exc
-    if spec.kind == "tensor-double":
-        return spec, tensor_double_model(spec)
-    return spec, clock_model(spec)
+    if spec.kind != "tensor-double":
+        return clock_model(spec)
+    if command != "certify":
+        raise ValueError(f"{command} reports cover single-pair models")
+    return tensor_double_model(spec)
+
+
+def _reject_unread(args, route: str, reads=()) -> None:
+    """Refuse the certify flags that `route` would silently ignore."""
+    given = [f"--{name}" for name in ("hamiltonian", "projector", "u", "v", "alpha",
+                                      "delta", "gap", "width")
+             if name not in reads and getattr(args, name) is not None]
+    if given:
+        raise CliIOError(f"certify {route} does not read {', '.join(given)}")
 
 
 def cmd_certify(args) -> int:
-    if args.manifest is None and args.delta is not None:
-        # direct route: certify a stated (alpha, delta) with no matrices
-        if args.alpha is None:
-            raise CliIOError("--delta needs --alpha")
-        cert = certify_single(float(args.alpha), float(args.delta))
-        manifest = RunManifest.build(
-            "certify", {"alpha": args.alpha, "delta": args.delta}
-        )
-        _write_json(args.out, manifest, {"certificate": certificate_to_dict(cert)})
-        return EXIT_OK
-    if args.manifest:
-        spec, model = _model_from_manifest(args.manifest)
+    if args.manifest is not None:
+        _reject_unread(args, "--manifest")
+        model = _model_from_manifest(args.manifest)
+        spec = model.spec
         manifest = RunManifest.build(
             "certify", {"manifest": json.loads(spec.to_json())}, seed=spec.seed
         )
@@ -286,6 +288,16 @@ def cmd_certify(args) -> int:
             payload = double_pipeline(model)
         else:
             payload = single_pipeline(model.band, model.u, model.v, model.alpha)
+    elif args.delta is not None:
+        # direct route: certify a stated (alpha, delta) with no matrices
+        _reject_unread(args, "--delta", reads=("alpha", "delta"))
+        if args.alpha is None:
+            raise CliIOError("--delta needs --alpha")
+        cert = certify_single(float(args.alpha), float(args.delta))
+        manifest = RunManifest.build(
+            "certify", {"alpha": args.alpha, "delta": args.delta}
+        )
+        payload = {"certificate": certificate_to_dict(cert)}
     else:
         required = [args.hamiltonian, args.projector, args.u, args.v, args.alpha]
         if any(x is None for x in required):
@@ -314,10 +326,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_restrict(args) -> int:
-    spec, model = _model_from_manifest(args.manifest)
-    if spec.kind == "tensor-double":
-        raise CliIOError("restrict reports cover single-pair models")
-    band = model.band
+    model = _model_from_manifest(args.manifest, "restrict")
+    spec, band = model.spec, model.band
     res = restrict_pair(model.u, model.v, band, model.alpha)
     payload = {
         "model": json.loads(spec.to_json()),
@@ -352,10 +362,8 @@ def _gs_table(gs) -> dict:
 
 
 def cmd_eigshare(args) -> int:
-    spec, model = _model_from_manifest(args.manifest)
-    if spec.kind == "tensor-double":
-        raise CliIOError("eigshare reports cover single-pair models")
-    h, u = model.band.h, model.u
+    model = _model_from_manifest(args.manifest, "eigshare")
+    spec, h, u = model.spec, model.band.h, model.u
     evals = np.linalg.eigvalsh(h)
     seed = float(evals[int(np.argmin(np.abs(evals)))])
     general = shared_approx_eigenvector(h, u, seed)

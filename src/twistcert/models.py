@@ -5,9 +5,9 @@ A clock/shift pair acts exactly on a code block; on the excited block the
 pair and the Hamiltonian are built from commuting tensor factors conjugated
 by a seeded Haar unitary, so at zero perturbation the symmetries are exact and
 the ambient twisted commutation value vanishes.  A seeded Hermitian
-perturbation of the Hamiltonian then degrades everything in a controlled way,
-and all figures of merit are measured on the perturbed instance rather than
-trusted from the construction.
+perturbation of the Hamiltonian then degrades everything in a controlled way.
+A model holds matrices and its band only: the pipelines measure what they
+read on the perturbed instance rather than trusting the construction.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .certify import _integer, _real, pair_values
+from .certify import _integer, _real
 from .linalg import haar_unitary, norm_upper
 from .minima import clock_matrix, shift_matrix
 from .restriction import BandSpec
@@ -199,9 +199,10 @@ def clock_model(spec: ModelSpec) -> ClockModel:
 
 @dataclass
 class TensorDoubleModel:
-    """Two mutually compatible twisted pairs on a tensor-product code space,
-    embedded as approximate symmetries; gamma and the four deltas are the
-    ambient values, proven upper bounds from `certify.pair_values`."""
+    """Two mutually compatible twisted pairs (twists 1/spec.g, 1/spec.g2) on
+    a tensor-product code space, embedded as approximate symmetries.  The
+    perturbation touches only H, so the ambient pair relations stay exact to
+    rounding; `cli.double_pipeline` measures the band values it certifies."""
 
     spec: ModelSpec
     band: BandSpec
@@ -209,10 +210,6 @@ class TensorDoubleModel:
     u2: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
-    alpha1: float
-    alpha2: float
-    gamma: float
-    deltas: dict
 
 
 def tensor_double_model(spec: ModelSpec) -> TensorDoubleModel:
@@ -229,8 +226,4 @@ def tensor_double_model(spec: ModelSpec) -> TensorDoubleModel:
         np.kron(eye1, shift_matrix(g2)),
     ]
     band, (u1, u2, v1, v2) = _assemble(spec, code_ops)
-    gamma, deltas = pair_values(u1, u2, v1, v2, g, g2)
-    return TensorDoubleModel(
-        spec=spec, band=band, u1=u1, u2=u2, v1=v1, v2=v2,
-        alpha1=1.0 / g, alpha2=1.0 / g2, gamma=gamma, deltas=deltas,
-    )
+    return TensorDoubleModel(spec=spec, band=band, u1=u1, u2=u2, v1=v1, v2=v2)

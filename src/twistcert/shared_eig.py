@@ -47,8 +47,6 @@ class ClusterResult:
     diameter       : max |lam_i - seed| over the cluster (at most n * r)
     separation     : min distance from the cluster to the rest (> r)
     seed           : the seed eigenvalue
-    basis          : orthonormal basis of the clustered eigenvectors, when the
-                     cluster was built from a full eigendecomposition
     """
 
     indices: tuple
@@ -57,7 +55,6 @@ class ClusterResult:
     diameter: float
     separation: float
     seed: complex
-    basis: np.ndarray | None = None
 
     @property
     def diameter_bound(self) -> float:
@@ -169,7 +166,6 @@ def _shared(a, b, seed_lambda, normal_b: bool) -> SharedEigenResult:
     cl = cluster(dec.eigenvalues, seed, r)
     idx = np.asarray(cl.indices)
     basis = dec.eigenvectors[:, idx]
-    cl.basis = basis
 
     b_vv = basis.conj().T @ b @ basis
     block_vals = eig_general(b_vv)

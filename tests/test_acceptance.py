@@ -41,6 +41,7 @@ from twistcert import (
     tensor_double_model,
     verify_double_witness,
 )
+from twistcert.certify import pair_values
 from twistcert.linalg import eig_normal
 
 
@@ -299,7 +300,8 @@ def test_criterion_7_two_pair_certification():
             spec = ModelSpec(kind="tensor-double", g=d1, g2=d2,
                              n_excited=d1 * d2, gap=1.0, seed=7)
             model = tensor_double_model(spec)
-            cert = certify_double(d1, d2, model.gamma, max(model.deltas.values()))
+            gamma, deltas = pair_values(model.u1, model.u2, model.v1, model.v2, d1, d2)
+            cert = certify_double(d1, d2, gamma, max(deltas.values()))
             if cert.d_min != d1 * d2:
                 ok = False
                 detail.append(f"exact ({d1},{d2}) certified {cert.d_min}")

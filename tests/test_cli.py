@@ -247,6 +247,8 @@ class TestCertify:
         doc = json.loads(out.read_text())
         assert doc["certificate"]["d_min"] == 4
         assert doc["witness"]["gram_rank"] == 4
+        assert set(doc["measured"]) == {"xi", "band_gamma", "band_delta",
+                                        "band_delta_parts"}
 
     def test_xi_too_large_exits_2(self, tmp_path):
         spec = ModelSpec(kind="clock-block", g=2, n_excited=4, gap=1.0, seed=9,
@@ -331,6 +333,39 @@ class TestCertify:
         assert capsys.readouterr().err.strip() == (
             f"precondition violated: {name} must be finite, got nan")
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--delta", "0.5"], "--delta"),
+        (["--alpha", "0.25"], "--alpha"),
+        (["--gap", "3"], "--gap"),
+        (["--width", "0.1"], "--width"),
+        (["--u", "u.mat"], "--u"),
+    ])
+    def test_manifest_route_rejects_unread_flag(self, tmp_path, capsys, argv, flag):
+        spec = ModelSpec(kind="clock-block", g=3, n_excited=6, gap=1.0, seed=5)
+        manifest = tmp_path / "model.json"
+        manifest.write_text(spec.to_json())
+        out = tmp_path / "cert.json"
+        rc = main(["certify", "--manifest", str(manifest), *argv, "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: certify --manifest does not read {flag}"]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--gap", "3"], "--gap"),
+        (["--width", "0.1"], "--width"),
+        (["--hamiltonian", "h.mat"], "--hamiltonian"),
+        (["--projector", "p.mat"], "--projector"),
+    ])
+    def test_direct_route_rejects_unread_flag(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "direct.json"
+        rc = main(["certify", "--alpha", "0.25", "--delta", "0.5", *argv,
+                   "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: certify --delta does not read {flag}"]
+
     def test_malformed_matrix_exits_1(self, tmp_path):
         bad = tmp_path / "bad.mat"
         bad.write_text("2 2\n1 0\n")
@@ -409,8 +444,10 @@ class TestFactorizationBudget:
 
     def test_tensor_double_certify(self, tmp_path, monkeypatch):
         """The two-pair pipeline diagonalizes H once, by the model's subset
-        eigensolve, and bounds its ambient norms with no n x n SVD beyond
-        norm_upper's counted fallbacks."""
+        eigensolve, and runs one Cholesky proof for each of its five n x n
+        norms (perturbation scale, the four operators' epsilons) with no
+        n x n SVD beyond norm_upper's counted fallbacks: the five ambient
+        pair values are not measured."""
         n = self.N
         spec = ModelSpec(kind="tensor-double", g=2, g2=3, n_excited=n - 6, gap=1.0,
                          seed=9, perturbation_strength=0.005)
@@ -421,6 +458,7 @@ class TestFactorizationBudget:
                    "--out", str(tmp_path / "cert.json")])
         assert rc == 0
         assert counts["svd"] == counts["svd_fallback"] == 0
+        assert counts["cholesky"] == 5
         assert counts["eigh"] == 0
         assert counts["eigh_subset"] == 1
         assert counts["eigvalsh"] == 0
@@ -462,6 +500,24 @@ class TestReports:
             assert table["residual_a"] <= table["bound"] + 1e-10
             assert table["residual_b"] <= table["bound"] + 1e-10
             assert table["b_offdiag_norm"] <= table["b_offdiag_bound"] + 1e-10
+
+    @pytest.mark.parametrize("command", ["restrict", "eigshare"])
+    def test_tensor_double_manifest_exits_2(self, tmp_path, capsys, monkeypatch,
+                                            command):
+        """A valid tensor-double manifest is outside these reports' scope: a
+        precondition exit, refused before the model is built."""
+        spec = ModelSpec(kind="tensor-double", g=2, g2=3, n_excited=6, gap=1.0,
+                         seed=4)
+        manifest = tmp_path / "model.json"
+        manifest.write_text(spec.to_json())
+        monkeypatch.setattr(cli_module, "tensor_double_model", None)
+        out = tmp_path / "report.json"
+        rc = main([command, "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"precondition violated: {command} reports cover "
+                       "single-pair models"]
 
 
 class TestCheck:

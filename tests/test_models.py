@@ -17,12 +17,19 @@ from twistcert import (
     tensor_double_model,
     twisted_commutator,
 )
+from twistcert.certify import pair_values
 
 
 def eps_max(model):
     """The largest measured ||[op, H]|| of a tensor-double model."""
     return max(ground_symmetry(op, model.band).epsilon
                for op in (model.u1, model.u2, model.v1, model.v2))
+
+
+def ambient_values(model):
+    """(gamma, deltas) of a tensor-double model's ambient operators."""
+    return pair_values(model.u1, model.u2, model.v1, model.v2,
+                       model.spec.g, model.spec.g2)
 
 
 def spec_for(g=3, s=0.0, seed=0, kind="clock-block", ne=None, width=0.0):
@@ -135,8 +142,9 @@ class TestTensorDoubleModel:
         spec = ModelSpec(kind="tensor-double", g=2, g2=2, n_excited=4, gap=1.0,
                          seed=0)
         model = tensor_double_model(spec)
-        assert model.gamma == pytest.approx(0.0, abs=1e-12)
-        for val in model.deltas.values():
+        gamma, deltas = ambient_values(model)
+        assert gamma == pytest.approx(0.0, abs=1e-12)
+        for val in deltas.values():
             assert val == pytest.approx(0.0, abs=1e-12)
         assert eps_max(model) == pytest.approx(0.0, abs=1e-12)
 
@@ -146,7 +154,8 @@ class TestTensorDoubleModel:
         model = tensor_double_model(spec)
         assert eps_max(model) <= 0.02 + 1e-12
         # the ambient pair relations do not involve H and stay exact
-        assert model.gamma == pytest.approx(0.0, abs=1e-12)
+        gamma, _ = ambient_values(model)
+        assert gamma == pytest.approx(0.0, abs=1e-12)
 
     def test_code_dim(self):
         spec = ModelSpec(kind="tensor-double", g=2, g2=3, n_excited=12, gap=1.0,
