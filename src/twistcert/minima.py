@@ -80,7 +80,10 @@ def lambda_min(g: int, alpha: float, spec: NormSpec = OPERATOR) -> float:
 
         2 k^(1/p) sin(pi |round(g alpha) - g alpha| / g)
 
-    Zero exactly when g * alpha is an integer.
+    Zero exactly when g * alpha is an integer.  The twist is reduced with
+    math.fmod(alpha, 1.0) before g alpha is formed: fmod is exact, so the
+    value is that of alpha itself, and g alpha cannot overflow (alpha = 1e308
+    is an integer twist, with floor 0).
     """
     if g < 1:
         raise ValueError(f"dimension must be positive, got {g}")
@@ -90,6 +93,7 @@ def lambda_min(g: int, alpha: float, spec: NormSpec = OPERATOR) -> float:
         raise ValueError(f"k = {spec.k} exceeds dimension {g}")
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
+    alpha = math.fmod(alpha, 1.0)
     m = round_half_away(g * alpha)
     prefactor = 1.0 if math.isinf(spec.p) else spec.k ** (1.0 / spec.p)
     return float(2.0 * prefactor * np.sin(np.pi * abs(m - g * alpha) / g))

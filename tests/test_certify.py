@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -211,6 +212,26 @@ class TestCertifySingle:
                     continue
                 reference = bisection_slack(alpha, float(delta))
                 assert cert.slack == pytest.approx(reference, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("event", [0.0, 1.9], ids=["event-not-ahead", "before-fails"])
+    def test_walk_stops_where_rounding_contradicts_the_event(self, monkeypatch, event):
+        """An event at or below the current point, or one whose preceding
+        point fails, ends the slack walk at the last point it confirmed."""
+        monkeypatch.setattr(certify_module, "_packing_event", lambda alpha, js: event)
+        cert = certify_single(0.3, 0.01)
+        assert cert.d_min == 10
+        assert cert.slack == 0.0
+        assert cert.witness["packing_delta"] == 0.01
+        assert certify_module.verify_certificate(cert) is None
+
+    @pytest.mark.parametrize("alpha, delta", [(0.3, 0.01), (0.7071, 0.003), (0.25, 0.05)])
+    def test_certificate_at_its_packing_delta_has_no_slack(self, alpha, delta):
+        """At its own packing_delta a certificate's event lies one step ahead:
+        the probe past it fails and the point before it is the start."""
+        top = certify_single(alpha, delta).witness["packing_delta"]
+        again = certify_single(alpha, top)
+        assert again.slack == 0.0
+        assert again.witness["packing"] == certify_single(alpha, delta).witness["packing"]
 
     def test_slack_symmetric_under_conjugation(self):
         rng = np.random.default_rng(10)
@@ -506,6 +527,10 @@ class TestOverlapBound:
     def test_divergence_at_small_separation(self):
         assert overlap_bound(0.1, 0.0, 1e-6) > 1e2
 
+    def test_negative_error_rejected(self):
+        with pytest.raises(ValueError, match="zeta must be nonnegative"):
+            overlap_bound(-0.1, 0.0, 1.0)
+
     def test_coincident_rejected(self):
         with pytest.raises(ValueError):
             overlap_bound(0.1, 0.3, 0.3)
@@ -547,6 +572,10 @@ class TestGramIndependent:
         with pytest.raises(ValueError):
             gram_independent([np.array([2.0, 0.0])])
 
+    def test_single_vector(self):
+        assert gram_independent([np.array([0.6, 0.8j])]) == (
+            True, pytest.approx(1.0, abs=1e-15), 0.0, math.inf)
+
 
 class TestCertifyDouble:
     def test_exact_certifies_product(self):
@@ -582,6 +611,10 @@ class TestCertifyDouble:
         with pytest.raises(ValueError):
             certify_double(3, 2, 0.0, 0.0)
 
+    def test_rejects_negative_gamma(self):
+        with pytest.raises(ValueError, match="gamma and delta must be nonnegative"):
+            certify_double(2, 2, -1.0, 0.1)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["gamma", "delta"])
     def test_non_finite_value_rejected(self, name, value):
@@ -607,19 +640,57 @@ class TestLambdaExclusion:
                 assert delta < lambda_min(g, alpha)
             assert delta >= lambda_min(cert.d_min, alpha) or cert.d_min == 33
 
+    @pytest.mark.parametrize("delta, g_max, message", [
+        (0.1, 0, "g_max must be >= 1"),
+        (np.nan, 64, "delta must be finite"),
+        (-0.1, 64, "delta must be nonnegative"),
+    ], ids=["g_max-zero", "nan-delta", "negative-delta"])
+    def test_rejects_bad_arguments(self, delta, g_max, message):
+        with pytest.raises(ValueError, match=message):
+            certify_lambda_exclusion(0.25, delta, g_max=g_max)
+
+
+def exact_tensor_pairs(d1, d2):
+    """Exact clock/shift pairs of twists 1/d1 and 1/d2 acting on the two
+    factors of C^d1 (x) C^d2, as (u1, u2, v1, v2)."""
+    return (np.kron(clock_matrix(d1), np.eye(d2)), np.kron(np.eye(d1), clock_matrix(d2)),
+            np.kron(shift_matrix(d1), np.eye(d2)), np.kron(np.eye(d1), shift_matrix(d2)))
+
 
 class TestVerifyDoubleWitness:
     def test_exact_tensor_product(self):
         d1, d2 = 2, 3
-        u1 = np.kron(clock_matrix(d1), np.eye(d2))
-        v1 = np.kron(shift_matrix(d1), np.eye(d2))
-        u2 = np.kron(np.eye(d1), clock_matrix(d2))
-        v2 = np.kron(np.eye(d1), shift_matrix(d2))
-        report = verify_double_witness(u1, u2, v1, v2, d1, d2)
+        report = verify_double_witness(*exact_tensor_pairs(d1, d2), d1, d2)
         assert report.ok
         assert report.gamma == pytest.approx(0.0, abs=1e-14)
         assert report.gram_rank == d1 * d2
         assert report.gram_min_eigenvalue == pytest.approx(1.0, abs=1e-8)
+
+    def test_off_eigenspace_vector_records_failures(self, monkeypatch):
+        """A shared vector off the common +1 eigenspace of exact pairs fails
+        both residual bounds, every expectation bound and the Gram rank; each
+        is recorded in `failures`, not raised."""
+        ops = exact_tensor_pairs(2, 3)
+        uniform = np.full(6, 1.0 / np.sqrt(6.0), dtype=complex)
+        monkeypatch.setattr(certify_module, "shared_approx_eigenvector_normal",
+                            lambda a, b, seed_lambda: SimpleNamespace(
+                                vector=uniform, eigenvalue_b=1.0 + 0.0j))
+        report = verify_double_witness(*ops, 2, 3)
+        assert not report.ok
+        assert [f.split(" ")[:4] for f in report.failures[:2]] == [
+            ["shared", "eigenvector", "residual", "(u1)"],
+            ["shared", "eigenvector", "residual", "(u2)"]]
+        assert report.failures[2:] == ["12 expectation bounds failed", "gram rank 1 < 6"]
+
+    @pytest.mark.parametrize("dims, d1, d2, message", [
+        ((6, 6, 6, 6), 3, 2, "need 2 <= d1 <= d2"),
+        ((2, 3, 2, 2), 2, 2, "must share one dimension"),
+        ((2, 2, 3, 2), 2, 2, "must share one dimension"),
+    ], ids=["d1-above-d2", "u2-3x3", "v1-3x3"])
+    def test_rejects_bad_arguments(self, dims, d1, d2, message):
+        ops = [np.eye(n, dtype=complex) for n in dims]
+        with pytest.raises(ValueError, match=message):
+            verify_double_witness(*ops, d1, d2)
 
     def test_violating_instance_is_flagged(self):
         # random unrelated unitaries on a too-small space cannot pass

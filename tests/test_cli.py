@@ -107,6 +107,11 @@ class TestMinima:
         assert capsys.readouterr().err.strip() == (
             "precondition violated: alpha must be finite, got nan")
 
+    def test_huge_twist_row(self, capsys):
+        assert main(["minima", "--g", "2", "--grid", "1e308:1e308:1"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1:] == ["g,alpha,p,k,lambda", "2,1e+308,inf,1,0"]
+
     @pytest.mark.parametrize("grid", ["inf:inf:1", "0:-inf:3", "0:1e400:3"])
     def test_infinite_grid_bound_rejected(self, capsys, grid):
         rc = main(["minima", "--g", "3", "--grid", grid])
@@ -249,6 +254,23 @@ class TestCertify:
         assert doc["witness"]["gram_rank"] == 4
         assert set(doc["measured"]) == {"xi", "band_gamma", "band_delta",
                                         "band_delta_parts"}
+
+    def test_tensor_double_manifest_swaps_pairs(self, tmp_path):
+        """g > g2: the pipeline passes the pairs to the witness and the
+        certificate in ascending order of their twist denominators."""
+        spec = ModelSpec(kind="tensor-double", g=3, g2=2, n_excited=54, gap=1.0,
+                         seed=4, perturbation_strength=1e-6)
+        manifest = tmp_path / "model.json"
+        manifest.write_text(spec.to_json())
+        out = tmp_path / "cert.json"
+        rc = main(["certify", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        cert = doc["certificate"]
+        assert (cert["d_min"], cert["method"]) == (6, "double-pair")
+        assert (cert["inputs"]["d1"], cert["inputs"]["d2"]) == (2, 3)
+        assert doc["witness"]["failures"] == []
+        assert main(["check", str(out)]) == 0
 
     def test_xi_too_large_exits_2(self, tmp_path):
         spec = ModelSpec(kind="clock-block", g=2, n_excited=4, gap=1.0, seed=9,
@@ -620,6 +642,9 @@ class TestCheck:
         ("direct", lambda doc: doc["certificate"].update(
             d_min=float(doc["certificate"]["d_min"]))),
         ("direct", lambda doc: doc["certificate"].update(d_min=True)),
+        ("direct", lambda doc: doc["certificate"].update(inputs=[0.25, 0.5])),
+        ("direct", lambda doc: doc["certificate"].update(method="orbit-count")),
+        ("direct", lambda doc: doc["certificate"].update(d_min=0)),
     ], ids=["missing-alpha", "non-numeric-slack", "nan-delta", "fractional-d_min",
             "top-level-list", "negative-g_max", "fractional-g_max", "fractional-k",
             "non-numeric-p", "fractional-d1", "fractional-d2", "d_min-above-g_max",
@@ -628,7 +653,8 @@ class TestCheck:
             "fallback-null-packing_delta", "stab_angles-not-a-list", "bool-stab-angle",
             "missing-stab_angles", "float-interval-count", "missing-interval-count",
             "non-numeric-failed_by", "missing-failed_by", "witness-without-packing",
-            "excluded-not-a-list", "string-d_min", "integral-float-d_min", "bool-d_min"])
+            "excluded-not-a-list", "string-d_min", "integral-float-d_min", "bool-d_min",
+            "inputs-a-list", "unknown-method", "zero-d_min"])
     def test_malformed_certificate_exits_1(self, tmp_path, capsys, kind, mutate):
         out = tmp_path / "cert.json"
         doc = self.certificate_doc(kind, tmp_path)
@@ -721,12 +747,15 @@ class TestCheck:
          "witness.exact False must be true"),
         ("direct", lambda cert: cert["witness"].update(forced_angle=1.0),
          "witness.forced_angle 1.0 must be 0.0"),
+        ("lambda-exclusion", lambda cert: cert["inputs"].update(alpha=1e308),
+         "the closed-form floors give d_min = 1"),
     ], ids=["double-gamma-edited", "double-gamma-and-delta-edited", "double-slack-edited",
             "double-d_min+1", "double-witness-junk", "exclusion-slack-edited",
             "exclusion-d_min-1", "exclusion-delta-edited", "exclusion-list-junk",
             "exclusion-list-descending", "closed-form-null-slack",
             "closed-form-denominator-edited", "closed-form-d_min+1", "closed-form-delta-edited",
-            "closed-form-not-exact", "greedy-forced-angle-edited"])
+            "closed-form-not-exact", "greedy-forced-angle-edited",
+            "exclusion-integer-twist"])
     def test_failing_certificate_exits_3(self, tmp_path, capsys, kind, mutate, reason):
         doc = self.certificate_doc(kind, tmp_path)
         self.assert_check_fails(tmp_path, capsys, doc, mutate, reason)

@@ -69,6 +69,16 @@ class TestLambdaMin:
             shifted = (alpha + 1.0 / g) % 1.0
             assert lambda_min(g, shifted) == pytest.approx(a, abs=1e-12)
 
+    @pytest.mark.parametrize("g, alpha", [(2, 1e308), (3, 1e308), (2, -1e308)])
+    def test_huge_twist_is_an_integer_twist(self, g, alpha):
+        # g alpha would overflow; alpha itself, like every float of
+        # magnitude 2^53 or more, is an integer
+        assert lambda_min(g, alpha) == 0.0
+
+    def test_twist_reduction_keeps_the_value(self):
+        assert lambda_min(3, 12345.25) == lambda_min(3, 0.25)
+        assert lambda_min(3, -0.75) == lambda_min(3, 0.25)
+
     def test_upper_bound(self):
         for g in range(1, 11):
             bound = lambda_upper_bound(g)
