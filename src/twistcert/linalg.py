@@ -363,11 +363,11 @@ def eig_general(a) -> np.ndarray:
     return vals[_eig_order(vals)]
 
 
-def right_eigenvector(a, target: complex) -> tuple[complex, np.ndarray, float]:
+def right_eigenvector(a, target: complex) -> tuple[complex, np.ndarray]:
     """One right eigenvector for the eigenvalue of `a` nearest `target`.
 
-    Returns (eigenvalue, unit vector, residual ||A x - lam x||_2).  The input
-    need not be normal; the residual is reported rather than enforced.
+    Returns (eigenvalue, unit vector).  The input need not be normal, and
+    the residual ||A x - lam x||_2 is left to the caller.
     """
     import scipy.linalg
 
@@ -376,9 +376,7 @@ def right_eigenvector(a, target: complex) -> tuple[complex, np.ndarray, float]:
     idx = int(np.argmin(np.abs(vals - target)))
     lam = complex(vals[idx])
     x = vecs[:, idx]
-    x = x / np.linalg.norm(x)
-    resid = float(np.linalg.norm(a @ x - lam * x))
-    return lam, x, resid
+    return lam, x / np.linalg.norm(x)
 
 
 def polar_unitary(m) -> np.ndarray:

@@ -10,14 +10,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import UNITARITY
 from .linalg import (
     NormSpec,
     OPERATOR,
     haar_unitary,
     operator_norm,
-    polar_unitary,
     require_unitary,
-    schatten_kyfan_norm,
     twisted_commutator,
 )
 
@@ -151,9 +150,10 @@ def optimal_pair(g: int, alpha: float) -> TwistedPair:
     its norm is minimized by k = round(g alpha).  The commutator is a scalar
     multiple of a unitary, so its singular values are flat and the (p, k) norm
     equals lambda_min for every p >= 2 and k <= g.  At a rounding tie both
-    candidate exponents saturate.
+    candidate exponents saturate.  The exponent is taken from
+    math.fmod(alpha, 1.0), as in lambda_min; alpha itself must lie in [0, 1).
     """
-    m = round_half_away(g * alpha)
+    m = round_half_away(g * math.fmod(alpha, 1.0))
     c = clock_matrix(g)
     s = shift_matrix(g)
     v = np.linalg.matrix_power(s, m % g)
@@ -163,8 +163,10 @@ def optimal_pair(g: int, alpha: float) -> TwistedPair:
 def optimal_angles(g: int, alpha: float) -> np.ndarray:
     """The minimizing eigenvalue angles for the cyclic pairing:
     theta_j = 2 pi round(g alpha) (j - 1) / g, j = 1..g (theta_1 = 0 gauge),
-    evenly spaced with step 2 pi round(g alpha) / g."""
-    m = round_half_away(g * alpha)
+    evenly spaced with step 2 pi round(g alpha) / g.  The twist is reduced
+    with math.fmod(alpha, 1.0) first, as in lambda_min, which changes the
+    angles only by multiples of 2 pi and keeps g alpha finite."""
+    m = round_half_away(g * math.fmod(alpha, 1.0))
     return 2.0 * np.pi * m * np.arange(g) / g
 
 
@@ -185,59 +187,83 @@ def permutation_cost(angles, alpha: float, perm=None) -> float:
 
 def _fro2(x: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of each matrix of an (..., n, n) stack."""
-    return np.sum(x.real ** 2 + x.imag ** 2, axis=(-2, -1))
+    return (x.real ** 2 + x.imag ** 2).sum(axis=(-2, -1))
 
 
-def _descend(u: np.ndarray, v: np.ndarray, alpha: float,
-             iters: int) -> tuple[np.ndarray, np.ndarray]:
-    """Projected gradient descent on the smooth Frobenius-squared objective
-    ||u v - eta v u||_F^2, with polar retraction to the unitary group and a
-    backtracking line search, run on every pair of the (R, g, g) stacks u, v
-    at once.  Frobenius minimizers have flat-spectrum twisted commutators,
-    so they minimize every (p, k) norm simultaneously.
+def _dagger(x: np.ndarray) -> np.ndarray:
+    return x.conj().swapaxes(-1, -2)
+
+
+def _descend(w: np.ndarray, alpha: float, iters: int) -> np.ndarray:
+    """Riemannian gradient descent on the smooth Frobenius-squared objective
+    ||u v - eta v u||_F^2 over pairs of unitaries, with a Cayley retraction
+    and a backtracking line search, run on every pair (u, v) = (w[0, r],
+    w[1, r]) of the (2, R, g, g) stack w at once.  Frobenius minimizers have
+    flat-spectrum twisted commutators, so they minimize every (p, k) norm
+    simultaneously.
+
+    With G_u the Euclidean gradient in u, the Riemannian gradient is u A_u
+    for the skew-Hermitian A_u = skew(u^dag G_u), and likewise for v
+    (Edelman, Arias and Smith, SIAM J. Matrix Anal. Appl. 20 (1998)).  A
+    trial of step s moves u along the Cayley retraction (Wen and Yin, Math.
+    Program. 142 (2013))
+
+        u (I + s A_u / 2)^-1 (I - s A_u / 2) = 2 u (I + s A_u / 2)^-1 - u,
+
+    unitary in exact arithmetic, and is accepted by the Armijo test against
+    ||A_u||_F^2 + ||A_v||_F^2.
 
     Each restart keeps its own step (starting at 0.25), accepted-step
     count, value and gradient.  A round gives every active restart one
-    trial: all trials of the round share one polar retraction (a batched
-    SVD), one commutator and one Armijo test.  An accepted trial grows the step by 1.3 (capped at 1)
-    and refreshes that restart's gradient; a rejected one halves the step.
-    A restart stops after `iters` accepted steps, at a vanishing gradient,
-    or once its step falls to 1e-14.  Every slice is computed on its own, so
-    a restart follows the same path whichever restarts share the stacks.
-    Returns new stacks; the inputs are not modified.
+    trial: all trials of the round share one batched solve, one commutator
+    and one Armijo test.  An accepted trial grows the step by 1.3 (capped
+    at 1) and refreshes that restart's gradient; a rejected one halves the
+    step.  A restart stops once step * ||grad||^2 <= 2^-52 f, where the
+    predicted decrease is below the rounding of its value f; it also stops
+    after `iters` accepted steps, at a vanishing gradient, or once its step
+    falls to 1e-14.  Every slice is computed on its own, so a restart
+    follows the same path whichever restarts share the stack.  Returns a
+    new stack; the input is not modified.
     """
     eta = np.exp(2j * np.pi * alpha)
-    u, v = u.copy(), v.copy()
-    t = twisted_commutator(u, v, alpha)
+    w = w.copy()
+    restarts = w.shape[1]
+    t = twisted_commutator(w[0], w[1], alpha)
     fval = _fro2(t)
-    step = np.full(u.shape[0], 0.25)
-    taken = np.zeros(u.shape[0], dtype=int)
-    gu, gv = np.empty_like(u), np.empty_like(v)
-    gnorm2 = np.empty(u.shape[0])
-    active = np.ones(u.shape[0], dtype=bool)
+    step = np.full(restarts, 0.25)
+    taken = np.zeros(restarts, dtype=int)
+    a = np.empty_like(w)  # A_u, A_v
+    gnorm2 = np.zeros(restarts)
+    eye = np.eye(w.shape[-1])
+    active = np.ones(restarts, dtype=bool)
     stale = active.copy()  # gradient out of date: the last trial was accepted
     while True:
         active &= taken < iters
         new = np.flatnonzero(active & stale)
         if new.size:
             tn = t[new]
-            uh = u[new].conj().swapaxes(-1, -2)
-            vh = v[new].conj().swapaxes(-1, -2)
-            gu[new] = tn @ vh - np.conj(eta) * (vh @ tn)
-            gv[new] = uh @ tn - np.conj(eta) * (tn @ uh)
-            gnorm2[new] = _fro2(gu[new]) + _fro2(gv[new])
+            uh, vh = _dagger(w[:, new])
+            gu = tn @ vh - np.conj(eta) * (vh @ tn)
+            gv = uh @ tn - np.conj(eta) * (tn @ uh)
+            an = np.stack((uh @ gu, vh @ gv))
+            an = 0.5 * (an - _dagger(an))
+            a[:, new] = an
+            gnorm2[new] = _fro2(an).sum(axis=0)
             active[new] = gnorm2[new] >= 1e-30
-        active &= step > 1e-14
+        active &= (step > 1e-14) & (step * gnorm2 > 2.0 ** -52 * fval)
         idx = np.flatnonzero(active)
         if not idx.size:
-            return u, v
-        s = step[idx, None, None]
-        w = polar_unitary(np.stack((u[idx] - s * gu[idx], v[idx] - s * gv[idx])))
-        t2 = twisted_commutator(w[0], w[1], alpha)
+            return w
+        wi = w[:, idx]
+        ht = (0.5 * step[idx, None, None]) * a[:, idx].swapaxes(-1, -2)
+        # Z = w (I + h)^-1 from the transposed system (I + h)^T Z^T = w^T
+        z = np.linalg.solve(eye + ht, wi.swapaxes(-1, -2)).swapaxes(-1, -2)
+        trial = 2.0 * z - wi
+        t2 = twisted_commutator(trial[0], trial[1], alpha)
         f2 = _fro2(t2)
         ok = f2 <= fval[idx] - 1e-4 * step[idx] * gnorm2[idx]
         acc = idx[ok]
-        u[acc], v[acc], t[acc], fval[acc] = w[0, ok], w[1, ok], t2[ok], f2[ok]
+        w[:, acc], t[acc], fval[acc] = trial[:, ok], t2[ok], f2[ok]
         step[acc] = np.minimum(step[acc] * 1.3, 1.0)
         step[idx[~ok]] *= 0.5
         taken[acc] += 1
@@ -249,19 +275,21 @@ def brute_min(g: int, alpha: float, spec: NormSpec = OPERATOR,
               restarts: int = 50, seed: int = 0, iters: int = 300,
               trace: bool = False):
     """Locally minimize the twisted commutation value over pairs of g x g
-    unitaries by seeded random restarts and projected descent.
+    unitaries by seeded random restarts and Riemannian descent (`_descend`).
 
     One-sided oracle for the closed form: the returned value can never fall
     below lambda_min (up to numerical tolerance).  Restart r starts from Haar
     unitaries u0, v0 drawn in that order from default_rng([seed, r]), so runs
-    are reproducible.  All restarts descend together as one (restarts, g, g)
-    stack, but independently: restart r ends on the same pair whatever the
-    number of restarts.  Restricted to 1 <= g <= 4; the cost grows quickly
-    beyond desk scale.
+    are reproducible.  All restarts descend together as one (2, restarts,
+    g, g) stack of (u, v) pairs, but independently: restart r ends on the
+    same pair whatever the number of restarts.  Restricted to 1 <= g <= 4; the cost grows quickly
+    beyond desk scale.  Every final u and v is checked to be unitary to
+    config.UNITARITY in the Frobenius norm, which bounds the operator norm;
+    ArithmeticError if one is not.
 
-    Returns the best value found in the requested norm; with trace=True also
-    returns the list of final (u, v) pairs, one per restart, as views into
-    one stack.
+    Returns the best value found in the requested norm, from one batched
+    SVD of the final commutators; with trace=True also returns the list of
+    final (u, v) pairs, one per restart, as views into one stack.
     """
     if not 1 <= g <= 4:
         raise ValueError(f"brute_min is restricted to 1 <= g <= 4, got {g}")
@@ -271,15 +299,21 @@ def brute_min(g: int, alpha: float, spec: NormSpec = OPERATOR,
         raise ValueError(f"iters must be >= 0, got {iters}")
     if spec.k > g:
         raise ValueError(f"k = {spec.k} exceeds dimension {g}")
-    u0 = np.empty((restarts, g, g), dtype=np.complex128)
-    v0 = np.empty_like(u0)
+    w = np.empty((2, restarts, g, g), dtype=np.complex128)
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        u0[r] = haar_unitary(g, rng)
-        v0[r] = haar_unitary(g, rng)
-    u, v = _descend(u0, v0, alpha, iters=iters)
-    t = twisted_commutator(u, v, alpha)
-    best = min(schatten_kyfan_norm(t_r, spec) for t_r in t)
+        w[0, r] = haar_unitary(g, rng)
+        w[1, r] = haar_unitary(g, rng)
+    w = _descend(w, alpha, iters=iters)
+    if not np.all(_fro2(_dagger(w) @ w - np.eye(g)) <= UNITARITY ** 2):
+        raise ArithmeticError("descent left the unitary group")
+    u, v = w
+    sv = np.linalg.svd(twisted_commutator(u, v, alpha), compute_uv=False)
+    if math.isinf(spec.p):
+        values = sv[:, 0]
+    else:
+        values = np.sum(sv[:, :spec.k] ** spec.p, axis=1) ** (1.0 / spec.p)
+    best = float(values.min())
     if trace:
         return best, list(zip(u, v))
     return best

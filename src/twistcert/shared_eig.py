@@ -177,7 +177,7 @@ def _shared(a, b, seed_lambda, normal_b: bool) -> SharedEigenResult:
             for i in range(block_vals.size)
         ]
         chosen = complex(block_vals[int(np.argmax(seps))])
-    mu, x_v, _ = right_eigenvector(b_vv, chosen)
+    mu, x_v = right_eigenvector(b_vv, chosen)
     mu = complex(mu)
     if b_dec is not None:
         mu = complex(b_dec.eigenvalues[int(np.argmin(np.abs(b_dec.eigenvalues - mu)))])

@@ -172,11 +172,10 @@ class TestEigGeneral:
         rng = np.random.default_rng(8)
         m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         target = eig_general(m)[2]
-        lam, vec, resid = right_eigenvector(m, target)
+        lam, vec = right_eigenvector(m, target)
         assert abs(lam - target) < 1e-10
         assert np.linalg.norm(vec) == pytest.approx(1.0)
-        assert np.linalg.norm(m @ vec - lam * vec) == pytest.approx(resid)
-        assert resid < 1e-8
+        assert np.linalg.norm(m @ vec - lam * vec) < 1e-8
 
 
 class TestPolar:

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistcert import (
     NormSpec,
@@ -19,7 +20,6 @@ from twistcert import (
     optimal_angles,
     optimal_pair,
     permutation_cost,
-    polar_unitary,
     round_half_away,
     schatten_kyfan_norm,
     shift_matrix,
@@ -111,6 +111,10 @@ class TestOptimalPair:
         pair = optimal_pair(4, 0.25)
         assert pair.delta == pytest.approx(0.0, abs=1e-14)
 
+    def test_huge_twist_reaches_the_alpha_check(self):
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\)"):
+            optimal_pair(2, 1e308)
+
     def test_operator_value(self):
         pair = optimal_pair(5, 0.3)
         assert pair.delta == pytest.approx(lambda_min(5, 0.3), abs=1e-12)
@@ -150,6 +154,10 @@ class TestOptimalAngles:
 
     def test_zero_twist(self):
         assert np.allclose(optimal_angles(2, 0.0), [0.0, 0.0])
+
+    def test_huge_twist_is_an_integer_twist(self):
+        # g alpha would overflow; alpha = 1e308 is an integer twist
+        assert np.array_equal(optimal_angles(2, 1e308), optimal_angles(2, 0.0))
 
     def test_cost_matches_closed_form(self):
         # the cyclic pairing cost at the optimal angles is
@@ -201,6 +209,25 @@ class TestBruteMin:
                 best = brute_min(g, float(alpha), OP, restarts=10, seed=3)
                 assert best >= lambda_min(g, float(alpha)) - 1e-6
 
+    def test_reaches_the_floor_on_criterion_2_queries(self):
+        # acceptance criterion 2's queries: the descent must not only stay
+        # above the floor but reach it
+        hits = 0
+        for g in (2, 3):
+            for alpha in np.linspace(0.025, 0.975, 20):
+                best = brute_min(g, float(alpha), OP, restarts=50, seed=2026)
+                hits += best - lambda_min(g, float(alpha)) <= 1e-6
+        assert hits >= 36
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=st.integers(1, 4), alpha=st.floats(0.0, 1.0, exclude_max=True),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_finals_unitary_and_above_the_floor(self, g, alpha, seed):
+        best, finals = brute_min(g, alpha, OP, restarts=6, seed=seed, trace=True)
+        assert best >= lambda_min(g, alpha) - 1e-9
+        for u, v in finals:
+            assert is_unitary(u, 1e-12) and is_unitary(v, 1e-12)
+
     def test_rejects_large_dimension(self):
         with pytest.raises(ValueError):
             brute_min(5, 0.3)
@@ -217,44 +244,65 @@ class TestBruteMin:
                 assert lhs <= rhs + 1e-9
 
 
-def _descend_one(u, v, alpha, iters, step0):
-    """The descent one restart at a time, as it was before restarts were
-    stacked; kept verbatim as the oracle for the batched descent."""
+def _fro2(x):
+    return float(np.sum(x.real ** 2 + x.imag ** 2))
+
+
+def _cayley(u, a, s):
+    """The Cayley retraction u (I + s A/2)^-1 (I - s A/2) as written."""
+    eye = np.eye(u.shape[0])
+    return u @ np.linalg.solve(eye + s / 2.0 * a, eye - s / 2.0 * a)
+
+
+def _cayley_solved(u, a, s):
+    """The same map as 2 u (I + s A/2)^-1 - u, with u (I + s A/2)^-1 from
+    the transposed system: the arithmetic of the batched descent, which a
+    path compared to 1e-8 must share, since a minimum fixes its point only
+    to about the square root of the rounding of its value."""
+    eye = np.eye(u.shape[0])
+    return 2.0 * np.linalg.solve(eye + s / 2.0 * a.T, u.T).T - u
+
+
+def _descend_one(u, v, alpha, iters, step0, retract=_cayley_solved):
+    """The Riemannian descent one restart at a time: the oracle for the
+    batched descent."""
     eta = np.exp(2j * np.pi * alpha)
     step = step0
     t = twisted_commutator(u, v, alpha)
-    fval = float(np.linalg.norm(t) ** 2)
-    for _ in range(iters):
+    fval = _fro2(t)
+    taken = 0
+    while taken < iters:
         gu = t @ v.conj().T - np.conj(eta) * (v.conj().T @ t)
         gv = u.conj().T @ t - np.conj(eta) * (t @ u.conj().T)
-        gnorm2 = float(np.linalg.norm(gu) ** 2 + np.linalg.norm(gv) ** 2)
+        au, av = u.conj().T @ gu, v.conj().T @ gv
+        au, av = (au - au.conj().T) / 2.0, (av - av.conj().T) / 2.0
+        gnorm2 = _fro2(au) + _fro2(av)
         if gnorm2 < 1e-30:
             break
-        improved = False
-        while step > 1e-14:
-            u2 = polar_unitary(u - step * gu)
-            v2 = polar_unitary(v - step * gv)
+        while step > 1e-14 and step * gnorm2 > 2.0 ** -52 * fval:
+            u2, v2 = retract(u, au, step), retract(v, av, step)
             t2 = twisted_commutator(u2, v2, alpha)
-            f2 = float(np.linalg.norm(t2) ** 2)
+            f2 = _fro2(t2)
             if f2 <= fval - 1e-4 * step * gnorm2:
                 u, v, t, fval = u2, v2, t2, f2
                 step = min(step * 1.3, 1.0)
-                improved = True
+                taken += 1
                 break
             step *= 0.5
-        if not improved:
+        else:
             break
     return u, v
 
 
-def _brute_min_one(g, alpha, spec, restarts=50, seed=0, iters=300, step0=0.25):
+def _brute_min_one(g, alpha, spec, restarts=50, seed=0, iters=300, step0=0.25,
+                   retract=_cayley_solved):
     best = math.inf
     finals = []
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         u0 = haar_unitary(g, rng)
         v0 = haar_unitary(g, rng)
-        u, v = _descend_one(u0, v0, alpha, iters=iters, step0=step0)
+        u, v = _descend_one(u0, v0, alpha, iters=iters, step0=step0, retract=retract)
         best = min(best, schatten_kyfan_norm(twisted_commutator(u, v, alpha), spec))
         finals.append((u, v))
     return best, finals
@@ -276,6 +324,16 @@ class TestBatchedDescent:
                 assert np.max(np.abs(v - v1)) <= 1e-8
                 assert is_unitary(u, 1e-10) and is_unitary(v, 1e-10)
 
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_first_step_is_the_cayley_map(self, g):
+        for alpha in (0.05, 0.37, 0.73):
+            _, finals = brute_min(g, alpha, OP, restarts=6, seed=3, iters=1, trace=True)
+            _, want = _brute_min_one(g, alpha, OP, restarts=6, seed=3, iters=1,
+                                     retract=_cayley)
+            for (u, v), (u1, v1) in zip(finals, want):
+                assert np.max(np.abs(u - u1)) <= 1e-13
+                assert np.max(np.abs(v - v1)) <= 1e-13
+
     def test_restarts_are_independent(self):
         for g, alpha in ((2, 0.3), (3, 0.61), (4, 0.12)):
             _, few = brute_min(g, alpha, OP, restarts=7, seed=11, trace=True)
@@ -288,6 +346,15 @@ class TestBatchedDescent:
         base = finals[0][0].base
         assert base is not None
         assert all(u.base is base for u, _ in finals)
+
+    def test_rejects_finals_off_the_unitary_group(self, monkeypatch):
+        import twistcert.minima as minima_module
+
+        descend = minima_module._descend
+        monkeypatch.setattr(minima_module, "_descend",
+                            lambda w, alpha, iters: descend(w, alpha, iters) * (1.0 + 1e-9))
+        with pytest.raises(ArithmeticError, match="unitary group"):
+            brute_min(2, 0.3, OP, restarts=3, seed=0)
 
     def test_zero_iterations_returns_the_starts(self):
         _, finals = brute_min(2, 0.3, OP, restarts=3, seed=4, iters=0, trace=True)
