@@ -1,20 +1,20 @@
 """Certified lower bounds on the dimension of approximately twisted-commuting
 unitary pairs.
 
-A pair (u, v) with || u v - eta v u || <= delta forces eigenvalues of u into
-arcs around the powers of eta; the minimum number of points meeting every arc
-(the transversal number, computed greedily on the circle) lower bounds the
-number of distinct eigenvalues and hence the dimension.  The sweep visits only
-the powers up to the first continued-fraction denominator of alpha past which
-every arc nests around a smaller one: at most 2 / delta arcs, O(delta^-1/2)
-when the continued-fraction coefficients of alpha stay small, and at most 2 q
-for alpha = p/q.  One sweep (_minimal) serves every caller: each arc carries a
-segment id, so certify_grid sweeps the arcs of many (alpha, delta) cells in a
-single call, and a single certificate is one segment.  Two mutually
-approximately commuting twisted pairs certify the product dimension through a
-shared approximate eigenvector and a Gram-matrix independence argument.
-verify_certificate checks a written certificate of any kind from its own
-witness, exactly and without a sweep.
+For g x g unitaries u, v the commutator w = u v u^dag v^dag has det w = 1, so
+|| u v - exp(2 pi i alpha) v u || >= lambda_min(g, alpha), and the clock/shift
+pair attains it.  certify_single certifies the least g whose floor reaches
+delta, the exact minimum dimension, from the outward-rounded floors of
+minima.lambda_low: O(d_min) vectorised work, and certify_grid finds it for
+many (alpha, delta) cells in one array.  The paper's arc construction stays as
+arc_dimension: a pair within delta forces eigenvalues of u into arcs around
+the powers of eta, and the least number of points meeting every arc
+(computed greedily on the circle) lower bounds the dimension; it never
+certifies more than the floor.  Two mutually approximately commuting twisted
+pairs certify the product dimension through a shared approximate eigenvector
+and a Gram-matrix independence argument.  verify_certificate checks a written
+certificate of any kind from its own witness with exact comparisons; the
+greedy-transversal certificates of the arc certifier still verify.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .linalg import (
     require_unitary,
     twisted_commutator,
 )
-from .minima import TwistedPair, lambda_min
+from .minima import TwistedPair, lambda_low, lambda_min
 from .shared_eig import shared_approx_eigenvector_normal
 
 __all__ = [
@@ -56,6 +56,7 @@ __all__ = [
     "eigenvalue_arc",
     "minimal_intervals",
     "greedy_transversal",
+    "arc_dimension",
     "certify_single",
     "certify_grid",
     "certify_double",
@@ -73,14 +74,17 @@ TWO_PI = 2.0 * np.pi
 METHODS = (
     "single-closed-form",
     "greedy-transversal",
+    "determinant-floor",
     "double-pair",
     "lambda-exclusion",
 )
 
-# Arc systems below this twisted commutation value may be too large to sweep:
-# the nesting cutoff of minimal_intervals leaves all 2 / delta arcs in the
-# worst case, when no continued-fraction denominator of alpha up to 2 / delta
-# passes its test (alpha close to, but not at, a rational with small q).
+# The least positive delta certify_single accepts.  It bounds the floor
+# search: by Dirichlet's theorem some q < ceil(2 pi / delta) has
+# dist(q alpha, Z) <= 1 / ceil(2 pi / delta), so lambda_min(q, alpha) <= delta
+# and d_min < ceil(2 pi / delta) <= 6.3e6.  It also bounds the arc sweep of
+# arc_dimension, whose nesting cutoff leaves all 2 / delta arcs in the worst
+# case (alpha close to, but not at, a rational with small q).
 _MIN_DELTA = 1e-6
 # Rounding allowance of the nesting test in _nesting_power beside the centres'
 # 2^-48 (jmax + 2) and 2 ANGLE_MERGE.  A computed half-width
@@ -90,16 +94,11 @@ _MIN_DELTA = 1e-6
 # roundings (each under 2 pi u) of _unfold's endpoints and distances to 0
 # stay below this.
 _HALF_WIDTH_ROUNDING = 1e-7
-# Orbit powers certify_grid sweeps per _minimal call: it batches consecutive
-# cells up to this many powers, so a grid of small deltas cannot allocate
-# without bound (a cell with more powers is swept alone, as certify_single
-# would sweep it).
-_BATCH_POWERS = 1 << 16
-# Resolution of the slack search.  The sweep compares angles below 2 pi, each
-# a few roundings off, and an arc's half-width arccos(1 - |j| delta) grows at
-# least as fast as delta, so a computed packing event lies within this
-# distance of the delta at which the sweep's answer changes.
-_EVENT_STEP = 2.0 ** -48
+# The floor search evaluates dimensions in chunks: _FIRST_CHUNK first, then
+# twice as many each time, while one evaluation over all the open cells stays
+# within _CHUNK_FLOORS floors (or _FIRST_CHUNK per cell).
+_FIRST_CHUNK = 32
+_CHUNK_FLOORS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -160,18 +159,15 @@ def eigenvalue_arc(zeta: float, theta: float) -> Arc:
                index=0)
 
 
-def _arcs(alpha, delta, js: np.ndarray, seg=0):
-    """The arcs of the orbit powers js at delta, as (seg, js, half, centers):
+def _arcs(alpha: float, delta: float, js: np.ndarray):
+    """The arcs of the orbit powers js at delta, as (js, half, centers):
     powers with |j| delta >= 2 give the full circle and are skipped, so
     arccos never leaves [-1, 1]; the rest get half-widths
-    arccos(1 - |j| delta) and centers 2 pi alpha j (mod 2 pi).  alpha, delta
-    and the segment id seg are numbers, or arrays with one entry per power
-    (the cells of a batch); seg is returned with one entry per kept arc."""
+    arccos(1 - |j| delta) and centers 2 pi alpha j (mod 2 pi)."""
     z = np.abs(js) * delta
     keep = z < 2.0
     centers = (TWO_PI * alpha * js) % TWO_PI
-    return (np.full(js.shape, seg)[keep], js[keep],
-            np.arccos(1.0 - z[keep]), centers[keep])
+    return js[keep], np.arccos(1.0 - z[keep]), centers[keep]
 
 
 def _full_range(delta: float) -> int:
@@ -241,36 +237,25 @@ def _unfold(half: np.ndarray, centers: np.ndarray):
     return dist0, dist0 > half + ANGLE_MERGE, lo, lo + 2.0 * half
 
 
-def _minimal(seg: np.ndarray, js: np.ndarray, half: np.ndarray, centers: np.ndarray):
-    """The body of minimal_intervals on given arcs, segment by segment: the
-    segment ids, powers j and endpoints lo, hi of the inclusion-minimal
-    intervals of each segment.  The result ascends in segment id and, within
-    a segment, in lo and in hi (hi by more than ANGLE_MERGE from one interval
-    to the next).  Arcs are compared only with arcs of their own segment, so
-    one call sweeps the arcs of many (alpha, delta) cells (certify_grid), and
-    a single certificate's arcs form one segment."""
+def _minimal(js: np.ndarray, half: np.ndarray, centers: np.ndarray):
+    """The body of minimal_intervals on given arcs: the powers j and
+    endpoints lo, hi of the inclusion-minimal intervals, ascending in lo and
+    in hi (hi by more than ANGLE_MERGE from one interval to the next)."""
     _, clear, lo, hi = _unfold(half, centers)
     # arcs through the forced point drop out
-    seg, js, lo, hi = seg[clear], js[clear], lo[clear], hi[clear]
-    if js.size == 0:
-        return seg, js, lo, hi
-
-    order = np.lexsort((-hi, lo, seg))  # by segment, lo ascending, hi descending
-    seg, js, lo, hi = seg[order], js[order], lo[order], hi[order]
+    js, lo, hi = js[clear], lo[clear], hi[clear]
+    order = np.lexsort((-hi, lo))  # lo ascending, hi descending
+    js, lo, hi = js[order], lo[order], hi[order]
     dup = np.zeros(lo.size, dtype=bool)
-    dup[1:] = ((seg[1:] == seg[:-1]) & (np.abs(np.diff(lo)) <= ANGLE_MERGE)
-               & (np.abs(np.diff(hi)) <= ANGLE_MERGE))
-    seg, js, lo, hi = seg[~dup], js[~dup], lo[~dup], hi[~dup]
-    # with this ordering any interval contained in [lo_i, hi_i] appears later
-    # in its segment, so interval i is minimal iff every later right endpoint
-    # of the segment exceeds hi_i + ANGLE_MERGE.  numpy orders complex numbers
-    # lexicographically, so the running minimum of seg + i hi from the end
-    # either lies in a later segment or holds the least later hi of this one
-    key = seg + 1j * hi
-    after = np.minimum.accumulate(key[::-1])[::-1]
+    dup[1:] = (np.abs(np.diff(lo)) <= ANGLE_MERGE) & (np.abs(np.diff(hi)) <= ANGLE_MERGE)
+    js, lo, hi = js[~dup], lo[~dup], hi[~dup]
+    # with this ordering any interval contained in [lo_i, hi_i] appears
+    # later, so interval i is minimal iff every later right endpoint exceeds
+    # hi_i + ANGLE_MERGE
+    after = np.minimum.accumulate(hi[::-1])[::-1]
     keep = np.ones(hi.size, dtype=bool)
-    keep[:-1] = after[1:] > key[:-1] + 1j * ANGLE_MERGE
-    return seg[keep], js[keep], lo[keep], hi[keep]
+    keep[:-1] = after[1:] > hi[:-1] + ANGLE_MERGE
+    return js[keep], lo[keep], hi[keep]
 
 
 class MinimalIntervals(list):
@@ -296,7 +281,7 @@ def minimal_intervals(alpha: float, delta: float) -> MinimalIntervals:
     arc beyond nests around a smaller one and is never minimal, so the result
     equals that of the full range |j| <= floor(2 / delta)."""
     js = _powers(_nesting_power(alpha, delta))
-    return MinimalIntervals(*_minimal(*_arcs(alpha, delta, js))[1:])
+    return MinimalIntervals(*_minimal(*_arcs(alpha, delta, js)))
 
 
 def _stab_indices(lo: list[float], hi: list[float]) -> list[int]:
@@ -323,6 +308,13 @@ def greedy_transversal(intervals) -> list[float]:
     return [his[i] for i in _stab_indices([lo for lo, _ in ordered], his)]
 
 
+def arc_dimension(alpha: float, delta: float) -> int:
+    """The dimension the paper's arc construction certifies at delta > 0:
+    the forced eigenvalue at angle 0 plus the greedy stabs of the minimal
+    intervals.  Never above certify_single(alpha, delta).d_min."""
+    return 1 + len(greedy_transversal(minimal_intervals(alpha, delta)))
+
+
 def _rational_twist(alpha: float, cap: int = 10 ** 6) -> tuple[int, int] | None:
     """Detect alpha = p/q with q <= cap.  The accept window sits at float
     resolution: a true rational hits its reduced form to within an ulp, while
@@ -333,110 +325,21 @@ def _rational_twist(alpha: float, cap: int = 10 ** 6) -> tuple[int, int] | None:
     return None
 
 
-def _packing_event(alpha: float, js: np.ndarray) -> float:
-    """The smallest delta at which the intervals of the powers js (ascending,
-    clear of angle 0 and of each other by more than ANGLE_MERGE) stop forming
-    such a packing: one comes within ANGLE_MERGE of angle 0, or two
-    neighbours come within ANGLE_MERGE of each other.
-
-    An arc's half-width x = arccos(1 - |j| delta) is reached at
-    delta = 2 sin^2(x / 2) / |j|; an arc stops being clear of angle 0 (in
-    _unfold) at x = dist0 - ANGLE_MERGE.  Two neighbours a = |j|, b = |k|
-    with centres c_j < c_k meet at x_j + x_k = c_k - c_j - ANGLE_MERGE = 2 e;
-    with sin(x_j / 2) = sqrt(a delta / 2) and the like for k, the sine of
-    x_j / 2 = e - x_k / 2 gives
-        delta = 2 sin^2 e / (a + b + 2 sqrt(a b) cos e),
-    a root of the meeting equation while sqrt(b) + sqrt(a) cos e and
-    sqrt(a) + sqrt(b) cos e are nonnegative; otherwise an arc reaches angle 0
-    first."""
-    a = np.abs(js).astype(float)
-    centers = (TWO_PI * alpha * js) % TWO_PI  # as in _arcs
-    reach = _unfold(0.0, centers)[0] - ANGLE_MERGE  # dist0 needs no half-width
-    first = float(np.min(2.0 * np.sin(reach / 2.0) ** 2 / a))
-    if js.size < 2:
-        return first
-    e = (np.diff(centers) - ANGLE_MERGE) / 2.0
-    cos_e = np.cos(e)
-    ra, rb = np.sqrt(a[:-1]), np.sqrt(a[1:])
-    meet = 2.0 * np.sin(e) ** 2 / (a[:-1] + a[1:] + 2.0 * ra * rb * cos_e)
-    root = (rb + ra * cos_e >= 0.0) & (ra + rb * cos_e >= 0.0)
-    return min(first, float(np.min(meet, where=root, initial=math.inf)))
-
-
-def _slack(alpha: float, delta: float, d_min: int, powers: np.ndarray,
-           pack: np.ndarray) -> tuple[float, np.ndarray]:
-    """How far delta can grow while the sweep still certifies d_min (see
-    certify_single): the last delta top at which the walk confirmed it, with
-    the powers of the d_min - 1 intervals the greedy stabs there.  `powers`
-    are those of the minimal intervals at delta and `pack` those of its
-    stabbed intervals.
-
-    The walk probes just past each packing event and, once d_min fails
-    there, confirms the point just before it.  Where rounding contradicts
-    the event (it falls at or below top, or the point before it fails), the
-    walk stops at top: the emitted packing is re-checked at top exactly
-    (_packing_failure), so stopping early only shortens the slack."""
-
-    def packing(x: float, js: np.ndarray):
-        """The powers minimal at x among js, with the powers of the greedy's
-        stabbed intervals (None when they certify less than d_min)."""
-        _, js, lo, hi = _minimal(*_arcs(alpha, x, js))
-        picked = _stab_indices(lo.tolist(), hi.tolist())
-        return js, (js[picked] if len(picked) + 1 >= d_min else None)
-
-    top = delta
-    while True:
-        # the packing holds up to its event, which rounding misplaces by less
-        # than _EVENT_STEP
-        event = _packing_event(alpha, pack)
-        if event <= top:
-            return top, pack
-        js, found = packing(event + _EVENT_STEP, powers)
-        if found is None:
-            break
-        top, powers, pack = event + _EVENT_STEP, js, found
-    before = event - _EVENT_STEP
-    if before > top:
-        found = packing(before, powers)[1]
-        if found is not None:
-            return before, found
-    return top, pack
-
-
 def certify_single(alpha: float, delta: float) -> Certificate:
     """Certified minimum dimension of unitaries u, v with
     || u v - exp(2 pi i alpha) v u || <= delta (operator norm).
 
-    delta > 0 runs the greedy arc-transversal sweep, over the orbit powers
-    up to the nesting cutoff of minimal_intervals rather than all 2 / delta;
-    delta = 0 requires a rational twist alpha = p/q (continued-fraction
-    detection, denominator up to 1e6) and certifies q exactly.  Works for
-    arbitrary alpha; at twist 1/d it certifies at least d for every delta
-    below single_pair_threshold(d).
-
-    A sweep certificate of d_min > 1 reports as slack how far delta can grow
-    before the sweep certifies less than d_min (certify_grid gives d_min
-    alone, for many cells at once).  Arc k can sit inside arc j only if
-    |k| <= |j|, and then the containment, like an arc's passage through
-    angle 0, persists as delta grows.  So the powers minimal at any larger delta are
-    among those minimal at delta, and every probe of the search sweeps only
-    those; the search starts from the main sweep's minimal powers and stabbed
-    intervals.  The intervals the greedy stabs are disjoint, so they keep
-    certifying d_min until the first packing event, where two neighbours meet
-    or one reaches angle 0 (closed forms in _packing_event).  The search is
-    one walk: it probes just past that event, takes the new packing and
-    repeats while d_min holds there, and otherwise confirms the point just
-    before the event.  Where rounding contradicts the computed event (it
-    falls at or below the current point, or the point just before it
-    fails), the walk stops at the last point it confirmed, so the slack can
-    come out smaller, never unsound.  The slack agrees with a bisection over
-    full sweeps to within 2 * _EVENT_STEP (7e-15) wherever the events are
-    placed as computed.
-
-    The witness records the stabbed intervals' orbit powers as `packing`
-    and the delta at which they were found (the slack's end point, or delta
-    itself) as `packing_delta`; _packing_failure re-verifies the certificate
-    from these alone.
+    delta > 0 certifies the least g whose outward-rounded floor
+    minima.lambda_low(g, alpha) is at most delta: every smaller dimension
+    has lambda_min > delta, so no pair of it comes within delta, and the
+    clock/shift pair of dimension g attains lambda_min(g, alpha).  The
+    search evaluates the floors in doubling chunks and stops at the first
+    hit, below ceil(2 pi / delta) (see _MIN_DELTA).  The certificate's kind
+    is determinant-floor, its witness is empty, and for d_min > 1 its slack
+    is the least floor below d_min less delta: up to that distance delta
+    can grow with d_min still certified.  delta = 0 requires a rational
+    twist alpha = p/q (continued-fraction detection, denominator up to 1e6)
+    and certifies q exactly.
     """
     _check_domain(alpha, delta)
 
@@ -450,30 +353,45 @@ def certify_single(alpha: float, delta: float) -> Certificate:
             witness={"exact": True, "denominator": q},
         )
 
-    intervals = minimal_intervals(alpha, delta)
-    # the intervals ascend in hi, the order greedy_transversal sorts them into
-    picked = _stab_indices(intervals.lo, intervals.hi)
-    stabs = [intervals.hi[i] for i in picked]
-    d_min = 1 + len(stabs)
-    top, pack = delta, intervals.powers[picked]
-    slack = None
-    if d_min > 1:
-        top, pack = _slack(alpha, delta, d_min, intervals.powers, pack)
-        slack = top - delta
-
+    dims, least = _floor_search(np.array([alpha]), np.array([delta]))
+    d_min = int(dims[0])
     return Certificate(
         d_min=d_min,
-        method="greedy-transversal",
+        method="determinant-floor",
         inputs={"alpha": alpha, "delta": delta},
-        slack=slack,
-        witness={
-            "forced_angle": 0.0,
-            "stab_angles": [float(s % TWO_PI) for s in stabs],
-            "minimal_interval_count": len(intervals),
-            "packing_delta": top,
-            "packing": pack.tolist(),
-        },
+        slack=None if d_min == 1 else float(least[0]) - delta,
+        witness={},
     )
+
+
+def _floor_search(alpha: np.ndarray, delta: np.ndarray, limit: float = math.inf):
+    """For every cell (alpha[i], delta[i]) with delta[i] >= _MIN_DELTA, the
+    first dimension g <= limit with lambda_low(g, alpha[i]) <= delta[i], as
+    arrays (dims, least): dims[i] is that g (0 when no g up to limit
+    qualifies) and least[i] the least floor of the dimensions before it (inf
+    for none).  Each evaluation covers one chunk of dimensions for every
+    cell still open, as one (cells, chunk) array.  No search passes
+    ceil(2 pi / delta), below which Dirichlet's theorem places a hit."""
+    dims = np.zeros(alpha.size, dtype=np.int64)
+    least = np.full(alpha.size, math.inf)
+    if not alpha.size:
+        return dims, least
+    limit = min(limit, math.ceil(2.0 * math.pi / float(delta.min())))
+    todo = np.arange(alpha.size)
+    start, size = 1, _FIRST_CHUNK
+    while todo.size and start <= limit:
+        gs = np.arange(start, min(start + size, limit + 1))
+        floors = lambda_low(gs, alpha[todo, None])
+        hit = floors <= delta[todo, None]
+        first = np.where(hit.any(axis=1), hit.argmax(axis=1), gs.size)
+        before = np.where(np.arange(gs.size) < first[:, None], floors, math.inf)
+        least[todo] = np.minimum(least[todo], before.min(axis=1))
+        found = first < gs.size
+        dims[todo[found]] = start + first[found]
+        todo = todo[~found]
+        start += gs.size
+        size = min(2 * size, max(_FIRST_CHUNK, _CHUNK_FLOORS // max(todo.size, 1)))
+    return dims, least
 
 
 def _exact_dimension(alpha: float) -> int:
@@ -490,52 +408,28 @@ def _exact_dimension(alpha: float) -> int:
 
 def certify_grid(cells) -> list[int]:
     """certify_single(alpha, delta).d_min for every (alpha, delta) pair of
-    cells, in order, from batched sweeps and with no slack search.
+    cells, in order, with no slack.
 
     Every cell is checked first, in order, so an invalid cell raises
-    certify_single's message for it before any sweep runs.  delta = 0 cells
-    take the closed form.  The others contribute their powers up to
-    _nesting_power, one segment per cell, and consecutive cells are swept
-    together in one _minimal call until a batch holds _BATCH_POWERS powers;
-    each segment's minimal intervals are then stabbed greedily."""
-    cells = [(float(alpha), float(delta)) for alpha, delta in cells]
-    dims, swept, reach = [], [], []
-    for i, (alpha, delta) in enumerate(cells):
-        _check_domain(alpha, delta)
-        if delta == 0.0:
-            dims.append(_exact_dimension(alpha))
-            continue
-        dims.append(1)
-        swept.append(i)
-        reach.append(_nesting_power(alpha, delta))
-    start = 0
-    while start < len(swept):
-        stop, total = start + 1, 2 * reach[start]
-        while stop < len(swept) and total + 2 * reach[stop] <= _BATCH_POWERS:
-            total += 2 * reach[stop]
-            stop += 1
-        batch = swept[start:stop]
-        for i, stabs in zip(batch, _batch_stabs([cells[i] for i in batch],
-                                                np.array(reach[start:stop]))):
-            dims[i] += stabs
-        start = stop
-    return dims
-
-
-def _batch_stabs(cells: list[tuple[float, float]], reach: np.ndarray) -> list[int]:
-    """The number of greedy stabs of each cell (alpha, delta) of a batch,
-    from one _minimal call over the powers 0 < |j| <= reach of every cell,
-    ascending within each cell as _powers lists them."""
-    counts = 2 * reach
-    seg = np.repeat(np.arange(len(cells)), counts)
-    k = np.arange(seg.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    js = k - reach[seg] + (k >= reach[seg])  # -r .. -1, then 1 .. r
-    alpha, delta = np.array(cells).T
-    seg, _, lo, hi = _minimal(*_arcs(alpha[seg], delta[seg], js, seg))
-    bounds = np.searchsorted(seg, np.arange(len(cells) + 1)).tolist()
-    lo, hi = lo.tolist(), hi.tolist()
-    return [len(_stab_indices(lo[a:b], hi[a:b]))
-            for a, b in zip(bounds, bounds[1:])]
+    certify_single's message for it before any floor is evaluated.
+    delta = 0 cells take the closed form; the others share one floor search
+    (_floor_search), which evaluates each chunk of dimensions for all the
+    open cells at once."""
+    cells = np.array([(float(a), float(d)) for a, d in cells]).reshape(-1, 2)
+    alpha, delta = cells.T
+    # the cells _check_domain accepts; it raises for the first other one
+    valid = ((0.0 <= alpha) & (alpha < 1.0) & np.isfinite(delta)
+             & ((delta == 0.0) | (delta >= _MIN_DELTA)))
+    bad = np.flatnonzero(~valid)
+    end = int(bad[0]) if bad.size else alpha.size
+    dims = np.ones(alpha.size, dtype=np.int64)
+    for i in np.flatnonzero(delta[:end] == 0.0):
+        dims[i] = _exact_dimension(float(alpha[i]))
+    if bad.size:
+        _check_domain(float(alpha[end]), float(delta[end]))
+    swept = np.flatnonzero(delta > 0.0)
+    dims[swept] = _floor_search(alpha[swept], delta[swept])[0]
+    return dims.tolist()
 
 
 def _check_domain(alpha: float, delta: float) -> None:
@@ -555,8 +449,8 @@ def _check_domain(alpha: float, delta: float) -> None:
 
 
 def _sweep_delta(delta: float) -> float:
-    """delta raised to _MIN_DELTA when it lies in (0, _MIN_DELTA), where the
-    arc sweep refuses it: certifying at a larger delta is always sound."""
+    """delta raised to _MIN_DELTA when it lies in (0, _MIN_DELTA), where
+    certify_single refuses it: certifying at a larger delta is always sound."""
     return max(delta, _MIN_DELTA) if delta > 0.0 else delta
 
 
@@ -571,8 +465,8 @@ def _packing_failure(alpha: float, delta: float, d_min: int, packing,
     that do so at packing_delta do so at every delta' <= packing_delta.  The
     arcs are recomputed with _arcs at delta and at packing_delta, tested
     against angle 0 with _unfold, the test _minimal applies, and their
-    neighbours with _stab_indices' separation (more than ANGLE_MERGE).  So
-    every certificate that certify_single emits passes.  The slack, when
+    neighbours with _stab_indices' separation (more than ANGLE_MERGE), as
+    the arc certifier that wrote these certificates found them.  The slack, when
     given, must equal packing_delta - delta exactly.  O(d log d); no sweep
     runs."""
     _check_domain(alpha, delta)
@@ -587,7 +481,7 @@ def _packing_failure(alpha: float, delta: float, d_min: int, packing,
     for x in (delta, packing_delta):
         # powers beyond floor(2 / x) are tested in Python ints, which never wrap
         reach = _full_range(x)
-        _, js, half, centers = _arcs(alpha, x, np.array(
+        js, half, centers = _arcs(alpha, x, np.array(
             [j for j in packing if abs(j) <= reach], dtype=np.int64))
         if js.size < len(packing):
             kept = set(js.tolist())
@@ -657,8 +551,8 @@ def certify_double(d1: int, d2: int, gamma: float, delta: float) -> Certificate:
 
         sqrt(gamma) d1 d2 + (d1 + d2) delta < sin^2(pi / 2 d1) / (d1 d2 - 1)^2,
 
-    otherwise falls back to the best single-pair certificate, swept at
-    _sweep_delta(delta).
+    otherwise falls back to the best single-pair certificate (certify_single
+    at twists 1/d1 and 1/d2) at _sweep_delta(delta).
     """
     _check_double_domain(d1, d2, gamma, delta)
     lhs, rhs = _double_threshold(d1, d2, gamma, delta)
@@ -736,8 +630,10 @@ def verify_certificate(cert: Certificate) -> str | None:
     outside its certifier's domain.
 
     Each kind is checked from its own witness with exact comparisons, and
-    no sweep or slack search runs:
-    - greedy-transversal: witness.forced_angle = 0.0, _packing_failure and
+    no arc sweep runs:
+    - determinant-floor: _floor_failure, in O(d_min);
+    - greedy-transversal (written by the arc certifier before the floor
+      replaced it): witness.forced_angle = 0.0, _packing_failure and
       _reported_failure;
     - single-closed-form: delta = 0, d_min = witness.denominator = the
       denominator of the rational alpha, slack = 0.0 and witness.exact true;
@@ -787,6 +683,8 @@ def _single_failure(cert: Certificate, alpha: float, delta: float,
                     slack: float | None) -> str | None:
     """verify_certificate's check of a single-pair kind at (alpha, delta)."""
     witness = cert.witness
+    if cert.method == "determinant-floor":
+        return _floor_failure(alpha, delta, cert.d_min, slack)
     if cert.method == "greedy-transversal":
         packing = witness.get("packing")
         # bool subclasses int, and a float power would be truncated
@@ -814,6 +712,31 @@ def _single_failure(cert: Certificate, alpha: float, delta: float,
                 f"{slack!r} must be the denominator {q} of alpha, {q} and 0.0")
     if witness.get("exact") is not True:
         return f"witness.exact {witness.get('exact')!r} must be true"
+    return None
+
+
+def _floor_failure(alpha: float, delta: float, d_min: int,
+                   slack: float | None) -> str | None:
+    """verify_certificate's check of a determinant-floor certificate:
+    recomputed with _floor_search, d_min must be the first dimension whose
+    floor reaches delta, and the slack must equal the least floor below it
+    less delta (None for d_min = 1), exactly.  The search stops at the first
+    dimension that reaches delta, so an overstated d_min costs at most
+    ceil(2 pi / delta) floors."""
+    _check_domain(alpha, delta)
+    if delta == 0.0:
+        return "a determinant-floor certificate needs delta > 0"
+    dims, least = _floor_search(np.array([alpha]), np.array([delta]), limit=d_min)
+    first = int(dims[0])
+    if first == 0:
+        return (f"the floor of d_min = {d_min} exceeds delta = {delta!r}: a larger "
+                "dimension is the least one the floor allows")
+    if first < d_min:
+        return (f"the floor of dimension {first} is at most delta = {delta!r}, "
+                f"so d_min = {d_min} overstates it")
+    expected = None if d_min == 1 else float(least[0]) - delta
+    if slack != expected:
+        return f"slack {slack!r} differs from the least floor less delta = {expected!r}"
     return None
 
 

@@ -105,7 +105,10 @@ def _write_text(out: str | None, text: str) -> None:
 def _write_rows(out: str | None, manifest: RunManifest, header: str,
                 rows: list[tuple], fmt: str = "csv") -> None:
     if fmt == "json":
+        # JSON has no infinity: an infinite entry (minima's p = inf) is null
         cols = header.split(",")
+        rows = [[None if isinstance(x, float) and math.isinf(x) else x for x in r]
+                for r in rows]
         _write_json(out, manifest, {"columns": cols,
                                     "rows": [dict(zip(cols, r)) for r in rows]})
         return

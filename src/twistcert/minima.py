@@ -24,6 +24,7 @@ __all__ = [
     "TwistedPair",
     "round_half_away",
     "lambda_min",
+    "lambda_low",
     "lambda_upper_bound",
     "excluded_dimensions",
     "clock_matrix",
@@ -96,6 +97,34 @@ def lambda_min(g: int, alpha: float, spec: NormSpec = OPERATOR) -> float:
     m = round_half_away(g * alpha)
     prefactor = 1.0 if math.isinf(spec.p) else spec.k ** (1.0 / spec.p)
     return float(2.0 * prefactor * np.sin(np.pi * abs(m - g * alpha) / g))
+
+
+# Relative widening of lambda_low, 2^-40 = 9.1e-13: it covers the roundings
+# after the distance and the error of numpy's sin (each a few ulp) about a
+# thousand times over.
+_FLOOR_MARGIN = 2.0 ** -40
+
+
+def lambda_low(gs, alpha) -> np.ndarray:
+    """Lower bounds on the operator-norm lambda_min(g, alpha) for an integer
+    array gs of dimensions 1 <= g < 2^53, with alpha a finite float or an
+    array that broadcasts against gs, rounded outward: never above the exact
+    2 sin(pi dist(g alpha, Z) / g) of the float alpha.
+
+    The twist is reduced with fmod(alpha, 1), which is exact, so |a| < 1 and
+    the float product g a lies within u g of the exact one (u = 2^-53).
+    fmod(g a, 1) and, for a fraction f >= 1/2, 1 - f are exact, so the
+    computed distance to Z lies within u g of the exact one and distance
+    - u g lies below it.  math.pi lies below pi, and sin increases on the
+    range [0, pi / 2] of the angle, so what remains is the relative
+    rounding of the subtraction, the product and the quotient (u each) and
+    numpy's sin (a few ulp); the final factor 1 - _FLOOR_MARGIN covers them.
+    The result lies below the exact value by at most 4 pi u + 2^-39 of it:
+    the exact floor times (1 - 1e-11), less 1.4e-15."""
+    gs = np.asarray(gs, dtype=np.float64)
+    frac = np.abs(np.fmod(gs * np.fmod(alpha, 1.0), 1.0))
+    dist = np.maximum(np.minimum(frac, 1.0 - frac) - gs * 2.0 ** -53, 0.0)
+    return 2.0 * np.sin(math.pi * dist / gs) * (1.0 - _FLOOR_MARGIN)
 
 
 def lambda_upper_bound(g: int, spec: NormSpec = OPERATOR) -> float:

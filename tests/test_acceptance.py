@@ -3,14 +3,16 @@ PASS/FAIL line (run with -s to see them alongside the pytest verdicts).
 
 1. Closed-form minimum tightness across (p, k) norms.
 2. Descent oracle never beats the closed-form floor.
-3. Arc-transversal reproduction: worked example, threshold points, and
-   greedy = exhaustive on small instances.
+3. Arc-transversal reproduction: worked example (3 by the arcs, 4 by the
+   determinant floor), threshold points, and greedy = exhaustive on small
+   instances.
 4. Band restriction bounds on seeded instances, including width variants and
    both exact tightness configurations.
 5. Shared approximate eigenvector bounds, both variants, with block checks.
 6. Spectral distance vs norm distance, assignment verified exhaustively.
 7. Two-pair certification on exact and perturbed tensor models.
-8. Transversal certificates never contradict the closed-form floor.
+8. Floor and arc certificates never contradict the closed-form floor, and
+   the floor is never below the arcs.
 """
 
 import itertools
@@ -21,6 +23,7 @@ import numpy as np
 from twistcert import (
     ModelSpec,
     NormSpec,
+    arc_dimension,
     brute_min,
     certify_double,
     certify_grid,
@@ -88,11 +91,11 @@ def test_criterion_2_brute_force_floor():
 
 def test_criterion_3_transversal_reproduction():
     t0 = time.time()
-    ok = certify_single(0.25, 0.5).d_min == 3
-    detail = ["worked example d=3" if ok else "worked example FAILED"]
+    ok = arc_dimension(0.25, 0.5) == 3 and certify_single(0.25, 0.5).d_min == 4
+    detail = ["worked example d=3 (arcs), 4 (floor)" if ok else "worked example FAILED"]
     for d in range(2, 9):
         delta = single_pair_threshold(d) - 1e-9
-        got = certify_single(1.0 / d, delta).d_min
+        got = arc_dimension(1.0 / d, delta)
         if got < d:
             ok = False
             detail.append(f"threshold point d={d} gave {got}")
@@ -328,14 +331,19 @@ def test_criterion_8_cross_module_soundness():
     violations = 0
     cells = [(float(alpha), float(delta)) for alpha in np.linspace(0.005, 0.995, 100)
              for delta in np.linspace(0.02, 2.0, 100)]
-    dims = []
+    dims, arcs = [], []
     for alpha, delta in cells:
-        d = certify_single(alpha, delta).d_min
-        dims.append(d)
-        for g in range(1, d):
+        dims.append(certify_single(alpha, delta).d_min)
+        arcs.append(arc_dimension(alpha, delta))
+        for g in range(1, max(dims[-1], arcs[-1])):
             if not delta < lambda_min(g, alpha):
                 violations += 1
+    gain = np.array(dims) - np.array(arcs)
     elapsed = time.time() - t0
     report(8, violations == 0 and elapsed < 60.0, elapsed,
-           f"{violations} violations on the 100x100 grid")
+           f"{violations} violations on the 100x100 grid; the floor is higher on "
+           f"{np.sum(gain > 0)} cells")
     assert certify_grid(cells) == dims
+    # the floor is never below the arcs, and above them on a third of the map
+    assert (np.sum(gain > 0), np.sum(gain < 0)) == (3254, 0)
+    assert (max(dims), cells[int(np.argmax(dims))]) == (123, (0.005, 0.02))

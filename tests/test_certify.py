@@ -1,6 +1,7 @@
-"""Certification tests: arc construction, the greedy transversal against an
-exhaustive oracle, closed-form thresholds, orbit expectation bounds, overlap
-and Gram independence checks, and the two-pair certificate."""
+"""Certification tests: the determinant-floor certifier and its outward-rounded
+floor, arc construction, the greedy transversal against an exhaustive oracle,
+closed-form thresholds, orbit expectation bounds, overlap and Gram
+independence checks, and the two-pair certificate."""
 
 import itertools
 import json
@@ -8,14 +9,16 @@ import math
 import re
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from twistcert import certify as certify_module
 from twistcert import (
     Arc,
     NormSpec,
+    arc_dimension,
     certify_double,
     certify_grid,
     certify_lambda_exclusion,
@@ -25,8 +28,10 @@ from twistcert import (
     gram_independent,
     greedy_transversal,
     haar_unitary,
+    lambda_low,
     lambda_min,
     minimal_intervals,
+    optimal_pair,
     orbit_expectations,
     overlap_bound,
     shift_matrix,
@@ -38,11 +43,11 @@ from twistcert.matio import certificate_from_dict, certificate_to_dict, jsonable
 
 
 def bisection_slack(alpha, delta):
-    """The slack search certify_single ran before the packing-event walk,
-    kept as a reference: 60 bisection steps, each a full sweep."""
+    """A reference for the slack: 60 bisection steps on delta, each a full
+    certify_single, towards the point past which d_min drops."""
 
     def certified_dim(x):
-        return 1 + len(greedy_transversal(minimal_intervals(alpha, x)))
+        return certify_single(alpha, x).d_min
 
     d_min = certified_dim(delta)
     lo, hi = delta, 2.0 + 1e-9
@@ -86,7 +91,7 @@ class TestThreshold:
 
 def arc_objects(alpha, delta):
     """The arcs of certify_module._arc_arrays as Arc objects."""
-    _, js, half, centers = certify_module._arc_arrays(alpha, delta)
+    js, half, centers = certify_module._arc_arrays(alpha, delta)
     return [Arc(float(c), float(h), int(j)) for c, h, j in zip(centers, half, js)]
 
 
@@ -127,10 +132,12 @@ class TestEigenvalueArc:
 
 class TestCertifySingle:
     def test_worked_example(self):
+        # the arcs certify 3 here; the floor of g = 3 is 2 sin(pi / 12) > 0.5
         cert = certify_single(0.25, 0.5)
-        assert cert.d_min == 3
-        assert cert.method == "greedy-transversal"
-        assert len(cert.witness["stab_angles"]) == 2
+        assert cert.d_min == 4
+        assert cert.method == "determinant-floor"
+        assert cert.witness == {}
+        assert cert.slack == float(lambda_low(np.array([3]), 0.25)[0]) - 0.5
 
     def test_trivial_arcs(self):
         assert certify_single(0.3, 2.5).d_min == 1
@@ -213,25 +220,14 @@ class TestCertifySingle:
                 reference = bisection_slack(alpha, float(delta))
                 assert cert.slack == pytest.approx(reference, rel=0, abs=1e-12)
 
-    @pytest.mark.parametrize("event", [0.0, 1.9], ids=["event-not-ahead", "before-fails"])
-    def test_walk_stops_where_rounding_contradicts_the_event(self, monkeypatch, event):
-        """An event at or below the current point, or one whose preceding
-        point fails, ends the slack walk at the last point it confirmed."""
-        monkeypatch.setattr(certify_module, "_packing_event", lambda alpha, js: event)
-        cert = certify_single(0.3, 0.01)
-        assert cert.d_min == 10
-        assert cert.slack == 0.0
-        assert cert.witness["packing_delta"] == 0.01
-        assert certify_module.verify_certificate(cert) is None
-
     @pytest.mark.parametrize("alpha, delta", [(0.3, 0.01), (0.7071, 0.003), (0.25, 0.05)])
-    def test_certificate_at_its_packing_delta_has_no_slack(self, alpha, delta):
-        """At its own packing_delta a certificate's event lies one step ahead:
-        the probe past it fails and the point before it is the start."""
-        top = certify_single(alpha, delta).witness["packing_delta"]
-        again = certify_single(alpha, top)
-        assert again.slack == 0.0
-        assert again.witness["packing"] == certify_single(alpha, delta).witness["packing"]
+    def test_certificate_at_its_least_floor_weakens(self, alpha, delta):
+        """The slack ends at the least floor below d_min: certified at that
+        floor itself, d_min drops."""
+        cert = certify_single(alpha, delta)
+        least = float(lambda_low(np.arange(1, cert.d_min), alpha).min())
+        assert cert.slack == least - delta
+        assert certify_single(alpha, least).d_min < cert.d_min
 
     def test_slack_symmetric_under_conjugation(self):
         rng = np.random.default_rng(10)
@@ -246,29 +242,26 @@ class TestCertifySingle:
             else:
                 assert a.slack == pytest.approx(b.slack, rel=0, abs=1e-12)
 
-    def test_slack_sweeps_the_nesting_range_once(self, monkeypatch):
-        sizes = []
-        arcs = certify_module._arcs
+    def test_search_evaluates_each_dimension_once(self, monkeypatch):
+        """The search doubles its chunks and takes the slack from the same
+        pass: at most 2 d_min + 32 floors, each dimension once."""
+        seen = []
+        floor = certify_module.lambda_low
 
-        def counted(alpha, delta, js):
-            sizes.append(len(js))
-            return arcs(alpha, delta, js)
+        def counted(gs, alpha):
+            seen.extend(gs.tolist())
+            return floor(gs, alpha)
 
-        monkeypatch.setattr(certify_module, "_arcs", counted)
-        alpha, delta = 1 / 3 + 0.01, 1e-3
-        cert = certify_single(alpha, delta)
-        assert cert.slack is not None and cert.slack > 0
-        reach = certify_module._nesting_power(alpha, delta)
-        assert reach < int(2 / delta)  # 67 of 2000: a denominator of 103/300
-        assert sizes[0] == 2 * reach and sizes.count(2 * reach) == 1
-        probes = sizes[1:]
-        assert probes and max(probes) <= cert.witness["minimal_interval_count"]
-
-        # the golden ratio's denominators are Fibonacci numbers: the full
-        # range at delta = 1e-6 holds 4,000,000 powers, the cutoff 2 * 2584
-        sizes.clear()
-        certify_single((5 ** 0.5 - 1) / 2, 1e-6)
-        assert sum(sizes) < 10_000
+        monkeypatch.setattr(certify_module, "lambda_low", counted)
+        for alpha, delta in ((1 / 3 + 0.01, 1e-3), ((5 ** 0.5 - 1) / 2, 1e-6)):
+            seen.clear()
+            cert = certify_single(alpha, delta)
+            assert cert.slack is not None and cert.slack > 0
+            assert seen == list(range(1, len(seen) + 1))
+            assert cert.d_min <= len(seen) <= 2 * cert.d_min + 32
+        # the golden ratio's floors fall slowest; at delta = 1e-6 the search
+        # stays far below Dirichlet's 6.3e6
+        assert len(seen) < 10_000
 
     @settings(max_examples=150, deadline=None)
     @given(alpha=st.one_of(st.floats(0.0, 1.0, exclude_max=True),
@@ -299,7 +292,7 @@ def _near_rational(f, sign):
 
 
 class TestCertifyGrid:
-    """certify_grid sweeps many cells in one segmented _minimal call; each
+    """certify_grid searches the floors of many cells in one array; each
     cell must get exactly certify_single's d_min."""
 
     _rational = st.fractions(0, 1, max_denominator=12).filter(lambda f: f < 1)
@@ -315,19 +308,13 @@ class TestCertifyGrid:
                       st.tuples(_rational.map(float), st.just(0.0)))
 
     @settings(max_examples=80, deadline=None)
-    @given(cells=st.lists(_cell, min_size=1, max_size=12),
-           cap=st.sampled_from([certify_module._BATCH_POWERS, 1, 6, 40]))
+    @given(cells=st.lists(_cell, min_size=1, max_size=12))
     @example(cells=[(0.0, certify_module._MIN_DELTA), (1.0 - 2.0 ** -53, 1e-3),
-                    (1.0 - 2.0 ** -53, 0.0), (0.25, 0.5), (1 / 3, 2.0)],
-             cap=certify_module._BATCH_POWERS)
-    @example(cells=[(p / q, 0.05) for q in range(2, 13) for p in range(1, q)], cap=30)
-    @example(cells=[(0.5, 0.5), (0.5, 0.5)],  # one interval each: no merge across cells
-             cap=certify_module._BATCH_POWERS)
-    def test_matches_certify_single(self, cells, cap):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(certify_module, "_BATCH_POWERS", cap)  # split batches mid-grid
-            dims = certify_grid(cells)
-        assert dims == [certify_single(a, d).d_min for a, d in cells]
+                    (1.0 - 2.0 ** -53, 0.0), (0.25, 0.5), (1 / 3, 2.0)])
+    @example(cells=[(p / q, 0.05) for q in range(2, 13) for p in range(1, q)])
+    @example(cells=[(0.5, 0.5), (0.5, 0.5)])
+    def test_matches_certify_single(self, cells):
+        assert certify_grid(cells) == [certify_single(a, d).d_min for a, d in cells]
 
     @pytest.mark.parametrize("bad", [(math.nan, 0.1), (0.3, 1e-7), (math.pi - 3, 0.0)],
                              ids=["nan-alpha", "delta-below-floor", "irrational-exact"])
@@ -337,9 +324,9 @@ class TestCertifyGrid:
             certify_single(*bad)
 
         def refuse(*args):
-            raise AssertionError("a sweep ran before every cell was checked")
+            raise AssertionError("a search ran before every cell was checked")
 
-        monkeypatch.setattr(certify_module, "_minimal", refuse)
+        monkeypatch.setattr(certify_module, "_floor_search", refuse)
         cells = [(0.1 * i, 0.3) for i in range(7)]
         cells.insert(k, bad)
         with pytest.raises(ValueError, match=f"^{re.escape(str(single.value))}$"):
@@ -365,7 +352,7 @@ class TestNestingCutoff:
     @example(alpha=0.3141592653589793, delta=certify_module._MIN_DELTA)
     def test_cutoff_matches_full_range(self, alpha, delta):
         cut = minimal_intervals(alpha, delta)
-        _, js, lo, hi = certify_module._minimal(*certify_module._arc_arrays(alpha, delta))
+        js, lo, hi = certify_module._minimal(*certify_module._arc_arrays(alpha, delta))
         assert cut.powers.tolist() == js.tolist()
         assert list(cut) == list(zip(lo.tolist(), hi.tolist()))
 
@@ -376,8 +363,8 @@ class TestNestingCutoff:
 
 
 class TestPackingWitness:
-    """A greedy-transversal certificate carries the d_min - 1 stabbed arcs as
-    its packing, and that packing alone re-verifies it."""
+    """A greedy-transversal certificate carries the d_min - 1 arcs the greedy
+    stabs as its packing, and that packing alone re-verifies it."""
 
     @settings(max_examples=100, deadline=None)
     @given(alpha=st.one_of(
@@ -387,19 +374,75 @@ class TestPackingWitness:
     @example(alpha=0.25, delta=0.5)
     @example(alpha=0.0, delta=1e-5)
     def test_packing_verifies_its_certificate(self, alpha, delta):
-        cert = certify_single(alpha, delta)
-        packing = list(cert.witness["packing"])
-        top = cert.witness["packing_delta"]
-        assert len(packing) == cert.d_min - 1
-        assert set(packing) <= set(minimal_intervals(alpha, delta).powers.tolist())
+        intervals = minimal_intervals(alpha, delta)
+        packing = intervals.powers[certify_module._stab_indices(intervals.lo,
+                                                                intervals.hi)].tolist()
+        d_min = 1 + len(packing)
+        assert d_min == arc_dimension(alpha, delta)
         verify = certify_module._packing_failure
-        assert verify(alpha, delta, cert.d_min, packing, delta, None) is None
-        assert verify(alpha, delta, cert.d_min, packing, top, cert.slack) is None
-        assert verify(alpha, delta, cert.d_min + 1, packing, top, cert.slack) is not None
-        if cert.slack is None:
-            assert top == delta
-        else:
-            assert cert.slack == top - delta
+        assert verify(alpha, delta, d_min, packing, delta, None) is None
+        assert verify(alpha, delta, d_min + 1, packing, delta, None) is not None
+        cert = certify_module.Certificate(
+            d_min, "greedy-transversal", {"alpha": alpha, "delta": delta}, None,
+            {"forced_angle": 0.0, "stab_angles": greedy_transversal(intervals),
+             "minimal_interval_count": len(intervals), "packing_delta": delta,
+             "packing": packing})
+        assert certify_module.verify_certificate(cert) is None
+
+
+class TestDeterminantFloor:
+    """The floor certificate: never below the arcs, attained by the
+    clock/shift pair, monotone in delta, symmetric under alpha -> 1 - alpha,
+    and resting on floors that lie below the exact values."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=st.floats(0.0, 1.0, exclude_max=True),
+           delta=st.floats(-3.0, float(np.log10(2.0))).map(lambda e: 10.0 ** e))
+    @example(alpha=0.25, delta=0.5)
+    def test_floor_never_below_the_arcs(self, alpha, delta):
+        assert certify_single(alpha, delta).d_min >= arc_dimension(alpha, delta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=st.floats(0.0, 1.0, exclude_max=True), delta=st.floats(0.05, 2.0))
+    @example(alpha=0.25, delta=0.5)
+    def test_clock_shift_pair_attains_delta(self, alpha, delta):
+        d = certify_single(alpha, delta).d_min
+        assert optimal_pair(d, alpha).delta <= delta * (1 + 1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=st.floats(0.0, 1.0, exclude_max=True),
+           deltas=st.lists(st.floats(-4.0, 0.5).map(lambda e: 10.0 ** e),
+                           min_size=2, max_size=2).map(sorted))
+    def test_monotone_in_delta(self, alpha, deltas):
+        small, large = deltas
+        assert certify_single(alpha, small).d_min >= certify_single(alpha, large).d_min
+
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=st.floats(0.5, 1.0, exclude_max=True),
+           delta=st.floats(-4.0, float(np.log10(2.0))).map(lambda e: 10.0 ** e))
+    def test_symmetric_under_conjugation(self, alpha, delta):
+        # 1 - alpha is exact for alpha in [1/2, 1)
+        assert certify_single(alpha, delta).d_min == certify_single(1.0 - alpha, delta).d_min
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=st.integers(1, 10 ** 6),
+           p_q=st.tuples(st.integers(0, 999), st.integers(1, 1000)).filter(
+               lambda t: t[0] < t[1]),
+           offset=st.one_of(st.just(0.0),
+                            st.floats(-12.0, -2.0).map(lambda e: 10.0 ** e),
+                            st.floats(-12.0, -2.0).map(lambda e: -10.0 ** e)))
+    @example(g=3, p_q=(1, 3), offset=0.0)
+    @example(g=10 ** 6, p_q=(1, 7), offset=1e-12)
+    def test_floor_lies_below_the_exact_value(self, g, p_q, offset):
+        alpha = p_q[0] / p_q[1] + offset
+        assume(0.0 <= alpha < 1.0)
+        low = float(lambda_low(np.array([g]), alpha)[0])
+        with mpmath.workdps(50):
+            x = g * mpmath.mpf(alpha)  # the float alpha, exactly
+            exact = 2 * mpmath.sin(mpmath.pi * abs(x - mpmath.nint(x)) / g)
+            assert low <= exact
+            # the distance's u g and the relative margin are all it gives up
+            assert exact - low <= 1e-11 * exact + 4 * mpmath.pi * mpmath.mpf(2) ** -53
 
 
 ALPHAS = st.floats(0.0, 1.0, exclude_max=True)
@@ -408,6 +451,15 @@ RATIONAL_ALPHAS = st.fractions(0, 1, max_denominator=40).filter(lambda f: f < 1)
 
 def log_uniform(lo_exp, hi_exp):
     return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+GREEDY_0_3 = json.loads(
+    '{"d_min": 10, "inputs": {"alpha": 0.3, "delta": 0.01}, "method": "greedy-transversal", '
+    '"slack": 0.004054118766728973, "witness": {"forced_angle": 0.0, '
+    '"minimal_interval_count": 9, "packing": [-3, 4, 1, -2, -5, 2, -1, -4, 3], '
+    '"packing_delta": 0.014054118766728973, "stab_angles": [0.8738840482332508, '
+    '1.5404311706442453, 2.0264950654783034, 2.7136089651949544, 3.4591530828813144, '
+    '3.9702460266308717, 4.539769188350137, 5.310342354951997, 5.90043229397692]}}')
 
 
 class TestCertificateRoundTrip:
@@ -423,11 +475,13 @@ class TestCertificateRoundTrip:
         assert certify_module.verify_certificate(back) is None
 
     @pytest.mark.parametrize("make", [
-        lambda: certify_single(0.25, 0.5),
+        # written by the arc certifier, which the floor replaced
+        lambda: certificate_from_dict(GREEDY_0_3),
         lambda: certify_double(2, 3, 0.5, 0.3),
         lambda: certify_single(0.25, 0.0),
         lambda: certify_double(2, 3, 1e-8, 1e-8),
-    ], ids=["greedy", "fallback", "closed-form", "double-pair"])
+        lambda: certify_single(0.25, 0.5),
+    ], ids=["greedy", "fallback", "closed-form", "double-pair", "floor"])
     def test_verifies_in_memory(self, make):
         cert = make()
         assert certify_module.verify_certificate(cert) is None

@@ -3,6 +3,7 @@ certification pipelines from model manifests and from matrix files,
 re-validation, and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -91,7 +92,8 @@ class TestMinima:
         assert doc["columns"] == ["g", "alpha", "p", "k", "lambda"]
         assert len(doc["rows"]) == 5
         assert doc["manifest"]["command"] == "minima"
-        assert doc["rows"][1] == {"g": 4, "alpha": 0.25, "p": "inf", "k": 1, "lambda": 0.0}
+        # JSON has no infinity: p = inf is null in the rows, as in no other output
+        assert doc["rows"][1] == {"g": 4, "alpha": 0.25, "p": None, "k": 1, "lambda": 0.0}
 
     @pytest.mark.parametrize("gs", ["0", "3,-2"])
     def test_bad_dimension_named(self, capsys, gs):
@@ -152,7 +154,8 @@ class TestMountains:
         assert rc == 0
         _, header, rows = read_csv(out)
         assert header == "alpha,delta,certified_dim"
-        assert any(r.startswith("0.25,0.5,") and r.endswith(",3") for r in rows)
+        # the worked example: 3 by the arcs, 4 by the determinant floor
+        assert any(r.startswith("0.25,0.5,") and r.endswith(",4") for r in rows)
 
     def test_trivial_rows_and_monotonicity(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -290,7 +293,8 @@ class TestCertify:
                    "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert doc["certificate"]["d_min"] == 3
+        assert doc["certificate"]["d_min"] == 4
+        assert doc["certificate"]["method"] == "determinant-floor"
         assert main(["check", str(out)]) == 0
 
     @pytest.mark.parametrize("delta", ["nan", "inf"])
@@ -542,6 +546,23 @@ class TestReports:
                        "single-pair models"]
 
 
+# Certificates that the arc certifier wrote before the determinant floor
+# replaced it, as `certify --alpha 0.25 --delta 0.5` and certify_double(2, 3,
+# 1e-2, 1e-3) gave them; they must keep verifying.
+GREEDY = json.loads(
+    '{"d_min": 3, "inputs": {"alpha": 0.25, "delta": 0.5}, "method": "greedy-transversal", '
+    '"slack": 0.49999999999899647, "witness": {"forced_angle": 0.0, '
+    '"minimal_interval_count": 3, "packing": [1, -1], "packing_delta": 0.9999999999989965, '
+    '"stab_angles": [2.617993877991494, 5.759586531581288]}}')
+GREEDY_FALLBACK = json.loads(
+    '{"d_min": 3, "inputs": {"d1": 2, "d2": 3, "delta": 0.001, "gamma": 0.01}, '
+    '"method": "greedy-transversal", "slack": 0.4989999999995637, "witness": '
+    '{"double_pair_threshold_failed_by": 0.5850000000000001, "forced_angle": 0.0, '
+    '"minimal_interval_count": 2, "packing": [1, -1], "packing_delta": 0.4999999999995637, '
+    '"single_pair_twist": 0.3333333333333333, "stab_angles": [2.139120189561929, '
+    '4.233515291955125]}}')
+
+
 class TestCheck:
     def test_valid_certificate_passes(self, tmp_path):
         spec = ModelSpec(kind="clock-block", g=3, n_excited=6, gap=1.0, seed=12,
@@ -567,8 +588,9 @@ class TestCheck:
     def certificate_doc(kind, tmp_path):
         """A valid certificate document of the given kind: a direct one as
         `certify --alpha --delta` writes it, a pipeline one as
-        `certify --manifest` writes it, the others built in process, or a
-        direct one wrapped in a top-level list."""
+        `certify --manifest` writes it, a greedy one as the arc certifier
+        wrote it, the others built in process, or a direct one wrapped in a
+        top-level list."""
         built = {
             "lambda-exclusion": lambda: certify_lambda_exclusion(0.25, 0.5),
             "closed-form": lambda: certify_single(0.25, 0.0),
@@ -580,6 +602,9 @@ class TestCheck:
         }
         if kind in built:
             return {"certificate": certificate_to_dict(built[kind]())}
+        if kind in ("greedy", "greedy-fallback"):
+            return {"certificate": json.loads(json.dumps(
+                GREEDY if kind == "greedy" else GREEDY_FALLBACK))}
         if kind == "pipeline":
             spec = ModelSpec(kind="clock-block", g=3, n_excited=6, gap=1.0, seed=12,
                              perturbation_strength=0.004)
@@ -596,11 +621,14 @@ class TestCheck:
         return [doc] if kind == "top-level-list" else doc
 
     @pytest.mark.parametrize("kind", ["lambda-exclusion", "closed-form", "double-pair",
-                                      "double-fallback", "small-delta-fallback"])
-    def test_unmodified_certificate_passes(self, tmp_path, kind):
+                                      "double-fallback", "small-delta-fallback", "direct",
+                                      "greedy", "greedy-fallback"])
+    def test_unmodified_certificate_passes(self, tmp_path, capsys, kind):
         out = tmp_path / "cert.json"
         out.write_text(json.dumps(self.certificate_doc(kind, tmp_path)))
+        capsys.readouterr()
         assert main(["check", str(out)]) == 0
+        assert capsys.readouterr().out == "certificate re-verified\n"
 
     @pytest.mark.parametrize("kind, mutate", [
         ("direct", lambda doc: doc["certificate"]["inputs"].pop("alpha")),
@@ -615,25 +643,25 @@ class TestCheck:
         ("double-pair", lambda doc: doc["certificate"]["inputs"].update(d1=2.9)),
         ("double-pair", lambda doc: doc["certificate"]["inputs"].update(d2=3.5)),
         ("lambda-exclusion", lambda doc: doc["certificate"]["inputs"].update(g_max=2)),
-        ("direct", lambda doc: doc["certificate"]["witness"].update(packing="1,-1")),
-        ("direct", lambda doc: doc["certificate"]["witness"].update(packing=[1.0, -1])),
-        ("direct", lambda doc: doc["certificate"]["witness"].update(packing=[True, -1])),
-        ("direct", lambda doc: doc["certificate"]["witness"].pop("packing_delta")),
-        ("direct", lambda doc: doc["certificate"]["witness"].update(packing_delta="inf")),
-        ("direct", lambda doc: doc["certificate"]["witness"].update(packing_delta=0.25)),
-        ("double-fallback",
+        ("greedy", lambda doc: doc["certificate"]["witness"].update(packing="1,-1")),
+        ("greedy", lambda doc: doc["certificate"]["witness"].update(packing=[1.0, -1])),
+        ("greedy", lambda doc: doc["certificate"]["witness"].update(packing=[True, -1])),
+        ("greedy", lambda doc: doc["certificate"]["witness"].pop("packing_delta")),
+        ("greedy", lambda doc: doc["certificate"]["witness"].update(packing_delta="inf")),
+        ("greedy", lambda doc: doc["certificate"]["witness"].update(packing_delta=0.25)),
+        ("greedy-fallback",
          lambda doc: doc["certificate"]["witness"].update(packing_delta=None)),
-        ("direct", lambda doc: doc["certificate"]["witness"].update(stab_angles="0.1")),
-        ("direct", lambda doc: doc["certificate"]["witness"].update(stab_angles=[True])),
-        ("direct", lambda doc: doc["certificate"]["witness"].pop("stab_angles")),
-        ("direct", lambda doc: doc["certificate"]["witness"].update(
+        ("greedy", lambda doc: doc["certificate"]["witness"].update(stab_angles="0.1")),
+        ("greedy", lambda doc: doc["certificate"]["witness"].update(stab_angles=[True])),
+        ("greedy", lambda doc: doc["certificate"]["witness"].pop("stab_angles")),
+        ("greedy", lambda doc: doc["certificate"]["witness"].update(
             minimal_interval_count=3.0)),
-        ("direct", lambda doc: doc["certificate"]["witness"].pop("minimal_interval_count")),
+        ("greedy", lambda doc: doc["certificate"]["witness"].pop("minimal_interval_count")),
         ("double-fallback", lambda doc: doc["certificate"]["witness"].update(
             double_pair_threshold_failed_by="wide")),
         ("double-fallback", lambda doc: doc["certificate"]["witness"].pop(
             "double_pair_threshold_failed_by")),
-        ("direct", lambda doc: [doc["certificate"]["witness"].pop(key)
+        ("greedy", lambda doc: [doc["certificate"]["witness"].pop(key)
                                 for key in ("packing", "packing_delta")]),
         ("lambda-exclusion", lambda doc: doc["certificate"]["witness"].update(
             excluded_dimensions="1,2,3")),
@@ -667,31 +695,30 @@ class TestCheck:
         assert err[0].startswith("error: malformed certificate: ")
 
     @pytest.mark.parametrize("kind, mutate, reason", [
-        ("direct", lambda cert: cert.update(d_min=cert["d_min"] + 1), "the packing holds"),
-        ("pipeline", lambda cert: cert.update(d_min=cert["d_min"] + 1), "the packing holds"),
-        ("double-fallback", lambda cert: cert.update(d_min=cert["d_min"] + 1),
-         "the packing holds"),
-        ("direct", lambda cert: cert["witness"]["packing"].pop(), "the packing holds"),
-        ("direct", lambda cert: cert["witness"]["packing"].__setitem__(
+        ("direct", lambda cert: cert.update(d_min=cert["d_min"] + 1), "overstates"),
+        ("pipeline", lambda cert: cert.update(d_min=cert["d_min"] + 1), "overstates"),
+        ("double-fallback", lambda cert: cert.update(d_min=cert["d_min"] + 1), "overstates"),
+        ("greedy", lambda cert: cert["witness"]["packing"].pop(), "the packing holds"),
+        ("greedy", lambda cert: cert["witness"]["packing"].__setitem__(
             1, cert["witness"]["packing"][0]), "meet at delta"),
-        ("direct", lambda cert: cert.update(slack=cert["slack"] * (1 - 1e-15)),
+        ("greedy", lambda cert: cert.update(slack=cert["slack"] * (1 - 1e-15)),
          "differs from packing_delta - delta"),
-        ("direct", lambda cert: cert["witness"].update(
+        ("greedy", lambda cert: cert["witness"].update(
             packing_delta=cert["witness"]["packing_delta"] + 1e-3), "differs from"),
-        ("direct", lambda cert: cert["witness"]["packing"].__setitem__(0, 0),
+        ("greedy", lambda cert: cert["witness"]["packing"].__setitem__(0, 0),
          "reaches angle 0"),
-        ("direct", lambda cert: cert["witness"]["packing"].__setitem__(0, 10 ** 30),
+        ("greedy", lambda cert: cert["witness"]["packing"].__setitem__(0, 10 ** 30),
          "is the whole circle"),
         ("double-fallback", lambda cert: cert["inputs"].update(gamma=0.0),
          "the double-pair threshold holds"),
         ("double-fallback", lambda cert: cert["witness"].update(single_pair_twist=0.25),
          "is neither 1/d1 nor 1/d2"),
-        ("direct", lambda cert: cert["witness"].update(
+        ("greedy", lambda cert: cert["witness"].update(
             stab_angles=[0.1, 0.2, 0.3], minimal_interval_count=99), "3 stab angles"),
-        ("direct", lambda cert: cert["witness"]["stab_angles"].reverse(), "not ascending"),
-        ("direct", lambda cert: cert["witness"]["stab_angles"].__setitem__(-1, 7.0),
+        ("greedy", lambda cert: cert["witness"]["stab_angles"].reverse(), "not ascending"),
+        ("greedy", lambda cert: cert["witness"]["stab_angles"].__setitem__(-1, 7.0),
          "outside [0, 2 pi)"),
-        ("direct", lambda cert: cert["witness"].update(minimal_interval_count=1),
+        ("greedy", lambda cert: cert["witness"].update(minimal_interval_count=1),
          "is below d_min - 1"),
         ("double-fallback", lambda cert: cert["witness"].update(
             double_pair_threshold_failed_by=cert["witness"]["double_pair_threshold_failed_by"]
@@ -703,7 +730,7 @@ class TestCheck:
             "interval-count-below-packing", "fallback-failed_by-edited"])
     def test_failing_witness_exits_3(self, tmp_path, capsys, kind, mutate, reason):
         doc = self.certificate_doc(kind, tmp_path)
-        assert doc["certificate"]["witness"]["packing"]
+        assert kind != "greedy" or doc["certificate"]["witness"]["packing"]
         self.assert_check_fails(tmp_path, capsys, doc, mutate, reason)
 
     @staticmethod
@@ -745,7 +772,7 @@ class TestCheck:
         ("closed-form", lambda cert: cert["inputs"].update(delta=0.5), "needs delta = 0"),
         ("closed-form", lambda cert: cert["witness"].update(exact=False),
          "witness.exact False must be true"),
-        ("direct", lambda cert: cert["witness"].update(forced_angle=1.0),
+        ("greedy", lambda cert: cert["witness"].update(forced_angle=1.0),
          "witness.forced_angle 1.0 must be 0.0"),
         ("lambda-exclusion", lambda cert: cert["inputs"].update(alpha=1e308),
          "the closed-form floors give d_min = 1"),
@@ -776,25 +803,65 @@ class TestCheck:
         def refuse(*args, **kwargs):
             raise AssertionError("check ran the certifier")
 
-        for name in ("certify_single", "certify_double", "minimal_intervals", "_minimal",
-                     "_slack"):
+        for name in ("certify_single", "certify_double", "minimal_intervals", "_minimal"):
             monkeypatch.setattr(certify_module, name, refuse)
         for name in ("certify_single", "certify_double"):
             monkeypatch.setattr(cli_module, name, refuse)
         assert main(["check", str(out)]) == code
 
     def test_mountains_runs_one_sweep(self, tmp_path, monkeypatch):
+        """A tile's cells share one floor search, with no arc sweep."""
         calls = []
-        minimal = certify_module._minimal
+        search = certify_module._floor_search
 
-        def counted(*args):
-            calls.append(args[1].size)
-            return minimal(*args)
+        def counted(alpha, delta, *args):
+            calls.append(alpha.size)
+            return search(alpha, delta, *args)
 
-        monkeypatch.setattr(certify_module, "_minimal", counted)
+        monkeypatch.setattr(certify_module, "_floor_search", counted)
+        monkeypatch.setattr(certify_module, "_minimal", None)
         assert main(["mountains", "--alpha-grid", "0.3:0.4:10", "--delta-grid", "0.02:2:10",
                      "--out", str(tmp_path / "tile.csv")]) == 0
-        assert len(calls) == 1 and calls[0] > 0
+        assert calls == [108]
+
+    @pytest.mark.parametrize("mutate, reason", [
+        (lambda cert: cert.update(d_min=cert["d_min"] + 1), "overstates"),
+        (lambda cert: cert.update(d_min=cert["d_min"] - 1), "exceeds delta"),
+        (lambda cert: cert.update(slack=math.nextafter(cert["slack"], math.inf)),
+         "differs from the least floor"),
+        (lambda cert: cert.update(slack=math.nextafter(cert["slack"], 0.0)),
+         "differs from the least floor"),
+        (lambda cert: cert["inputs"].update(delta=0.4), "differs from the least floor"),
+        (lambda cert: cert["inputs"].update(delta=0.6), "overstates"),
+        (lambda cert: cert.update(slack=None), "differs from the least floor"),
+        (lambda cert: cert["inputs"].update(delta=0.0), "needs delta > 0"),
+    ], ids=["d_min+1", "d_min-1", "slack-ulp-up", "slack-ulp-down", "delta-lowered",
+            "delta-raised", "slack-null", "delta-zero"])
+    def test_failing_floor_certificate_exits_3(self, tmp_path, capsys, mutate, reason):
+        doc = self.certificate_doc("direct", tmp_path)
+        assert doc["certificate"]["method"] == "determinant-floor"
+        self.assert_check_fails(tmp_path, capsys, doc, mutate, reason)
+
+    def test_floor_recheck_of_a_huge_d_min_stops_early(self, tmp_path, capsys, monkeypatch):
+        """An edited d_min = 10**9 at delta = 1e-3 fails at the first
+        dimension whose floor reaches delta, within ceil(2 pi / delta)."""
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--alpha", "0.3", "--delta", "1e-3", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        doc["certificate"]["d_min"] = 10 ** 9
+        out.write_text(json.dumps(doc))
+        seen = []
+        floor = certify_module.lambda_low
+
+        def counted(gs, alpha):
+            seen.append(gs.size)
+            return floor(gs, alpha)
+
+        monkeypatch.setattr(certify_module, "lambda_low", counted)
+        capsys.readouterr()
+        assert main(["check", str(out)]) == 3
+        assert "overstates" in capsys.readouterr().out
+        assert sum(seen) <= math.ceil(2 * math.pi / 1e-3)
 
     def test_lambda_exclusion_recheck_is_capped_at_d_min(self, tmp_path, monkeypatch):
         doc = self.certificate_doc("lambda-exclusion", tmp_path)
