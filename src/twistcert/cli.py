@@ -88,11 +88,6 @@ class RunManifest:
         )
 
 
-def _fmt(x: float) -> str:
-    """A CSV field: an int as is, a float to 17 significant digits, inf as inf."""
-    return f"{x:.17g}"
-
-
 def _write_text(out: str | None, text: str) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -112,7 +107,9 @@ def _write_rows(out: str | None, manifest: RunManifest, header: str,
         _write_json(out, manifest, {"columns": cols,
                                     "rows": [dict(zip(cols, r)) for r in rows]})
         return
-    lines = [",".join(map(_fmt, r)) for r in rows]
+    # every field to 17 significant digits: an int as is, inf as inf
+    line = ",".join(["%.17g"] * len(header.split(",")))
+    lines = [line % r for r in rows]
     _write_text(out, "\n".join([manifest.header_line(), header, *lines]))
 
 

@@ -426,17 +426,27 @@ def require_unitary(m, name: str) -> np.ndarray:
     return m
 
 
+def _haar_from_normals(x: np.ndarray) -> np.ndarray:
+    """The Haar unitaries of an (..., 2, n, n) stack of standard normals,
+    real parts before imaginary ones: the Q factor of each complex Gaussian
+    (x[..., 0] + i x[..., 1]) / sqrt(2), by one batched QR, with the phase
+    convention R_ii > 0.  Returns the (..., n, n) stack; each slice equals
+    the call on that slice alone."""
+    z = (x[..., 0, :, :] + 1j * x[..., 1, :, :]) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def haar_unitary(n: int, seed) -> np.ndarray:
     """Haar-distributed n x n unitary, deterministic per seed.
 
-    QR of a seeded complex Gaussian with the phase convention R_ii > 0.
+    QR of a seeded complex Gaussian with the phase convention R_ii > 0
+    (`_haar_from_normals`), the real part drawn before the imaginary one.
     Accepts an int seed or a numpy Generator.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    return _haar_from_normals(rng.standard_normal((2, n, n)))
 
 
 def _require_normal_pair(a, b):

@@ -14,7 +14,7 @@ from .config import UNITARITY
 from .linalg import (
     NormSpec,
     OPERATOR,
-    haar_unitary,
+    _haar_from_normals,
     operator_norm,
     require_unitary,
     twisted_commutator,
@@ -223,13 +223,19 @@ def _dagger(x: np.ndarray) -> np.ndarray:
     return x.conj().swapaxes(-1, -2)
 
 
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Real inner products Re tr(x^dag y) of two (2, R, g, g) stacks of
+    pairs, summed over the pair: one value per restart."""
+    return (x.real * y.real + x.imag * y.imag).sum(axis=(-2, -1)).sum(axis=0)
+
+
 def _descend(w: np.ndarray, alpha: float, iters: int) -> np.ndarray:
     """Riemannian gradient descent on the smooth Frobenius-squared objective
-    ||u v - eta v u||_F^2 over pairs of unitaries, with a Cayley retraction
-    and a backtracking line search, run on every pair (u, v) = (w[0, r],
-    w[1, r]) of the (2, R, g, g) stack w at once.  Frobenius minimizers have
-    flat-spectrum twisted commutators, so they minimize every (p, k) norm
-    simultaneously.
+    ||u v - eta v u||_F^2 over pairs of unitaries, with a Cayley retraction,
+    Barzilai-Borwein steps and a backtracking line search, run on every pair
+    (u, v) = (w[0, r], w[1, r]) of the (2, R, g, g) stack w at once.
+    Frobenius minimizers have flat-spectrum twisted commutators, so they
+    minimize every (p, k) norm simultaneously.
 
     With G_u the Euclidean gradient in u, the Riemannian gradient is u A_u
     for the skew-Hermitian A_u = skew(u^dag G_u), and likewise for v
@@ -242,17 +248,26 @@ def _descend(w: np.ndarray, alpha: float, iters: int) -> np.ndarray:
     unitary in exact arithmetic, and is accepted by the Armijo test against
     ||A_u||_F^2 + ||A_v||_F^2.
 
-    Each restart keeps its own step (starting at 0.25), accepted-step
-    count, value and gradient.  A round gives every active restart one
-    trial: all trials of the round share one batched solve, one commutator
-    and one Armijo test.  An accepted trial grows the step by 1.3 (capped
-    at 1) and refreshes that restart's gradient; a rejected one halves the
-    step.  A restart stops once step * ||grad||^2 <= 2^-52 f, where the
-    predicted decrease is below the rounding of its value f; it also stops
-    after `iters` accepted steps, at a vanishing gradient, or once its step
-    falls to 1e-14.  Every slice is computed on its own, so a restart
-    follows the same path whichever restarts share the stack.  Returns a
-    new stack; the input is not modified.
+    Each restart keeps its own step, accepted-step count, value and
+    gradient.  A round gives every active restart one trial: all trials of
+    the round share one batched solve, one commutator and one Armijo test.
+    A restart's first trial step is 0.25.  After its k-th accepted step the
+    next trial step is the Barzilai-Borwein step (IMA J. Numer. Anal. 8
+    (1988)) from S = X_k - X_(k-1) and Y = (u A_u, v A_v)_k - (u A_u, v
+    A_v)_(k-1), the ambient gradients, with inner products summed over the
+    pair: <S, S> / |<S, Y>| for odd k and |<S, Y>| / <Y, Y> for even k, as
+    Wen and Yin alternate them, clipped to [1e-10, 1e3]; a zero denominator
+    keeps the step.  A rejected trial halves the step.  A restart stops once
+    step * ||grad||^2 <= 2^-52 f, where the predicted decrease is below the
+    rounding of its value f; it also stops after `iters` accepted steps, at
+    a vanishing gradient, or once its step falls to 1e-14.  At a value that
+    is all rounding (a floor of 0) the halving ends on a step too small to
+    move the pair, which the Armijo test accepts; then S = Y = 0, the step
+    is kept and every later round repeats that trial, so the restart stops
+    there, on the pair that `iters` accepted steps would give.  Every slice
+    is computed on its own, so a restart follows the same path whichever
+    restarts share the stack.  Returns a new stack; the input is not
+    modified.
     """
     eta = np.exp(2j * np.pi * alpha)
     w = w.copy()
@@ -262,6 +277,8 @@ def _descend(w: np.ndarray, alpha: float, iters: int) -> np.ndarray:
     step = np.full(restarts, 0.25)
     taken = np.zeros(restarts, dtype=int)
     a = np.empty_like(w)  # A_u, A_v
+    grad = np.zeros_like(w)  # u A_u, v A_v at the last accepted point
+    moved = np.zeros_like(w)  # S, the last accepted move
     gnorm2 = np.zeros(restarts)
     eye = np.eye(w.shape[-1])
     active = np.ones(restarts, dtype=bool)
@@ -270,15 +287,24 @@ def _descend(w: np.ndarray, alpha: float, iters: int) -> np.ndarray:
         active &= taken < iters
         new = np.flatnonzero(active & stale)
         if new.size:
-            tn = t[new]
-            uh, vh = _dagger(w[:, new])
+            tn, wn = t[new], w[:, new]
+            uh, vh = _dagger(wn)
             gu = tn @ vh - np.conj(eta) * (vh @ tn)
             gv = uh @ tn - np.conj(eta) * (tn @ uh)
             an = np.stack((uh @ gu, vh @ gv))
             an = 0.5 * (an - _dagger(an))
-            a[:, new] = an
+            gn = wn @ an
+            sn, yn = moved[:, new], gn - grad[:, new]
+            ss, sy, yy = _inner(sn, sn), np.abs(_inner(sn, yn)), _inner(yn, yn)
+            k = taken[new]
+            num, den = np.where(k % 2 == 1, ss, sy), np.where(k % 2 == 1, sy, yy)
+            bb = (k > 0) & (den > 0)
+            step[new[bb]] = np.clip(num[bb] / den[bb], 1e-10, 1e3)
+            a[:, new], grad[:, new] = an, gn
             gnorm2[new] = _fro2(an).sum(axis=0)
-            active[new] = gnorm2[new] >= 1e-30
+            # a pair that an accepted step left unchanged repeats that step
+            stuck = (k > 0) & ~sn.any(axis=(0, -2, -1))
+            active[new] = (gnorm2[new] >= 1e-30) & ~stuck
         active &= (step > 1e-14) & (step * gnorm2 > 2.0 ** -52 * fval)
         idx = np.flatnonzero(active)
         if not idx.size:
@@ -292,8 +318,8 @@ def _descend(w: np.ndarray, alpha: float, iters: int) -> np.ndarray:
         f2 = _fro2(t2)
         ok = f2 <= fval[idx] - 1e-4 * step[idx] * gnorm2[idx]
         acc = idx[ok]
+        moved[:, acc] = trial[:, ok] - wi[:, ok]
         w[:, acc], t[acc], fval[acc] = trial[:, ok], t2[ok], f2[ok]
-        step[acc] = np.minimum(step[acc] * 1.3, 1.0)
         step[idx[~ok]] *= 0.5
         taken[acc] += 1
         stale[:] = False
@@ -309,10 +335,14 @@ def brute_min(g: int, alpha: float, spec: NormSpec = OPERATOR,
     One-sided oracle for the closed form: the returned value can never fall
     below lambda_min (up to numerical tolerance).  Restart r starts from Haar
     unitaries u0, v0 drawn in that order from default_rng([seed, r]), so runs
-    are reproducible.  All restarts descend together as one (2, restarts,
-    g, g) stack of (u, v) pairs, but independently: restart r ends on the
-    same pair whatever the number of restarts.  Restricted to 1 <= g <= 4; the cost grows quickly
-    beyond desk scale.  Every final u and v is checked to be unitary to
+    are reproducible: each restart's normals are drawn from its own
+    generator, and one batched QR turns all 2 * restarts of them into the
+    same unitaries `haar_unitary` gives.  All restarts descend together as
+    one (2, restarts, g, g) stack of (u, v) pairs, but independently:
+    restart r ends on the same pair whatever the number of restarts.
+    Restricted to 1 <= g <= 4; the cost grows quickly beyond desk scale.
+    alpha must be finite and is reduced with math.fmod(alpha, 1.0) first,
+    as in lambda_min.  Every final u and v is checked to be unitary to
     config.UNITARITY in the Frobenius norm, which bounds the operator norm;
     ArithmeticError if one is not.
 
@@ -328,12 +358,12 @@ def brute_min(g: int, alpha: float, spec: NormSpec = OPERATOR,
         raise ValueError(f"iters must be >= 0, got {iters}")
     if spec.k > g:
         raise ValueError(f"k = {spec.k} exceeds dimension {g}")
-    w = np.empty((2, restarts, g, g), dtype=np.complex128)
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        w[0, r] = haar_unitary(g, rng)
-        w[1, r] = haar_unitary(g, rng)
-    w = _descend(w, alpha, iters=iters)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    alpha = math.fmod(alpha, 1.0)
+    normals = np.stack([np.random.default_rng([seed, r]).standard_normal((2, 2, g, g))
+                        for r in range(restarts)])
+    w = _descend(_haar_from_normals(normals).swapaxes(0, 1), alpha, iters=iters)
     if not np.all(_fro2(_dagger(w) @ w - np.eye(g)) <= UNITARITY ** 2):
         raise ArithmeticError("descent left the unitary group")
     u, v = w

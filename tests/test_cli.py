@@ -146,6 +146,28 @@ def test_closed_stdout_exits_quietly(argv):
     assert err == b""
 
 
+@pytest.mark.parametrize("argv", [
+    ["mountains", "--alpha-grid", "0.3819660112501051:0.4819660112501051:10",
+     "--delta-grid", "0.02:2.0:10"],
+    ["minima", "--g", "1,2,3,4,5", "--grid", "0:1:21", "--p", "inf"],
+])
+def test_csv_rows_are_the_17_digit_fields(tmp_path, monkeypatch, argv):
+    # the CSV body is byte for byte the rows formatted one field at a time
+    write_rows, seen = cli_module._write_rows, []
+
+    def spy(out, manifest, header, rows, fmt="csv"):
+        seen.append(rows)
+        write_rows(out, manifest, header, rows, fmt)
+
+    monkeypatch.setattr(cli_module, "_write_rows", spy)
+    out = tmp_path / "rows.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    (rows,) = seen
+    _, _, body = read_csv(out)
+    assert body == [",".join(f"{x:.17g}" for x in r) for r in rows]
+    assert out.read_text().endswith("\n")
+
+
 class TestMountains:
     def test_reference_rows_present(self, tmp_path):
         out = tmp_path / "m.csv"

@@ -263,9 +263,27 @@ def _cayley_solved(u, a, s):
     return 2.0 * np.linalg.solve(eye + s / 2.0 * a.T, u.T).T - u
 
 
+def _bb_step(s, y, k, step):
+    """The Barzilai-Borwein step after the k-th accepted step, from the
+    pairs S and Y: <S, S> / |<S, Y>| for odd k, |<S, Y>| / <Y, Y> for even
+    k, clipped to [1e-10, 1e3]; a zero denominator keeps the step."""
+    ss, yy = _re_inner(s, s), _re_inner(y, y)
+    sy = abs(_re_inner(s, y))
+    num, den = (ss, sy) if k % 2 else (sy, yy)
+    return step if den == 0.0 else min(max(num / den, 1e-10), 1e3)
+
+
+def _re_inner(x, y):
+    """Re tr(x^dag y), summed over the two members of the pairs x and y, in
+    the batched descent's order of summation."""
+    a, b = (float(np.sum(p.real * q.real + p.imag * q.imag)) for p, q in zip(x, y))
+    return a + b
+
+
 def _descend_one(u, v, alpha, iters, step0, retract=_cayley_solved):
     """The Riemannian descent one restart at a time: the oracle for the
-    batched descent."""
+    batched descent.  A restart whose accepted step left its pair unchanged
+    runs on to `iters` here, where the batched descent stops it."""
     eta = np.exp(2j * np.pi * alpha)
     step = step0
     t = twisted_commutator(u, v, alpha)
@@ -276,6 +294,11 @@ def _descend_one(u, v, alpha, iters, step0, retract=_cayley_solved):
         gv = u.conj().T @ t - np.conj(eta) * (t @ u.conj().T)
         au, av = u.conj().T @ gu, v.conj().T @ gv
         au, av = (au - au.conj().T) / 2.0, (av - av.conj().T) / 2.0
+        grad = (u @ au, v @ av)
+        if taken:
+            step = _bb_step((u - prev[0], v - prev[1]),
+                            (grad[0] - prev_grad[0], grad[1] - prev_grad[1]), taken, step)
+        prev_grad = grad
         gnorm2 = _fro2(au) + _fro2(av)
         if gnorm2 < 1e-30:
             break
@@ -284,8 +307,8 @@ def _descend_one(u, v, alpha, iters, step0, retract=_cayley_solved):
             t2 = twisted_commutator(u2, v2, alpha)
             f2 = _fro2(t2)
             if f2 <= fval - 1e-4 * step * gnorm2:
+                prev = (u, v)
                 u, v, t, fval = u2, v2, t2, f2
-                step = min(step * 1.3, 1.0)
                 taken += 1
                 break
             step *= 0.5
@@ -357,11 +380,43 @@ class TestBatchedDescent:
             brute_min(2, 0.3, OP, restarts=3, seed=0)
 
     def test_zero_iterations_returns_the_starts(self):
-        _, finals = brute_min(2, 0.3, OP, restarts=3, seed=4, iters=0, trace=True)
-        for r, (u, v) in enumerate(finals):
-            rng = np.random.default_rng([4, r])
-            assert np.array_equal(u, haar_unitary(2, rng))
-            assert np.array_equal(v, haar_unitary(2, rng))
+        # the batched draw gives the per-restart haar_unitary draws bitwise
+        for g in (1, 2, 3, 4):
+            _, finals = brute_min(g, 0.3, OP, restarts=3, seed=4, iters=0, trace=True)
+            for r, (u, v) in enumerate(finals):
+                rng = np.random.default_rng([4, r])
+                assert np.array_equal(u, haar_unitary(g, rng))
+                assert np.array_equal(v, haar_unitary(g, rng))
+
+    def test_no_restart_runs_to_the_iteration_cap(self):
+        # with a fixed step schedule one restart of this query took all 300
+        # accepted steps; Barzilai-Borwein steps settle every restart in 50
+        _, long = brute_min(2, 0.05, OP, restarts=50, seed=1, iters=300, trace=True)
+        _, short = brute_min(2, 0.05, OP, restarts=50, seed=1, iters=50, trace=True)
+        for (u, v), (u1, v1) in zip(long, short):
+            assert np.array_equal(u, u1) and np.array_equal(v, v1)
+
+    @pytest.mark.parametrize("g, alpha", [(3, 1.0 / 3.0), (4, 0.25), (4, 0.5)])
+    def test_a_restart_that_stops_moving_stops(self, monkeypatch, g, alpha):
+        # at a floor of 0 the halving ends on a step that leaves the pair
+        # unchanged; repeating it to `iters` took 340-450 rounds
+        solve, rounds = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: rounds.append(1) or solve(*a))
+        assert brute_min(g, alpha, OP, restarts=10, seed=1) < 1e-6
+        assert len(rounds) < 150
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_twist_rejected(self, alpha):
+        with pytest.raises(ValueError, match="^alpha must be finite"):
+            brute_min(2, alpha, OP, restarts=2)
+
+    def test_huge_twist_is_an_integer_twist(self):
+        # fmod(1e308, 1) = 0: the query is the untwisted one, with floor 0
+        best, finals = brute_min(2, 1e308, OP, restarts=5, seed=2, trace=True)
+        want, want_finals = brute_min(2, 0.0, OP, restarts=5, seed=2, trace=True)
+        assert best == want and best <= 1e-6
+        for (u, v), (u1, v1) in zip(finals, want_finals):
+            assert np.array_equal(u, u1) and np.array_equal(v, v1)
 
     @pytest.mark.parametrize("kwargs", [
         {"iters": -5}, {"iters": -1}, {"restarts": -3},
