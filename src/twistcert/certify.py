@@ -13,8 +13,8 @@ the powers of eta, and the least number of points meeting every arc
 certifies more than the floor.  Two mutually approximately commuting twisted
 pairs certify the product dimension through a shared approximate eigenvector
 and a Gram-matrix independence argument.  verify_certificate checks a written
-certificate of any kind from its own witness with exact comparisons; the
-greedy-transversal certificates of the arc certifier still verify.
+certificate of each kind in METHODS, the kinds certify_single and
+certify_double write, from its own witness with exact comparisons.
 """
 
 from __future__ import annotations
@@ -35,14 +35,12 @@ from .config import (
     RATIONAL_TWIST,
 )
 from .linalg import (
-    NormSpec,
-    OPERATOR,
     eig_normal,
     norm_upper,
     require_unitary,
     twisted_commutator,
 )
-from .minima import TwistedPair, lambda_low, lambda_min
+from .minima import TwistedPair, lambda_low
 from .shared_eig import shared_approx_eigenvector_normal
 
 __all__ = [
@@ -60,7 +58,6 @@ __all__ = [
     "certify_single",
     "certify_grid",
     "certify_double",
-    "certify_lambda_exclusion",
     "verify_certificate",
     "orbit_expectations",
     "overlap_bound",
@@ -71,13 +68,7 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
-METHODS = (
-    "single-closed-form",
-    "greedy-transversal",
-    "determinant-floor",
-    "double-pair",
-    "lambda-exclusion",
-)
+METHODS = ("single-closed-form", "determinant-floor", "double-pair")
 
 # The least positive delta certify_single accepts.  It bounds the floor
 # search: by Dirichlet's theorem some q < ceil(2 pi / delta) has
@@ -91,7 +82,7 @@ _MIN_DELTA = 1e-6
 # arccos(1 - fl(|j| delta)) has its argument off by at most 3u (u = 2^-53)
 # and arccos is 1/2-Hoelder with constant pi / sqrt(2), so with libm's few ulp
 # it lies within 4.1e-8 of the exact one; two half-widths and the few
-# roundings (each under 2 pi u) of _unfold's endpoints and distances to 0
+# roundings (each under 2 pi u) of _minimal's endpoints and distances to 0
 # stay below this.
 _HALF_WIDTH_ROUNDING = 1e-7
 # The floor search evaluates dimensions in chunks: _FIRST_CHUNK first, then
@@ -224,26 +215,18 @@ def _nesting_power(alpha: float, delta: float) -> int:
     return jmax
 
 
-def _unfold(half: np.ndarray, centers: np.ndarray):
-    """The arc expressions that the certifier and its verifier share, for
-    arcs of half-widths half and centres in [0, 2 pi): as (dist0, clear, lo,
-    hi), each centre's distance dist0 from angle 0 (the half-widths do not
-    enter it), whether the arc is clear of angle 0 by more than ANGLE_MERGE
-    (dist0 > half + ANGLE_MERGE), and its endpoints
-    lo = (center - half) mod 2 pi and hi = lo + 2 half on the circle unfolded
-    at angle 0 (0 < lo < hi < 2 pi for a clear arc)."""
-    dist0 = np.minimum(centers, TWO_PI - centers)
-    lo = (centers - half) % TWO_PI
-    return dist0, dist0 > half + ANGLE_MERGE, lo, lo + 2.0 * half
-
-
 def _minimal(js: np.ndarray, half: np.ndarray, centers: np.ndarray):
-    """The body of minimal_intervals on given arcs: the powers j and
-    endpoints lo, hi of the inclusion-minimal intervals, ascending in lo and
-    in hi (hi by more than ANGLE_MERGE from one interval to the next)."""
-    _, clear, lo, hi = _unfold(half, centers)
+    """The body of minimal_intervals on arcs of half-widths half and centres
+    in [0, 2 pi): the powers j and endpoints lo, hi of the inclusion-minimal
+    intervals, ascending in lo and in hi (hi by more than ANGLE_MERGE from
+    one interval to the next).  An arc is kept when its centre lies more than
+    half + ANGLE_MERGE from angle 0, and is unfolded at angle 0 to
+    lo = (center - half) mod 2 pi and hi = lo + 2 half, 0 < lo < hi < 2 pi."""
     # arcs through the forced point drop out
-    js, lo, hi = js[clear], lo[clear], hi[clear]
+    clear = np.minimum(centers, TWO_PI - centers) > half + ANGLE_MERGE
+    js, half, centers = js[clear], half[clear], centers[clear]
+    lo = (centers - half) % TWO_PI
+    hi = lo + 2.0 * half
     order = np.lexsort((-hi, lo))  # lo ascending, hi descending
     js, lo, hi = js[order], lo[order], hi[order]
     dup = np.zeros(lo.size, dtype=bool)
@@ -260,12 +243,10 @@ def _minimal(js: np.ndarray, half: np.ndarray, centers: np.ndarray):
 
 class MinimalIntervals(list):
     """The (lo, hi) pairs of minimal_intervals; `powers` holds the orbit
-    power j whose arc gave each pair, and `lo` and `hi` the endpoints as
-    lists."""
+    power j whose arc gave each pair."""
 
     def __init__(self, js: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        self.lo, self.hi = lo.tolist(), hi.tolist()
-        super().__init__(zip(self.lo, self.hi))
+        super().__init__(zip(lo.tolist(), hi.tolist()))
         self.powers = js
 
 
@@ -284,28 +265,19 @@ def minimal_intervals(alpha: float, delta: float) -> MinimalIntervals:
     return MinimalIntervals(*_minimal(*_arcs(alpha, delta, js)))
 
 
-def _stab_indices(lo: list[float], hi: list[float]) -> list[int]:
-    """The greedy stabbing on intervals sorted by right endpoint: the indices
-    of the intervals whose right end becomes a stab.  Each lies more than
-    ANGLE_MERGE beyond the previous one, so they form a packing."""
-    merge = ANGLE_MERGE  # a local: the loop reads it once per interval
-    picked: list[int] = []
-    last = -math.inf
-    for i, (a, b) in enumerate(zip(lo, hi)):
-        if last < a - merge:
-            picked.append(i)
-            last = b
-    return picked
-
-
 def greedy_transversal(intervals) -> list[float]:
     """Minimum stabbing points for closed intervals on a line: sort by right
-    endpoint and stab at the right end of each interval not already covered.
-    Optimal for interval systems (exchange argument on the earliest right
-    endpoint)."""
-    ordered = sorted(intervals, key=lambda t: t[1])
-    his = [hi for _, hi in ordered]
-    return [his[i] for i in _stab_indices([lo for lo, _ in ordered], his)]
+    endpoint and stab at the right end of each interval not already covered,
+    that is, starting more than ANGLE_MERGE beyond the last stab.  Optimal
+    for interval systems (exchange argument on the earliest right endpoint)."""
+    merge = ANGLE_MERGE  # a local: the loop reads it once per interval
+    stabs: list[float] = []
+    last = -math.inf
+    for lo, hi in sorted(intervals, key=lambda t: t[1]):
+        if last < lo - merge:
+            stabs.append(hi)
+            last = hi
+    return stabs
 
 
 def arc_dimension(alpha: float, delta: float) -> int:
@@ -443,8 +415,8 @@ def _check_domain(alpha: float, delta: float) -> None:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     if 0.0 < delta < _MIN_DELTA:
         raise ValueError(
-            f"delta = {delta:.3e} may require more than {int(2 / _MIN_DELTA)} arcs; "
-            "use the exact route (delta = 0) or a coarser value"
+            f"delta = {delta:.3e} lies below {_MIN_DELTA:g}, the least delta the "
+            "floor search accepts; use the exact route (delta = 0) or a coarser value"
         )
 
 
@@ -452,76 +424,6 @@ def _sweep_delta(delta: float) -> float:
     """delta raised to _MIN_DELTA when it lies in (0, _MIN_DELTA), where
     certify_single refuses it: certifying at a larger delta is always sound."""
     return max(delta, _MIN_DELTA) if delta > 0.0 else delta
-
-
-def _packing_failure(alpha: float, delta: float, d_min: int, packing,
-                     packing_delta: float, slack: float | None) -> str | None:
-    """Why the packing witness of a greedy-transversal certificate fails to
-    prove d >= d_min, or None when it proves it.
-
-    Every arc of the orbit powers in `packing` holds an eigenvalue, and so
-    does angle 0.  So d_min - 1 arcs that avoid angle 0 and each other prove
-    d_min distinct eigenvalues.  Half-widths only grow with delta, so arcs
-    that do so at packing_delta do so at every delta' <= packing_delta.  The
-    arcs are recomputed with _arcs at delta and at packing_delta, tested
-    against angle 0 with _unfold, the test _minimal applies, and their
-    neighbours with _stab_indices' separation (more than ANGLE_MERGE), as
-    the arc certifier that wrote these certificates found them.  The slack, when
-    given, must equal packing_delta - delta exactly.  O(d log d); no sweep
-    runs."""
-    _check_domain(alpha, delta)
-    if not (math.isfinite(packing_delta) and packing_delta >= delta):
-        raise ValueError(f"packing_delta must be finite and at least delta = "
-                         f"{delta!r}, got {packing_delta!r}")
-    if len(packing) != d_min - 1:
-        return f"the packing holds {len(packing)} arcs, but d_min - 1 = {d_min - 1}"
-    if slack is not None and slack != packing_delta - delta:
-        return (f"slack {slack!r} differs from packing_delta - delta = "
-                f"{packing_delta - delta!r}")
-    for x in (delta, packing_delta):
-        # powers beyond floor(2 / x) are tested in Python ints, which never wrap
-        reach = _full_range(x)
-        js, half, centers = _arcs(alpha, x, np.array(
-            [j for j in packing if abs(j) <= reach], dtype=np.int64))
-        if js.size < len(packing):
-            kept = set(js.tolist())
-            j = next(j for j in packing if j not in kept)
-            return f"the arc of power {j} is the whole circle at delta = {x!r}"
-        _, clear, lo, hi = _unfold(half, centers)
-        through = np.flatnonzero(~clear)
-        if through.size:
-            return (f"the arc of power {js[through[0]]} reaches angle 0 at "
-                    f"delta = {x!r}")
-        order = np.argsort(lo, kind="stable")
-        js, lo, hi = js[order], lo[order], hi[order]
-        meet = np.flatnonzero(~(hi[:-1] < lo[1:] - ANGLE_MERGE))
-        if meet.size:
-            k = meet[0]
-            return (f"the arcs of powers {js[k]} and {js[k + 1]} meet at "
-                    f"delta = {x!r}")
-    return None
-
-
-def _reported_failure(d_min: int, stab_angles: list[float],
-                      interval_count: int) -> str | None:
-    """Why the reported part of a greedy-transversal witness has the wrong
-    shape, or None: stab_angles must hold d_min - 1 ascending angles in
-    [0, 2 pi), and minimal_interval_count must be at least d_min - 1.  These
-    values are confirmed only for shape, in O(d): the packing, not they,
-    proves d_min (_packing_failure), and their exact values would take a
-    sweep."""
-    if len(stab_angles) != d_min - 1:
-        return (f"the witness holds {len(stab_angles)} stab angles, but "
-                f"d_min - 1 = {d_min - 1}")
-    outside = [a for a in stab_angles if not 0.0 <= a < TWO_PI]
-    if outside:
-        return f"stab angle {outside[0]!r} lies outside [0, 2 pi)"
-    if any(b <= a for a, b in zip(stab_angles, stab_angles[1:])):
-        return "the stab angles are not ascending"
-    if interval_count < d_min - 1:
-        return (f"minimal_interval_count {interval_count} is below "
-                f"d_min - 1 = {d_min - 1}")
-    return None
 
 
 def _double_threshold(d1: int, d2: int, gamma: float,
@@ -579,35 +481,6 @@ def certify_double(d1: int, d2: int, gamma: float, delta: float) -> Certificate:
     )
 
 
-def certify_lambda_exclusion(alpha: float, delta: float, g_max: int = 64,
-                             spec: NormSpec = OPERATOR) -> Certificate:
-    """Certificate from the closed-form minimum twisted commutation value:
-    every dimension g with delta < lambda_min(g, alpha) is impossible, so the
-    smallest non-excluded dimension is a lower bound.  The full excluded set
-    (not monotone in g) is returned as the witness."""
-    if g_max < 1:
-        raise ValueError(f"g_max must be >= 1, got {g_max}")
-    if not math.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta}")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    # one lambda_min per dimension: k is clamped to g as in excluded_dimensions
-    floors = [lambda_min(g, alpha, NormSpec(spec.p, min(spec.k, g)))
-              for g in range(1, g_max + 1)]
-    excluded = [g for g, floor in enumerate(floors, 1) if delta < floor]
-    d_min = next((g for g, floor in enumerate(floors, 1) if not delta < floor),
-                 g_max + 1)
-    margins = [floor - delta for floor in floors[:d_min - 1]]
-    return Certificate(
-        d_min=d_min,
-        method="lambda-exclusion",
-        inputs={"alpha": alpha, "delta": delta, "g_max": g_max,
-                "p": spec.p, "k": spec.k},
-        slack=min(margins) if margins else None,
-        witness={"excluded_dimensions": excluded},
-    )
-
-
 def _real(value, name: str) -> float:
     """A certificate number: a finite int or float, not a bool or a string."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
@@ -629,17 +502,13 @@ def verify_certificate(cert: Certificate) -> str | None:
     field its kind needs is missing, of the wrong type, not finite, or
     outside its certifier's domain.
 
-    Each kind is checked from its own witness with exact comparisons, and
-    no arc sweep runs:
+    Each kind of METHODS is checked from its own witness with exact
+    comparisons, and no arc sweep runs (Certificate rejects any other kind):
     - determinant-floor: _floor_failure, in O(d_min);
-    - greedy-transversal (written by the arc certifier before the floor
-      replaced it): witness.forced_angle = 0.0, _packing_failure and
-      _reported_failure;
     - single-closed-form: delta = 0, d_min = witness.denominator = the
       denominator of the rational alpha, slack = 0.0 and witness.exact true;
     - double-pair: the recomputed threshold lhs < rhs holds, d_min = d1 d2,
       and slack = rhs - lhs and the witness lhs and rhs equal the recomputed;
-    - lambda-exclusion: _exclusion_failure;
     - any other kind whose inputs hold d1, d2, gamma and delta is
       certify_double's single-pair fallback: its twist is 1/d1 or 1/d2, the
       threshold fails by exactly double_pair_threshold_failed_by, and its
@@ -648,8 +517,6 @@ def verify_certificate(cert: Certificate) -> str | None:
     if not isinstance(inputs, dict) or not isinstance(witness, dict):
         raise ValueError("inputs and witness must be objects")
     slack = None if cert.slack is None else _real(cert.slack, "slack")
-    if cert.method == "lambda-exclusion":
-        return _exclusion_failure(cert, slack)
     if cert.method != "double-pair" and not {"d1", "d2", "gamma", "delta"} <= set(inputs):
         return _single_failure(cert, _real(inputs.get("alpha"), "inputs.alpha"),
                                _real(inputs.get("delta"), "inputs.delta"), slack)
@@ -685,23 +552,6 @@ def _single_failure(cert: Certificate, alpha: float, delta: float,
     witness = cert.witness
     if cert.method == "determinant-floor":
         return _floor_failure(alpha, delta, cert.d_min, slack)
-    if cert.method == "greedy-transversal":
-        packing = witness.get("packing")
-        # bool subclasses int, and a float power would be truncated
-        if not isinstance(packing, list) or any(type(j) is not int for j in packing):
-            raise ValueError(f"witness.packing must be a list of integers, got {packing!r}")
-        angles = witness.get("stab_angles")
-        if not isinstance(angles, list) or not all(
-                type(a) is int or type(a) is float and math.isfinite(a) for a in angles):
-            raise ValueError(f"witness.stab_angles must list finite numbers, got {angles!r}")
-        count = _integer(witness.get("minimal_interval_count"),
-                         "witness.minimal_interval_count")
-        packing_delta = _real(witness.get("packing_delta"), "witness.packing_delta")
-        forced = _real(witness.get("forced_angle"), "witness.forced_angle")
-        if forced != 0.0:
-            return f"witness.forced_angle {forced!r} must be 0.0"
-        return (_packing_failure(alpha, delta, cert.d_min, packing, packing_delta, slack)
-                or _reported_failure(cert.d_min, angles, count))
     if delta != 0.0:
         return f"a closed-form certificate needs delta = 0, got {delta!r}"
     _check_domain(alpha, delta)
@@ -737,38 +587,6 @@ def _floor_failure(alpha: float, delta: float, d_min: int,
     expected = None if d_min == 1 else float(least[0]) - delta
     if slack != expected:
         return f"slack {slack!r} differs from the least floor less delta = {expected!r}"
-    return None
-
-
-def _exclusion_failure(cert: Certificate, slack: float | None) -> str | None:
-    """verify_certificate's check of a lambda-exclusion certificate:
-    excluded_dimensions lists 1 .. d_min - 1, then ascends within (d_min,
-    g_max] (shape only past d_min), and the floors of g <= d_min give d_min
-    and the slack.  The list goes first: it bounds d_min by the input size."""
-    inputs, d_min = cert.inputs, cert.d_min
-    g_max = _integer(inputs.get("g_max"), "inputs.g_max")
-    if d_min > g_max + 1:
-        raise ValueError(f"d_min {d_min} exceeds g_max + 1 = {g_max + 1}")
-    excluded = cert.witness.get("excluded_dimensions")
-    if not isinstance(excluded, list):
-        raise ValueError(f"witness.excluded_dimensions must be a list, got {excluded!r}")
-    rest = excluded[d_min - 1:]
-    if (any(type(g) is not int for g in excluded)
-            or excluded[:d_min - 1] != list(range(1, d_min))
-            or any(a >= b for a, b in zip([d_min, *rest], rest))
-            or (rest and rest[-1] > g_max)):
-        return (f"excluded_dimensions {excluded!r} must list 1 .. d_min - 1, then "
-                "ascend within (d_min, g_max]")
-    p = inputs.get("p")  # matio writes p = inf as the string "inf"
-    spec = NormSpec(math.inf if p in ("inf", math.inf) else _real(p, "inputs.p"),
-                    _integer(inputs.get("k"), "inputs.k"))
-    fresh = certify_lambda_exclusion(_real(inputs.get("alpha"), "inputs.alpha"),
-                                     _real(inputs.get("delta"), "inputs.delta"),
-                                     g_max=min(g_max, d_min), spec=spec)
-    if fresh.d_min != d_min:
-        return f"the closed-form floors give d_min = {fresh.d_min}, not {d_min}"
-    if slack != fresh.slack:
-        return f"slack {slack!r} differs from the least margin {fresh.slack!r}"
     return None
 
 

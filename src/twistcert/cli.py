@@ -135,6 +135,14 @@ def _parse_p(text: str) -> float:
     return float(text)
 
 
+def _parse_flag(flag: str, text: str, convert, expected: str):
+    """convert(text), or CliIOError naming the flag when convert rejects it."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise CliIOError(f"bad {flag} value {text!r}; expected {expected}") from exc
+
+
 def _load_json_file(path: str) -> dict:
     try:
         return json.loads(Path(path).read_text())
@@ -154,14 +162,15 @@ def _load_matrix_file(path: str) -> np.ndarray:
 
 
 def cmd_minima(args) -> int:
-    gs = [int(t) for t in args.g.split(",") if t]
+    gs = _parse_flag("--g", args.g, lambda text: [int(t) for t in text.split(",") if t],
+                     "comma-separated integers")
     for g in gs:
         # checked before k is clamped to g, which would blame k for g < 1
         if g < 1:
             raise ValueError(f"dimension must be positive, got {g}")
     grid = _parse_grid(args.grid)
-    p = _parse_p(args.p)
-    k = int(args.k)
+    p = _parse_flag("--p", args.p, _parse_p, "a number or inf")
+    k = _parse_flag("--k", args.k, int, "an integer")
     rows = [(g, a, p, min(k, g), lambda_min(g, a, NormSpec(p, min(k, g))))
             for g in gs for a in grid.tolist()]
     manifest = RunManifest.build(

@@ -26,7 +26,6 @@ __all__ = [
     "lambda_min",
     "lambda_low",
     "lambda_upper_bound",
-    "excluded_dimensions",
     "clock_matrix",
     "shift_matrix",
     "optimal_pair",
@@ -132,26 +131,6 @@ def lambda_upper_bound(g: int, spec: NormSpec = OPERATOR) -> float:
     |x - round(x)| <= 1/2."""
     prefactor = 1.0 if math.isinf(spec.p) else spec.k ** (1.0 / spec.p)
     return float(2.0 * prefactor * np.sin(np.pi / (2.0 * g)))
-
-
-def excluded_dimensions(delta: float, alpha: float, g_max: int,
-                        spec: NormSpec = OPERATOR) -> list[int]:
-    """Dimensions g <= g_max that are impossible for a unitary pair whose
-    twisted commutation value is delta: those with delta < lambda_min(g).
-
-    The minimum is not monotone in g, so this is a classification rather than
-    a single threshold.  For k > g the norm is evaluated with k clamped to g.
-    """
-    if not math.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta}")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    out = []
-    for g in range(1, g_max + 1):
-        eff = NormSpec(spec.p, min(spec.k, g))
-        if delta < lambda_min(g, alpha, eff):
-            out.append(g)
-    return out
 
 
 def clock_matrix(g: int) -> np.ndarray:

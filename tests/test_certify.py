@@ -17,11 +17,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from twistcert import certify as certify_module
 from twistcert import (
     Arc,
-    NormSpec,
     arc_dimension,
     certify_double,
     certify_grid,
-    certify_lambda_exclusion,
     certify_single,
     clock_matrix,
     eigenvalue_arc,
@@ -199,6 +197,13 @@ class TestCertifySingle:
         with pytest.raises(ValueError, match="delta must be finite"):
             certify_single(0.3, delta)
 
+    def test_delta_below_the_floor_search_rejected(self):
+        with pytest.raises(ValueError) as info:
+            certify_single(0.3, 1e-7)
+        assert str(info.value) == (
+            "delta = 1.000e-07 lies below 1e-06, the least delta the floor search "
+            "accepts; use the exact route (delta = 0) or a coarser value")
+
     def test_slack_is_distance_to_weaker_certificate(self):
         cert = certify_single(0.25, 0.5)
         assert cert.slack is not None
@@ -362,34 +367,6 @@ class TestNestingCutoff:
             assert certify_module._nesting_power(p / q, delta) <= q
 
 
-class TestPackingWitness:
-    """A greedy-transversal certificate carries the d_min - 1 arcs the greedy
-    stabs as its packing, and that packing alone re-verifies it."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(alpha=st.one_of(
-               st.floats(0.0, 1.0, exclude_max=True),
-               st.fractions(0, 1, max_denominator=40).filter(lambda f: f < 1).map(float)),
-           delta=st.floats(-5.0, float(np.log10(2.0))).map(lambda e: 10.0 ** e))
-    @example(alpha=0.25, delta=0.5)
-    @example(alpha=0.0, delta=1e-5)
-    def test_packing_verifies_its_certificate(self, alpha, delta):
-        intervals = minimal_intervals(alpha, delta)
-        packing = intervals.powers[certify_module._stab_indices(intervals.lo,
-                                                                intervals.hi)].tolist()
-        d_min = 1 + len(packing)
-        assert d_min == arc_dimension(alpha, delta)
-        verify = certify_module._packing_failure
-        assert verify(alpha, delta, d_min, packing, delta, None) is None
-        assert verify(alpha, delta, d_min + 1, packing, delta, None) is not None
-        cert = certify_module.Certificate(
-            d_min, "greedy-transversal", {"alpha": alpha, "delta": delta}, None,
-            {"forced_angle": 0.0, "stab_angles": greedy_transversal(intervals),
-             "minimal_interval_count": len(intervals), "packing_delta": delta,
-             "packing": packing})
-        assert certify_module.verify_certificate(cert) is None
-
-
 class TestDeterminantFloor:
     """The floor certificate: never below the arcs, attained by the
     clock/shift pair, monotone in delta, symmetric under alpha -> 1 - alpha,
@@ -401,6 +378,16 @@ class TestDeterminantFloor:
     @example(alpha=0.25, delta=0.5)
     def test_floor_never_below_the_arcs(self, alpha, delta):
         assert certify_single(alpha, delta).d_min >= arc_dimension(alpha, delta)
+
+    @pytest.mark.parametrize("alpha, delta, excluded", [
+        (1 / 3, 1e-3, {1, 2, 4, 5, 7, 8}),
+        (0.0, 0.0, set()),
+    ], ids=["third", "zero-twist"])
+    def test_floors_exclude_dimensions(self, alpha, delta, excluded):
+        """The dimensions g <= 9 whose floor exceeds delta: at twist 1/3 and
+        a small delta, exactly those not divisible by 3; at twist 0, none."""
+        gs = np.arange(1, 10)
+        assert set(gs[lambda_low(gs, alpha) > delta].tolist()) == excluded
 
     @settings(max_examples=60, deadline=None)
     @given(alpha=st.floats(0.0, 1.0, exclude_max=True), delta=st.floats(0.05, 2.0))
@@ -453,15 +440,6 @@ def log_uniform(lo_exp, hi_exp):
     return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
 
 
-GREEDY_0_3 = json.loads(
-    '{"d_min": 10, "inputs": {"alpha": 0.3, "delta": 0.01}, "method": "greedy-transversal", '
-    '"slack": 0.004054118766728973, "witness": {"forced_angle": 0.0, '
-    '"minimal_interval_count": 9, "packing": [-3, 4, 1, -2, -5, 2, -1, -4, 3], '
-    '"packing_delta": 0.014054118766728973, "stab_angles": [0.8738840482332508, '
-    '1.5404311706442453, 2.0264950654783034, 2.7136089651949544, 3.4591530828813144, '
-    '3.9702460266308717, 4.539769188350137, 5.310342354951997, 5.90043229397692]}}')
-
-
 class TestCertificateRoundTrip:
     """Every kind of certificate, written to JSON and read back, equals the
     original field by field and passes verify_certificate, whose comparisons
@@ -475,13 +453,11 @@ class TestCertificateRoundTrip:
         assert certify_module.verify_certificate(back) is None
 
     @pytest.mark.parametrize("make", [
-        # written by the arc certifier, which the floor replaced
-        lambda: certificate_from_dict(GREEDY_0_3),
         lambda: certify_double(2, 3, 0.5, 0.3),
         lambda: certify_single(0.25, 0.0),
         lambda: certify_double(2, 3, 1e-8, 1e-8),
         lambda: certify_single(0.25, 0.5),
-    ], ids=["greedy", "fallback", "closed-form", "double-pair", "floor"])
+    ], ids=["fallback", "closed-form", "double-pair", "floor"])
     def test_verifies_in_memory(self, make):
         cert = make()
         assert certify_module.verify_certificate(cert) is None
@@ -504,13 +480,12 @@ class TestCertificateRoundTrip:
     def test_double(self, dims, gamma, delta):
         self.assert_round_trip(certify_double(*dims, gamma, delta))
 
-    @settings(max_examples=100, deadline=None)
-    @given(alpha=ALPHAS, delta=st.floats(0.0, 2.0), g_max=st.integers(1, 16),
-           p=st.sampled_from([math.inf, 2.0, 3.0]), k=st.integers(1, 3))
-    @example(alpha=0.25, delta=0.5, g_max=64, p=math.inf, k=1)
-    def test_lambda_exclusion(self, alpha, delta, g_max, p, k):
-        self.assert_round_trip(
-            certify_lambda_exclusion(alpha, delta, g_max, NormSpec(p, k)))
+    def test_every_method_has_a_writer(self):
+        """verify_certificate accepts only kinds that a certifier writes."""
+        written = {certify_single(0.25, 0.5).method, certify_single(0.25, 0.0).method,
+                   certify_double(2, 3, 0.0, 0.0).method,
+                   certify_double(2, 3, 0.5, 0.3).method}
+        assert set(certify_module.METHODS) == written
 
 
 class TestOrbitExpectations:
@@ -675,33 +650,6 @@ class TestCertifyDouble:
         values = {"gamma": 1e-6, "delta": 1e-4, name: value}
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             certify_double(2, 3, values["gamma"], values["delta"])
-
-
-class TestLambdaExclusion:
-    def test_exact_twist(self):
-        cert = certify_lambda_exclusion(1.0 / 3.0, 1e-3)
-        assert cert.method == "lambda-exclusion"
-        assert cert.d_min == 3
-        assert 2 in cert.witness["excluded_dimensions"]
-
-    def test_consistency_with_floor(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            alpha = float(rng.uniform(0.01, 0.99))
-            delta = float(rng.uniform(0.0, 1.0))
-            cert = certify_lambda_exclusion(alpha, delta, g_max=32)
-            for g in range(1, cert.d_min):
-                assert delta < lambda_min(g, alpha)
-            assert delta >= lambda_min(cert.d_min, alpha) or cert.d_min == 33
-
-    @pytest.mark.parametrize("delta, g_max, message", [
-        (0.1, 0, "g_max must be >= 1"),
-        (np.nan, 64, "delta must be finite"),
-        (-0.1, 64, "delta must be nonnegative"),
-    ], ids=["g_max-zero", "nan-delta", "negative-delta"])
-    def test_rejects_bad_arguments(self, delta, g_max, message):
-        with pytest.raises(ValueError, match=message):
-            certify_lambda_exclusion(0.25, delta, g_max=g_max)
 
 
 def exact_tensor_pairs(d1, d2):

@@ -17,7 +17,6 @@ import twistcert.linalg
 from twistcert import (
     ModelSpec,
     certify_double,
-    certify_lambda_exclusion,
     certify_single,
     clock_model,
     ground_symmetry,
@@ -25,7 +24,6 @@ from twistcert import (
 )
 from twistcert import certify as certify_module
 from twistcert import cli as cli_module
-from twistcert import minima as minima_module
 from twistcert.cli import main
 from twistcert.config import NORM_SVD_BELOW
 from twistcert.matio import certificate_to_dict, save_matrix_text
@@ -102,6 +100,19 @@ class TestMinima:
         bad = gs.split(",")[-1]
         assert capsys.readouterr().err.strip() == (
             f"precondition violated: dimension must be positive, got {bad}")
+
+    @pytest.mark.parametrize("flag, value, expected", [
+        ("--g", "abc", "comma-separated integers"),
+        ("--g", "3,4.5", "comma-separated integers"),
+        ("--p", "abc", "a number or inf"),
+        ("--k", "abc", "an integer"),
+        ("--k", "1.5", "an integer"),
+    ])
+    def test_malformed_flag_named(self, capsys, flag, value, expected):
+        rc = main(["minima", "--grid", "0:1:3", flag, value])
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == (
+            f"error: bad {flag} value {value!r}; expected {expected}")
 
     def test_non_finite_alpha_named(self, capsys):
         rc = main(["minima", "--g", "3", "--grid", "nan:nan:1"])
@@ -568,9 +579,11 @@ class TestReports:
                        "single-pair models"]
 
 
-# Certificates that the arc certifier wrote before the determinant floor
-# replaced it, as `certify --alpha 0.25 --delta 0.5` and certify_double(2, 3,
-# 1e-2, 1e-3) gave them; they must keep verifying.
+# Certificates of kinds that no certifier writes any more: the arc
+# certifier's, as `certify --alpha 0.25 --delta 0.5` and certify_double(2, 3,
+# 1e-2, 1e-3) gave them before the determinant floor replaced it, and a
+# lambda-exclusion one listing the excluded dimensions g <= 64 at (0.25, 0.5).
+# check refuses them as malformed.
 GREEDY = json.loads(
     '{"d_min": 3, "inputs": {"alpha": 0.25, "delta": 0.5}, "method": "greedy-transversal", '
     '"slack": 0.49999999999899647, "witness": {"forced_angle": 0.0, '
@@ -583,6 +596,10 @@ GREEDY_FALLBACK = json.loads(
     '"minimal_interval_count": 2, "packing": [1, -1], "packing_delta": 0.4999999999995637, '
     '"single_pair_twist": 0.3333333333333333, "stab_angles": [2.139120189561929, '
     '4.233515291955125]}}')
+LAMBDA_EXCLUSION = json.loads(
+    '{"d_min": 4, "inputs": {"alpha": 0.25, "delta": 0.5, "g_max": 64, "k": 1, "p": "inf"}, '
+    '"method": "lambda-exclusion", "slack": 0.01763809020504148, "witness": '
+    '{"excluded_dimensions": [1, 2, 3, 6]}}')
 
 
 class TestCheck:
@@ -610,23 +627,18 @@ class TestCheck:
     def certificate_doc(kind, tmp_path):
         """A valid certificate document of the given kind: a direct one as
         `certify --alpha --delta` writes it, a pipeline one as
-        `certify --manifest` writes it, a greedy one as the arc certifier
-        wrote it, the others built in process, or a direct one wrapped in a
-        top-level list."""
+        `certify --manifest` writes it, the others built in process, or a
+        direct one wrapped in a top-level list."""
         built = {
-            "lambda-exclusion": lambda: certify_lambda_exclusion(0.25, 0.5),
             "closed-form": lambda: certify_single(0.25, 0.0),
             "double-pair": lambda: certify_double(2, 3, 1e-8, 1e-8),
             # the two-pair threshold fails
             "double-fallback": lambda: certify_double(2, 3, 1e-2, 1e-3),
-            # ... at a delta below the arc sweep's floor
+            # ... at a delta below the floor search's least delta
             "small-delta-fallback": lambda: certify_double(2, 2, 1e-2, 1e-8),
         }
         if kind in built:
             return {"certificate": certificate_to_dict(built[kind]())}
-        if kind in ("greedy", "greedy-fallback"):
-            return {"certificate": json.loads(json.dumps(
-                GREEDY if kind == "greedy" else GREEDY_FALLBACK))}
         if kind == "pipeline":
             spec = ModelSpec(kind="clock-block", g=3, n_excited=6, gap=1.0, seed=12,
                              perturbation_strength=0.004)
@@ -642,9 +654,8 @@ class TestCheck:
         assert doc["certificate"]["slack"] is not None
         return [doc] if kind == "top-level-list" else doc
 
-    @pytest.mark.parametrize("kind", ["lambda-exclusion", "closed-form", "double-pair",
-                                      "double-fallback", "small-delta-fallback", "direct",
-                                      "greedy", "greedy-fallback"])
+    @pytest.mark.parametrize("kind", ["closed-form", "double-pair", "double-fallback",
+                                      "small-delta-fallback", "direct"])
     def test_unmodified_certificate_passes(self, tmp_path, capsys, kind):
         out = tmp_path / "cert.json"
         out.write_text(json.dumps(self.certificate_doc(kind, tmp_path)))
@@ -658,35 +669,12 @@ class TestCheck:
         ("direct", lambda doc: doc["certificate"]["inputs"].update(delta="nan")),
         ("direct", lambda doc: doc["certificate"].update(d_min=3.5)),
         ("top-level-list", lambda doc: None),
-        ("lambda-exclusion", lambda doc: doc["certificate"]["inputs"].update(g_max=-5)),
-        ("lambda-exclusion", lambda doc: doc["certificate"]["inputs"].update(g_max=64.5)),
-        ("lambda-exclusion", lambda doc: doc["certificate"]["inputs"].update(k=1.5)),
-        ("lambda-exclusion", lambda doc: doc["certificate"]["inputs"].update(p="abc")),
         ("double-pair", lambda doc: doc["certificate"]["inputs"].update(d1=2.9)),
         ("double-pair", lambda doc: doc["certificate"]["inputs"].update(d2=3.5)),
-        ("lambda-exclusion", lambda doc: doc["certificate"]["inputs"].update(g_max=2)),
-        ("greedy", lambda doc: doc["certificate"]["witness"].update(packing="1,-1")),
-        ("greedy", lambda doc: doc["certificate"]["witness"].update(packing=[1.0, -1])),
-        ("greedy", lambda doc: doc["certificate"]["witness"].update(packing=[True, -1])),
-        ("greedy", lambda doc: doc["certificate"]["witness"].pop("packing_delta")),
-        ("greedy", lambda doc: doc["certificate"]["witness"].update(packing_delta="inf")),
-        ("greedy", lambda doc: doc["certificate"]["witness"].update(packing_delta=0.25)),
-        ("greedy-fallback",
-         lambda doc: doc["certificate"]["witness"].update(packing_delta=None)),
-        ("greedy", lambda doc: doc["certificate"]["witness"].update(stab_angles="0.1")),
-        ("greedy", lambda doc: doc["certificate"]["witness"].update(stab_angles=[True])),
-        ("greedy", lambda doc: doc["certificate"]["witness"].pop("stab_angles")),
-        ("greedy", lambda doc: doc["certificate"]["witness"].update(
-            minimal_interval_count=3.0)),
-        ("greedy", lambda doc: doc["certificate"]["witness"].pop("minimal_interval_count")),
         ("double-fallback", lambda doc: doc["certificate"]["witness"].update(
             double_pair_threshold_failed_by="wide")),
         ("double-fallback", lambda doc: doc["certificate"]["witness"].pop(
             "double_pair_threshold_failed_by")),
-        ("greedy", lambda doc: [doc["certificate"]["witness"].pop(key)
-                                for key in ("packing", "packing_delta")]),
-        ("lambda-exclusion", lambda doc: doc["certificate"]["witness"].update(
-            excluded_dimensions="1,2,3")),
         ("direct", lambda doc: doc["certificate"].update(
             d_min=str(doc["certificate"]["d_min"]))),
         ("direct", lambda doc: doc["certificate"].update(
@@ -695,16 +683,14 @@ class TestCheck:
         ("direct", lambda doc: doc["certificate"].update(inputs=[0.25, 0.5])),
         ("direct", lambda doc: doc["certificate"].update(method="orbit-count")),
         ("direct", lambda doc: doc["certificate"].update(d_min=0)),
+        ("direct", lambda doc: doc.update(certificate=GREEDY)),
+        ("direct", lambda doc: doc.update(certificate=GREEDY_FALLBACK)),
+        ("direct", lambda doc: doc.update(certificate=LAMBDA_EXCLUSION)),
     ], ids=["missing-alpha", "non-numeric-slack", "nan-delta", "fractional-d_min",
-            "top-level-list", "negative-g_max", "fractional-g_max", "fractional-k",
-            "non-numeric-p", "fractional-d1", "fractional-d2", "d_min-above-g_max",
-            "packing-not-a-list", "float-power", "bool-power", "missing-packing_delta",
-            "infinite-packing_delta", "packing_delta-below-delta",
-            "fallback-null-packing_delta", "stab_angles-not-a-list", "bool-stab-angle",
-            "missing-stab_angles", "float-interval-count", "missing-interval-count",
-            "non-numeric-failed_by", "missing-failed_by", "witness-without-packing",
-            "excluded-not-a-list", "string-d_min", "integral-float-d_min", "bool-d_min",
-            "inputs-a-list", "unknown-method", "zero-d_min"])
+            "top-level-list", "fractional-d1", "fractional-d2", "non-numeric-failed_by",
+            "missing-failed_by", "string-d_min", "integral-float-d_min", "bool-d_min",
+            "inputs-a-list", "unknown-method", "zero-d_min", "legacy-greedy",
+            "legacy-greedy-fallback", "legacy-lambda-exclusion"])
     def test_malformed_certificate_exits_1(self, tmp_path, capsys, kind, mutate):
         out = tmp_path / "cert.json"
         doc = self.certificate_doc(kind, tmp_path)
@@ -715,44 +701,25 @@ class TestCheck:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: malformed certificate: ")
+        method = kind != "top-level-list" and doc["certificate"]["method"]
+        if method and method not in certify_module.METHODS:
+            assert err[0] == f"error: malformed certificate: unknown method {method!r}"
 
     @pytest.mark.parametrize("kind, mutate, reason", [
         ("direct", lambda cert: cert.update(d_min=cert["d_min"] + 1), "overstates"),
         ("pipeline", lambda cert: cert.update(d_min=cert["d_min"] + 1), "overstates"),
         ("double-fallback", lambda cert: cert.update(d_min=cert["d_min"] + 1), "overstates"),
-        ("greedy", lambda cert: cert["witness"]["packing"].pop(), "the packing holds"),
-        ("greedy", lambda cert: cert["witness"]["packing"].__setitem__(
-            1, cert["witness"]["packing"][0]), "meet at delta"),
-        ("greedy", lambda cert: cert.update(slack=cert["slack"] * (1 - 1e-15)),
-         "differs from packing_delta - delta"),
-        ("greedy", lambda cert: cert["witness"].update(
-            packing_delta=cert["witness"]["packing_delta"] + 1e-3), "differs from"),
-        ("greedy", lambda cert: cert["witness"]["packing"].__setitem__(0, 0),
-         "reaches angle 0"),
-        ("greedy", lambda cert: cert["witness"]["packing"].__setitem__(0, 10 ** 30),
-         "is the whole circle"),
         ("double-fallback", lambda cert: cert["inputs"].update(gamma=0.0),
          "the double-pair threshold holds"),
         ("double-fallback", lambda cert: cert["witness"].update(single_pair_twist=0.25),
          "is neither 1/d1 nor 1/d2"),
-        ("greedy", lambda cert: cert["witness"].update(
-            stab_angles=[0.1, 0.2, 0.3], minimal_interval_count=99), "3 stab angles"),
-        ("greedy", lambda cert: cert["witness"]["stab_angles"].reverse(), "not ascending"),
-        ("greedy", lambda cert: cert["witness"]["stab_angles"].__setitem__(-1, 7.0),
-         "outside [0, 2 pi)"),
-        ("greedy", lambda cert: cert["witness"].update(minimal_interval_count=1),
-         "is below d_min - 1"),
         ("double-fallback", lambda cert: cert["witness"].update(
             double_pair_threshold_failed_by=cert["witness"]["double_pair_threshold_failed_by"]
             * (1 + 1e-15)), "differs from lhs - rhs"),
-    ], ids=["direct-d_min+1", "pipeline-d_min+1", "fallback-d_min+1", "power-dropped",
-            "power-duplicated", "slack-edited", "packing_delta-edited", "power-zero",
-            "power-beyond-the-circle", "fallback-threshold-holds", "fallback-wrong-twist",
-            "stab-angles-edited", "stab-angles-descending", "stab-angle-beyond-two-pi",
-            "interval-count-below-packing", "fallback-failed_by-edited"])
+    ], ids=["direct-d_min+1", "pipeline-d_min+1", "fallback-d_min+1",
+            "fallback-threshold-holds", "fallback-wrong-twist", "fallback-failed_by-edited"])
     def test_failing_witness_exits_3(self, tmp_path, capsys, kind, mutate, reason):
         doc = self.certificate_doc(kind, tmp_path)
-        assert kind != "greedy" or doc["certificate"]["witness"]["packing"]
         self.assert_check_fails(tmp_path, capsys, doc, mutate, reason)
 
     @staticmethod
@@ -776,16 +743,6 @@ class TestCheck:
          "must equal d1 d2"),
         ("double-pair", lambda cert: cert.update(witness={"lhs": "junk"}),
          "must equal d1 d2"),
-        ("lambda-exclusion", lambda cert: cert.update(slack=cert["slack"] + 5e-10),
-         "differs from the least margin"),
-        ("lambda-exclusion", lambda cert: cert.update(d_min=cert["d_min"] - 1),
-         "must list 1 .. d_min - 1"),
-        ("lambda-exclusion", lambda cert: cert["inputs"].update(delta=1.5),
-         "the closed-form floors give d_min = 1"),
-        ("lambda-exclusion", lambda cert: cert["witness"].update(excluded_dimensions=["x"]),
-         "must list 1 .. d_min - 1"),
-        ("lambda-exclusion", lambda cert: cert["witness"]["excluded_dimensions"].append(5),
-         "must list 1 .. d_min - 1"),
         ("closed-form", lambda cert: cert.update(slack=None), "and slack None must be"),
         ("closed-form", lambda cert: cert.update(witness={"denominator": 7}),
          "must be the denominator 4"),
@@ -794,17 +751,10 @@ class TestCheck:
         ("closed-form", lambda cert: cert["inputs"].update(delta=0.5), "needs delta = 0"),
         ("closed-form", lambda cert: cert["witness"].update(exact=False),
          "witness.exact False must be true"),
-        ("greedy", lambda cert: cert["witness"].update(forced_angle=1.0),
-         "witness.forced_angle 1.0 must be 0.0"),
-        ("lambda-exclusion", lambda cert: cert["inputs"].update(alpha=1e308),
-         "the closed-form floors give d_min = 1"),
     ], ids=["double-gamma-edited", "double-gamma-and-delta-edited", "double-slack-edited",
-            "double-d_min+1", "double-witness-junk", "exclusion-slack-edited",
-            "exclusion-d_min-1", "exclusion-delta-edited", "exclusion-list-junk",
-            "exclusion-list-descending", "closed-form-null-slack",
+            "double-d_min+1", "double-witness-junk", "closed-form-null-slack",
             "closed-form-denominator-edited", "closed-form-d_min+1", "closed-form-delta-edited",
-            "closed-form-not-exact", "greedy-forced-angle-edited",
-            "exclusion-integer-twist"])
+            "closed-form-not-exact"])
     def test_failing_certificate_exits_3(self, tmp_path, capsys, kind, mutate, reason):
         doc = self.certificate_doc(kind, tmp_path)
         self.assert_check_fails(tmp_path, capsys, doc, mutate, reason)
@@ -812,10 +762,10 @@ class TestCheck:
     @pytest.mark.parametrize("kind, edit, code", [
         ("direct", None, 0), ("pipeline", None, 0), ("closed-form", None, 0),
         ("double-pair", None, 0), ("double-fallback", None, 0),
-        ("small-delta-fallback", None, 0), ("lambda-exclusion", None, 0),
+        ("small-delta-fallback", None, 0),
         ("double-pair", {"gamma": 0.01, "delta": 1e-3}, 3),
     ], ids=["direct", "pipeline", "closed-form", "double-pair", "double-fallback",
-            "small-delta-fallback", "lambda-exclusion", "double-gamma-edited"])
+            "small-delta-fallback", "double-gamma-edited"])
     def test_witness_check_runs_no_sweep(self, tmp_path, monkeypatch, kind, edit, code):
         doc = self.certificate_doc(kind, tmp_path)
         doc["certificate"]["inputs"].update(edit or {})
@@ -884,21 +834,3 @@ class TestCheck:
         assert main(["check", str(out)]) == 3
         assert "overstates" in capsys.readouterr().out
         assert sum(seen) <= math.ceil(2 * math.pi / 1e-3)
-
-    def test_lambda_exclusion_recheck_is_capped_at_d_min(self, tmp_path, monkeypatch):
-        doc = self.certificate_doc("lambda-exclusion", tmp_path)
-        doc["certificate"]["inputs"]["g_max"] = 10 ** 9
-        out = tmp_path / "cert.json"
-        out.write_text(json.dumps(doc))
-        calls = []
-        floor = certify_module.lambda_min
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            assert len(calls) <= doc["certificate"]["d_min"] + 1
-            return floor(*args, **kwargs)
-
-        for module in (certify_module, minima_module):
-            monkeypatch.setattr(module, "lambda_min", counted)
-        assert main(["check", str(out)]) == 0
-        assert 0 < len(calls) <= doc["certificate"]["d_min"] + 1

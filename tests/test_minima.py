@@ -12,7 +12,6 @@ from twistcert import (
     NormSpec,
     brute_min,
     clock_matrix,
-    excluded_dimensions,
     haar_unitary,
     is_unitary,
     lambda_min,
@@ -431,18 +430,3 @@ class TestBatchedDescent:
     def test_rejects_bad_dimension(self, g):
         with pytest.raises(ValueError, match="1 <= g <= 4"):
             brute_min(g, 0.3)
-
-
-class TestExcludedDimensions:
-    def test_exact_pair_excludes_nothing(self):
-        assert excluded_dimensions(0.0, 0.0, 8) == []
-
-    def test_small_value_excludes_incompatible_dims(self):
-        # twist 1/3 with tiny value: dimensions not divisible by 3 excluded
-        excl = excluded_dimensions(1e-3, 1.0 / 3.0, 9)
-        assert set(excl) == {1, 2, 4, 5, 7, 8}
-
-    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
-    def test_non_finite_delta_rejected(self, delta):
-        with pytest.raises(ValueError, match="^delta must be finite"):
-            excluded_dimensions(delta, 0.3, 5)
