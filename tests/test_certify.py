@@ -379,16 +379,6 @@ class TestDeterminantFloor:
     def test_floor_never_below_the_arcs(self, alpha, delta):
         assert certify_single(alpha, delta).d_min >= arc_dimension(alpha, delta)
 
-    @pytest.mark.parametrize("alpha, delta, excluded", [
-        (1 / 3, 1e-3, {1, 2, 4, 5, 7, 8}),
-        (0.0, 0.0, set()),
-    ], ids=["third", "zero-twist"])
-    def test_floors_exclude_dimensions(self, alpha, delta, excluded):
-        """The dimensions g <= 9 whose floor exceeds delta: at twist 1/3 and
-        a small delta, exactly those not divisible by 3; at twist 0, none."""
-        gs = np.arange(1, 10)
-        assert set(gs[lambda_low(gs, alpha) > delta].tolist()) == excluded
-
     @settings(max_examples=60, deadline=None)
     @given(alpha=st.floats(0.0, 1.0, exclude_max=True), delta=st.floats(0.05, 2.0))
     @example(alpha=0.25, delta=0.5)

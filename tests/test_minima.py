@@ -14,6 +14,7 @@ from twistcert import (
     clock_matrix,
     haar_unitary,
     is_unitary,
+    lambda_low,
     lambda_min,
     lambda_upper_bound,
     optimal_angles,
@@ -430,3 +431,18 @@ class TestBatchedDescent:
     def test_rejects_bad_dimension(self, g):
         with pytest.raises(ValueError, match="1 <= g <= 4"):
             brute_min(g, 0.3)
+
+
+class TestExcludedDimensions:
+    """The dimensions g whose determinant floor lambda_low(g, alpha) exceeds
+    delta, the ones a floor certificate excludes below its d_min."""
+
+    def test_exact_pair_excludes_nothing(self):
+        gs = np.arange(1, 9)
+        assert not (lambda_low(gs, 0.0) > 0.0).any()
+
+    def test_small_value_excludes_incompatible_dims(self):
+        # twist 1/3 with tiny value: dimensions not divisible by 3 excluded
+        gs = np.arange(1, 10)
+        excl = gs[lambda_low(gs, 1.0 / 3.0) > 1e-3]
+        assert set(excl.tolist()) == {1, 2, 4, 5, 7, 8}
