@@ -7,12 +7,13 @@ pair attains it.  certify_single certifies the least g whose floor reaches
 delta, the exact minimum dimension, from the outward-rounded floors of
 minima.lambda_low: O(d_min) vectorised work, and certify_grid finds it for
 many (alpha, delta) cells in one array.  The paper's arc construction stays as
-arc_dimension: a pair within delta forces eigenvalues of u into arcs around
-the powers of eta, and the least number of points meeting every arc
-(computed greedily on the circle) lower bounds the dimension; it never
-certifies more than the floor.  Two mutually approximately commuting twisted
-pairs certify the product dimension through a shared approximate eigenvector
-and a Gram-matrix independence argument.  verify_certificate checks a written
+arc_dimension, a reference no command calls: a pair within delta forces
+eigenvalues of u into arcs around every power eta^j, 0 < |j| <= 2 / delta
+(so its cost grows as 1 / delta), and the least number of points meeting
+every arc (computed greedily on the circle) lower bounds the dimension, never
+above the floor.  Two mutually approximately commuting twisted pairs certify
+the product dimension through a shared approximate eigenvector and a
+Gram-matrix independence argument.  verify_certificate checks a written
 certificate of each kind in METHODS, the kinds certify_single and
 certify_double write, from its own witness with exact comparisons.
 """
@@ -73,18 +74,8 @@ METHODS = ("single-closed-form", "determinant-floor", "double-pair")
 # The least positive delta certify_single accepts.  It bounds the floor
 # search: by Dirichlet's theorem some q < ceil(2 pi / delta) has
 # dist(q alpha, Z) <= 1 / ceil(2 pi / delta), so lambda_min(q, alpha) <= delta
-# and d_min < ceil(2 pi / delta) <= 6.3e6.  It also bounds the arc sweep of
-# arc_dimension, whose nesting cutoff leaves all 2 / delta arcs in the worst
-# case (alpha close to, but not at, a rational with small q).
+# and d_min < ceil(2 pi / delta) <= 6.3e6.
 _MIN_DELTA = 1e-6
-# Rounding allowance of the nesting test in _nesting_power beside the centres'
-# 2^-48 (jmax + 2) and 2 ANGLE_MERGE.  A computed half-width
-# arccos(1 - fl(|j| delta)) has its argument off by at most 3u (u = 2^-53)
-# and arccos is 1/2-Hoelder with constant pi / sqrt(2), so with libm's few ulp
-# it lies within 4.1e-8 of the exact one; two half-widths and the few
-# roundings (each under 2 pi u) of _minimal's endpoints and distances to 0
-# stay below this.
-_HALF_WIDTH_ROUNDING = 1e-7
 # The floor search evaluates dimensions in chunks: _FIRST_CHUNK first, then
 # twice as many each time, while one evaluation over all the open cells stays
 # within _CHUNK_FLOORS floors (or _FIRST_CHUNK per cell).
@@ -150,119 +141,48 @@ def eigenvalue_arc(zeta: float, theta: float) -> Arc:
                index=0)
 
 
-def _arcs(alpha: float, delta: float, js: np.ndarray):
-    """The arcs of the orbit powers js at delta, as (js, half, centers):
-    powers with |j| delta >= 2 give the full circle and are skipped, so
-    arccos never leaves [-1, 1]; the rest get half-widths
-    arccos(1 - |j| delta) and centers 2 pi alpha j (mod 2 pi)."""
+def _arcs(alpha: float, delta: float):
+    """The arcs of the orbit powers 0 < |j| <= floor(2 / delta) at delta > 0,
+    as (js, half, centers): powers with |j| delta >= 2 give the full circle
+    and are skipped, so arccos never leaves [-1, 1]; the rest get
+    half-widths arccos(1 - |j| delta) and centers 2 pi alpha j (mod 2 pi)."""
+    if delta <= 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    jmax = int(math.floor(2.0 / delta))
+    js = np.arange(-jmax, jmax + 1)
+    js = js[js != 0]
     z = np.abs(js) * delta
     keep = z < 2.0
     centers = (TWO_PI * alpha * js) % TWO_PI
     return js[keep], np.arccos(1.0 - z[keep]), centers[keep]
 
 
-def _full_range(delta: float) -> int:
-    """floor(2 / delta): every power beyond it gives the full circle."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    return int(math.floor(2.0 / delta))
-
-
-def _powers(jmax: int) -> np.ndarray:
-    """The orbit powers 0 < |j| <= jmax, ascending."""
-    js = np.arange(-jmax, jmax + 1)
-    return js[js != 0]
-
-
-def _arc_arrays(alpha: float, delta: float):
-    """Every orbit power j != 0 with |j| delta < 2, with its arc (see _arcs)."""
-    return _arcs(alpha, delta, _powers(_full_range(delta)))
-
-
-def _nesting_power(alpha: float, delta: float) -> int:
-    """The largest |j| whose arc can be inclusion-minimal at delta: the first
-    continued-fraction denominator m of alpha (1, q_1, q_2, ...) that passes
-        2 pi ||m alpha|| <= m delta / 2 - allowance,
-    or floor(2 / delta) when none up to it does.
-
-    For |j| > m let k = j - sign(j) m.  Half-widths h(x) = arccos(1 - x delta)
-    grow with h' = delta / sin h >= delta, so h_j - h_k >= m delta, while the
-    centres lie 2 pi ||m alpha|| <= m delta / 2 apart: arc k sits inside arc
-    j with a margin of m delta / 2 on each side.  So arc j either contains
-    arc k or, like arc k, passes through angle 0; it is never minimal, and
-    every interval it shows non-minimal arc k shows so too (by induction a
-    power |k| <= m does).  Dropping every |j| > m thus leaves the minimal
-    intervals unchanged.  The allowance covers 2 ANGLE_MERGE, the rounding of
-    the computed centres (2 pi alpha j differs from its float by at most
-    u 2 pi |j|, u = 2^-53, so 2^-48 (jmax + 2) bounds the three that enter)
-    and _HALF_WIDTH_ROUNDING.  Correctness rests on the checked inequality
-    alone, not on m being a true convergent, so the continued fraction of
-    the float alpha serves."""
-    jmax = _full_range(delta)
-    turn = TWO_PI * alpha  # the factor of the centres in _arcs
-    allowance = 2.0 * ANGLE_MERGE + _HALF_WIDTH_ROUNDING + 2.0 ** -48 * (jmax + 2)
-    frac = alpha % 1.0
-    num, den = frac.as_integer_ratio() if math.isfinite(frac) else (0, 1)
-    q_prev, q = 0, 1
-    while q <= jmax:
-        c = (turn * q) % TWO_PI
-        if min(c, TWO_PI - c) <= 0.5 * q * delta - allowance:
-            return q
-        if num == 0:
-            break
-        a, num, den = den // num, den % num, num
-        q_prev, q = q, a * q + q_prev
-    return jmax
-
-
-def _minimal(js: np.ndarray, half: np.ndarray, centers: np.ndarray):
-    """The body of minimal_intervals on arcs of half-widths half and centres
-    in [0, 2 pi): the powers j and endpoints lo, hi of the inclusion-minimal
-    intervals, ascending in lo and in hi (hi by more than ANGLE_MERGE from
-    one interval to the next).  An arc is kept when its centre lies more than
-    half + ANGLE_MERGE from angle 0, and is unfolded at angle 0 to
-    lo = (center - half) mod 2 pi and hi = lo + 2 half, 0 < lo < hi < 2 pi."""
+def minimal_intervals(alpha: float, delta: float) -> list[tuple[float, float]]:
+    """The inclusion-minimal interval system on (0, 2 pi) after forcing an
+    eigenvalue at angle 0, as (lo, hi) pairs ascending in lo and in hi (hi
+    by more than ANGLE_MERGE from one interval to the next).  The arcs of
+    _arcs within half + ANGLE_MERGE of angle 0 are discarded, the others
+    unfolded at 0 to lo = (center - half) mod 2 pi, hi = lo + 2 half;
+    duplicates are merged, and intervals containing another interval are
+    dropped (stabbing the inner one stabs them both)."""
+    _, half, centers = _arcs(alpha, delta)
     # arcs through the forced point drop out
     clear = np.minimum(centers, TWO_PI - centers) > half + ANGLE_MERGE
-    js, half, centers = js[clear], half[clear], centers[clear]
+    half, centers = half[clear], centers[clear]
     lo = (centers - half) % TWO_PI
     hi = lo + 2.0 * half
     order = np.lexsort((-hi, lo))  # lo ascending, hi descending
-    js, lo, hi = js[order], lo[order], hi[order]
+    lo, hi = lo[order], hi[order]
     dup = np.zeros(lo.size, dtype=bool)
     dup[1:] = (np.abs(np.diff(lo)) <= ANGLE_MERGE) & (np.abs(np.diff(hi)) <= ANGLE_MERGE)
-    js, lo, hi = js[~dup], lo[~dup], hi[~dup]
+    lo, hi = lo[~dup], hi[~dup]
     # with this ordering any interval contained in [lo_i, hi_i] appears
     # later, so interval i is minimal iff every later right endpoint exceeds
     # hi_i + ANGLE_MERGE
     after = np.minimum.accumulate(hi[::-1])[::-1]
     keep = np.ones(hi.size, dtype=bool)
     keep[:-1] = after[1:] > hi[:-1] + ANGLE_MERGE
-    return js[keep], lo[keep], hi[keep]
-
-
-class MinimalIntervals(list):
-    """The (lo, hi) pairs of minimal_intervals; `powers` holds the orbit
-    power j whose arc gave each pair."""
-
-    def __init__(self, js: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        super().__init__(zip(lo.tolist(), hi.tolist()))
-        self.powers = js
-
-
-def minimal_intervals(alpha: float, delta: float) -> MinimalIntervals:
-    """The inclusion-minimal interval system on (0, 2 pi) after forcing an
-    eigenvalue at angle 0: arcs containing 0 are discarded, the circle is
-    unfolded at 0, duplicates are merged, and intervals containing another
-    interval are dropped (stabbing the inner one stabs them both).  The
-    returned list of (lo, hi) pairs is ascending and carries the orbit power
-    of each pair in its `powers` attribute.
-
-    Only the powers 0 < |j| <= _nesting_power(alpha, delta) are swept: every
-    arc beyond nests around a smaller one and is never minimal, so the result
-    equals that of the full range |j| <= floor(2 / delta)."""
-    js = _powers(_nesting_power(alpha, delta))
-    return MinimalIntervals(*_minimal(*_arcs(alpha, delta, js)))
+    return list(zip(lo[keep].tolist(), hi[keep].tolist()))
 
 
 def greedy_transversal(intervals) -> list[float]:
@@ -270,11 +190,10 @@ def greedy_transversal(intervals) -> list[float]:
     endpoint and stab at the right end of each interval not already covered,
     that is, starting more than ANGLE_MERGE beyond the last stab.  Optimal
     for interval systems (exchange argument on the earliest right endpoint)."""
-    merge = ANGLE_MERGE  # a local: the loop reads it once per interval
     stabs: list[float] = []
     last = -math.inf
     for lo, hi in sorted(intervals, key=lambda t: t[1]):
-        if last < lo - merge:
+        if last < lo - ANGLE_MERGE:
             stabs.append(hi)
             last = hi
     return stabs

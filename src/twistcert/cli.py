@@ -122,17 +122,29 @@ def _parse_grid(text: str) -> np.ndarray:
     try:
         a, b, n = text.split(":")
         lo, hi, n = float(a), float(b), int(n)
-        if not (math.isinf(lo) or math.isinf(hi)):
+        if math.isinf(lo) or math.isinf(hi):
+            problem = "bounds must be finite"
+        elif n < 1:
+            problem = "n must be at least 1"
+        else:
             return np.linspace(lo, hi, n)
     except Exception as exc:
         raise CliIOError(f"bad grid spec {text!r}; expected a:b:n") from exc
-    raise CliIOError(f"bad grid spec {text!r}; bounds must be finite")
+    raise CliIOError(f"bad grid spec {text!r}; {problem}")
 
 
 def _parse_p(text: str) -> float:
     if text in ("inf", "Inf", "INF", "op"):
         return math.inf
     return float(text)
+
+
+def _parse_dims(text: str) -> list[int]:
+    """The dimensions of a comma-separated --g list; at least one."""
+    gs = [int(t) for t in text.split(",") if t]
+    if not gs:
+        raise ValueError("no dimension")
+    return gs
 
 
 def _parse_flag(flag: str, text: str, convert, expected: str):
@@ -162,8 +174,7 @@ def _load_matrix_file(path: str) -> np.ndarray:
 
 
 def cmd_minima(args) -> int:
-    gs = _parse_flag("--g", args.g, lambda text: [int(t) for t in text.split(",") if t],
-                     "comma-separated integers")
+    gs = _parse_flag("--g", args.g, _parse_dims, "comma-separated integers")
     for g in gs:
         # checked before k is clamped to g, which would blame k for g < 1
         if g < 1:

@@ -13,7 +13,7 @@ EIG_RESIDUAL = 1e-9
 PROJECTOR = 1e-10  # ||P^2 - P||_2 and ||P - P^dag||_2
 HERMITICITY = 1e-10  # ||H - H^dag||_2, relative to ||H||_2
 SPECTRAL_REL = 1e-8  # relative tolerance of a stated gap or width
-ANGLE_MERGE = 1e-12  # radians: arc endpoints this close coincide (arc sweep, verifier)
+ANGLE_MERGE = 1e-12  # radians: arc endpoints this close coincide (arc_dimension)
 # allowance of a measured value over its proven bound: the ground-symmetry
 # distances, and the restricted value, orbit expectations and two-pair witness
 GROUND_SLACK = 1e-9

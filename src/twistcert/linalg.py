@@ -384,11 +384,9 @@ def polar_unitary(m) -> np.ndarray:
 
     W^dag M is positive semidefinite.  For singular M the null-space
     completion is the one induced by the SVD ordering (descending singular
-    values), which is deterministic for a fixed input.  M may also be a
-    (..., n, n) stack: one batched SVD then gives the stack of unitary
-    factors, each equal to the 2-D call on its slice.
+    values), which is deterministic for a fixed input.
     """
-    m = _as_square_stack(m)
+    m = as_matrix(m, square=True)
     u, _, vh = np.linalg.svd(m)
     return u @ vh
 

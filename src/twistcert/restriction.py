@@ -288,21 +288,22 @@ def offdiag_norm(u, band: BandSpec) -> float:
 
 @dataclass
 class GroundSymmetry:
-    """A band symmetry constructed from an approximate symmetry U.
+    """A band symmetry constructed from an approximate symmetry U: the
+    operator S = B W B^dag + Pbar U Pbar, with B the band basis and W the
+    polar factor of the band block B^dag U B.  S commutes with P, acts
+    unitarily on the band and equals U on the complement; only W is kept.
 
-    full      : operator on the whole space commuting with P, unitary on the band
-    on_band   : its restriction to the band basis (rank x rank unitary)
+    on_band   : W (rank x rank unitary)
     xi        : (epsilon + width) / gap
     epsilon   : ||[U, H]||_2, a proven upper bound (`commutator_epsilon`)
-    dist_full_measured / dist_full_bound   : ||U - full|| vs xi + f(xi^2)
-    dist_band_measured / dist_band_bound   : ||P (U - full) P|| vs f(xi^2)
+    dist_full_measured / dist_full_bound   : ||U - S|| vs xi + f(xi^2)
+    dist_band_measured / dist_band_bound   : ||P (U - S) P|| vs f(xi^2)
 
     The measured distances are norms of the dense differences, evaluated on
     the rank x rank and 2 rank x 2 rank blocks that carry all their singular
     values (see `ground_symmetry`).
     """
 
-    full: np.ndarray
     on_band: np.ndarray
     xi: float
     epsilon: float
@@ -313,8 +314,8 @@ class GroundSymmetry:
 
 
 def ground_symmetry(u, band: BandSpec) -> GroundSymmetry:
-    """Construct the nearby band symmetry: polar-unitarize the band block of U
-    and keep U on the complement.
+    """Construct the nearby band symmetry S (see GroundSymmetry):
+    polar-unitarize the band block of U and keep U on the complement.
 
     Requires xi = (epsilon + width) / gap < 1, which keeps the band block of U
     invertible (its singular values are at least 1 - f(xi^2) > 0).  The
@@ -324,15 +325,13 @@ def ground_symmetry(u, band: BandSpec) -> GroundSymmetry:
     With B the band basis (so P = B B^dag), A = B^dag U B, W its polar
     factor and thin QRs Pbar U B = Q_f R_f and Pbar U^dag B = Q_e R_e,
 
-        full     = B W B^dag + Pbar U Pbar
-                 = U - (U B) B^dag - B (U^dag B)^dag + B (A + W) B^dag,
-        U - full = [B, Q_f] [[A - W, R_e^dag], [R_f, 0]] [B, Q_e]^dag.
+        U - S = [B, Q_f] [[A - W, R_e^dag], [R_f, 0]] [B, Q_e]^dag.
 
-    Everything is formed from U B, U^dag B and B in O(n^2 rank), with no
-    n x n product.  The core's singular values depend on R_f and R_e only
-    through R^dag R, so the outer factors may be taken with orthonormal
-    columns: ||U - full|| is the norm of the 2 rank x 2 rank core and
-    ||P (U - full) P|| = ||A - W||.
+    Everything is formed from U B, U^dag B and B in O(n^2 rank), and S
+    itself is never formed.  The core's singular values depend on R_f and
+    R_e only through R^dag R, so the outer factors may be taken with
+    orthonormal columns: ||U - S|| is the norm of the 2 rank x 2 rank core
+    and ||P (U - S) P|| = ||A - W||.
     """
     u = as_matrix(u, square=True)
     eps = commutator_epsilon(u, band)  # also checks that U is unitary
@@ -342,12 +341,10 @@ def ground_symmetry(u, band: BandSpec) -> GroundSymmetry:
             f"xi = (epsilon + width)/gap = {xi:.6g} >= 1; restriction bounds are void"
         )
     basis = band.band_basis
-    basis_h = basis.conj().T
     ub = u @ basis
     udb = u.conj().T @ basis
-    block = basis_h @ ub
+    block = basis.conj().T @ ub
     w = polar_unitary(block)
-    full = u - ub @ basis_h - basis @ (udb.conj().T - (block + w) @ basis_h)
 
     g = band.rank
     core = np.zeros((2 * g, 2 * g), dtype=complex)
@@ -367,7 +364,6 @@ def ground_symmetry(u, band: BandSpec) -> GroundSymmetry:
             f"band {dist_band:.3e} vs {bound_band:.3e}"
         )
     return GroundSymmetry(
-        full=full,
         on_band=w,
         xi=xi,
         epsilon=eps,

@@ -88,8 +88,8 @@ class TestThreshold:
 
 
 def arc_objects(alpha, delta):
-    """The arcs of certify_module._arc_arrays as Arc objects."""
-    js, half, centers = certify_module._arc_arrays(alpha, delta)
+    """The arcs of certify_module._arcs as Arc objects."""
+    js, half, centers = certify_module._arcs(alpha, delta)
     return [Arc(float(c), float(h), int(j)) for c, h, j in zip(centers, half, js)]
 
 
@@ -268,18 +268,6 @@ class TestCertifySingle:
         # stays far below Dirichlet's 6.3e6
         assert len(seen) < 10_000
 
-    @settings(max_examples=150, deadline=None)
-    @given(alpha=st.one_of(st.floats(0.0, 1.0, exclude_max=True),
-                           st.fractions(0, 1, max_denominator=12)
-                           .filter(lambda f: f < 1).map(float)),
-           delta=st.floats(1e-3, 2.0),
-           grow=st.floats(1.0, 50.0))
-    def test_minimal_powers_shrink_as_delta_grows(self, alpha, delta, grow):
-        later = min(2.0, delta * grow)
-        before = set(minimal_intervals(alpha, delta).powers.tolist())
-        after = set(minimal_intervals(alpha, later).powers.tolist())
-        assert after <= before
-
     def test_soundness_against_lambda_floor(self):
         # certified dimension d rules out all g < d, so delta must sit below
         # the exact minimum for each ruled-out dimension
@@ -338,35 +326,6 @@ class TestCertifyGrid:
             certify_grid(cells)
 
 
-class TestNestingCutoff:
-    """minimal_intervals sweeps only the powers up to _nesting_power; the
-    full range |j| <= floor(2 / delta) must give the same intervals."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(alpha=st.one_of(
-               st.floats(0.0, 1.0, exclude_max=True),
-               st.fractions(0, 1, max_denominator=40).filter(lambda f: f < 1).map(float),
-               st.builds(_near_rational,
-                         st.fractions(0, 1, max_denominator=40).filter(lambda f: f < 1),
-                         st.sampled_from([-1, 1]))),
-           delta=st.floats(-6.0, float(np.log10(2.0))).map(lambda e: 10.0 ** e))
-    @example(alpha=0.0, delta=1e-3)
-    @example(alpha=1.0 - 2.0 ** -53, delta=1e-3)
-    @example(alpha=0.0, delta=certify_module._MIN_DELTA)
-    @example(alpha=1.0 - 2.0 ** -53, delta=certify_module._MIN_DELTA)
-    @example(alpha=0.3141592653589793, delta=certify_module._MIN_DELTA)
-    def test_cutoff_matches_full_range(self, alpha, delta):
-        cut = minimal_intervals(alpha, delta)
-        js, lo, hi = certify_module._minimal(*certify_module._arc_arrays(alpha, delta))
-        assert cut.powers.tolist() == js.tolist()
-        assert list(cut) == list(zip(lo.tolist(), hi.tolist()))
-
-    @pytest.mark.parametrize("p, q", [(1, 2), (1, 3), (5, 12), (17, 40)])
-    def test_rational_twist_sweeps_at_most_q(self, p, q):
-        for delta in (1e-2, 1e-4, 1e-6):
-            assert certify_module._nesting_power(p / q, delta) <= q
-
-
 class TestDeterminantFloor:
     """The floor certificate: never below the arcs, attained by the
     clock/shift pair, monotone in delta, symmetric under alpha -> 1 - alpha,
@@ -378,6 +337,18 @@ class TestDeterminantFloor:
     @example(alpha=0.25, delta=0.5)
     def test_floor_never_below_the_arcs(self, alpha, delta):
         assert certify_single(alpha, delta).d_min >= arc_dimension(alpha, delta)
+
+    @pytest.mark.parametrize("alpha, delta, arcs, floor", [
+        (0.3141592653589793, 1e-5, 86, 226),
+        (0.61803398875, 1e-5, 89, 610),
+        (0.37, 1e-4, 35, 100),
+        (1 / 3 + 1e-7, 1e-5, 3, 3),
+    ])
+    def test_arcs_at_small_delta(self, alpha, delta, arcs, floor):
+        """Below the property test's delta >= 1e-3 the arc sweep runs over
+        4 / delta powers: its dimension and the floor's, pinned."""
+        assert arc_dimension(alpha, delta) == arcs
+        assert certify_single(alpha, delta).d_min == floor
 
     @settings(max_examples=60, deadline=None)
     @given(alpha=st.floats(0.0, 1.0, exclude_max=True), delta=st.floats(0.05, 2.0))

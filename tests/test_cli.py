@@ -104,6 +104,8 @@ class TestMinima:
     @pytest.mark.parametrize("flag, value, expected", [
         ("--g", "abc", "comma-separated integers"),
         ("--g", "3,4.5", "comma-separated integers"),
+        ("--g", ",,", "comma-separated integers"),
+        ("--g", "", "comma-separated integers"),
         ("--p", "abc", "a number or inf"),
         ("--k", "abc", "an integer"),
         ("--k", "1.5", "an integer"),
@@ -131,6 +133,18 @@ class TestMinima:
         assert rc == 1
         assert capsys.readouterr().err.strip() == (
             f"error: bad grid spec {grid!r}; bounds must be finite")
+
+    @pytest.mark.parametrize("argv", [
+        ["minima", "--grid", "0:1:0"],
+        ["minima", "--grid", "0:1:-2"],
+        ["mountains", "--alpha-grid", "0:1:0"],
+        ["mountains", "--delta-grid", "0.1:2:0"],
+    ], ids=["minima", "minima-negative", "mountains-alpha", "mountains-delta"])
+    def test_grid_without_points_rejected(self, capsys, argv):
+        rc = main(argv)
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == (
+            f"error: bad grid spec {argv[-1]!r}; n must be at least 1")
 
     def test_version_has_one_source(self):
         import tomllib
@@ -775,7 +789,7 @@ class TestCheck:
         def refuse(*args, **kwargs):
             raise AssertionError("check ran the certifier")
 
-        for name in ("certify_single", "certify_double", "minimal_intervals", "_minimal"):
+        for name in ("certify_single", "certify_double", "minimal_intervals"):
             monkeypatch.setattr(certify_module, name, refuse)
         for name in ("certify_single", "certify_double"):
             monkeypatch.setattr(cli_module, name, refuse)
@@ -791,7 +805,7 @@ class TestCheck:
             return search(alpha, delta, *args)
 
         monkeypatch.setattr(certify_module, "_floor_search", counted)
-        monkeypatch.setattr(certify_module, "_minimal", None)
+        monkeypatch.setattr(certify_module, "minimal_intervals", None)
         assert main(["mountains", "--alpha-grid", "0.3:0.4:10", "--delta-grid", "0.02:2:10",
                      "--out", str(tmp_path / "tile.csv")]) == 0
         assert calls == [108]

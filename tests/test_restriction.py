@@ -163,6 +163,13 @@ class TestOffdiagNorm:
             assert off <= (eps + model.band.width) / model.band.gap + 1e-10
 
 
+def dense_symmetry(gs, u, band):
+    """The band symmetry B W B^dag + Pbar U Pbar of ground_symmetry, formed
+    densely from its band part W = gs.on_band."""
+    b = band.band_basis
+    return b @ gs.on_band @ b.conj().T + band.p_bar @ u @ band.p_bar
+
+
 class TestGroundSymmetry:
     def test_exact_symmetry_unchanged(self):
         band = flat_excited_band()
@@ -170,7 +177,7 @@ class TestGroundSymmetry:
         u[:3, :3] = haar_unitary(3, 5)
         u[3:, 3:] = haar_unitary(4, 6)
         gs = ground_symmetry(u, band)
-        assert np.linalg.norm(gs.full - u, 2) < 1e-10
+        assert np.linalg.norm(dense_symmetry(gs, u, band) - u, 2) < 1e-10
         assert gs.xi == pytest.approx(0.0, abs=1e-12)
 
     def test_two_level_tightness(self):
@@ -191,10 +198,9 @@ class TestGroundSymmetry:
             except ValueError:  # xi >= 1
                 continue
             p = model.band.p
-            assert np.linalg.norm(gs.full @ p - p @ gs.full, 2) < 1e-10
-            assert np.linalg.norm(
-                p @ gs.full.conj().T @ gs.full @ p - p, 2
-            ) < 1e-10
+            full = dense_symmetry(gs, model.u, model.band)
+            assert np.linalg.norm(full @ p - p @ full, 2) < 1e-10
+            assert np.linalg.norm(p @ full.conj().T @ full @ p - p, 2) < 1e-10
             assert is_unitary(gs.on_band, 1e-10)
 
     def test_distance_bounds_hold(self):
@@ -278,7 +284,7 @@ class TestFactorOnceForms:
         band, u = factor_once_case(name)
         p = band.p
         gs = ground_symmetry(u, band)
-        diff = u - gs.full
+        diff = u - dense_symmetry(gs, u, band)
         assert gs.dist_full_measured == pytest.approx(operator_norm(diff), abs=1e-12)
         assert gs.dist_band_measured == pytest.approx(operator_norm(p @ diff @ p), abs=1e-12)
         assert gs.dist_full_measured > 1e-6  # a nontrivial instance
@@ -466,16 +472,6 @@ class TestLowestBand:
         with pytest.raises(ValueError, match=r"^gap must be positive, got 0\.0$"):
             BandSpec.lowest(np.diag([-0.1, 0.0, 1.0, 2.0]), 1)
         assert full == []
-
-
-class TestGroundSymmetryFull:
-    @pytest.mark.parametrize("name", FACTOR_ONCE_CASES)
-    def test_full_equals_dense_form(self, name):
-        band, u = factor_once_case(name)
-        gs = ground_symmetry(u, band)
-        b = band.band_basis
-        dense = b @ gs.on_band @ b.conj().T + band.p_bar @ u @ band.p_bar
-        assert np.linalg.norm(gs.full - dense, 2) <= 1e-12
 
 
 class TestRestrictPair:
