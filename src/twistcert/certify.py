@@ -71,10 +71,11 @@ TWO_PI = 2.0 * np.pi
 
 METHODS = ("single-closed-form", "determinant-floor", "double-pair")
 
-# The least positive delta certify_single accepts.  It bounds the floor
-# search: by Dirichlet's theorem some q < ceil(2 pi / delta) has
-# dist(q alpha, Z) <= 1 / ceil(2 pi / delta), so lambda_min(q, alpha) <= delta
-# and d_min < ceil(2 pi / delta) <= 6.3e6.
+# The least positive delta certify_single and the arc sweep accept.  It
+# bounds the floor search: by Dirichlet's theorem some q < ceil(2 pi / delta)
+# has dist(q alpha, Z) <= 1 / ceil(2 pi / delta), so lambda_min(q, alpha) <=
+# delta and d_min < ceil(2 pi / delta) <= 6.3e6.  The arc sweep's 4 / delta
+# orbit powers stay within 4e6.
 _MIN_DELTA = 1e-6
 # The floor search evaluates dimensions in chunks: _FIRST_CHUNK first, then
 # twice as many each time, while one evaluation over all the open cells stays
@@ -142,12 +143,15 @@ def eigenvalue_arc(zeta: float, theta: float) -> Arc:
 
 
 def _arcs(alpha: float, delta: float):
-    """The arcs of the orbit powers 0 < |j| <= floor(2 / delta) at delta > 0,
-    as (js, half, centers): powers with |j| delta >= 2 give the full circle
-    and are skipped, so arccos never leaves [-1, 1]; the rest get
-    half-widths arccos(1 - |j| delta) and centers 2 pi alpha j (mod 2 pi)."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    """The arcs of the orbit powers 0 < |j| <= floor(2 / delta), as (js,
+    half, centers): powers with |j| delta >= 2 give the full circle and are
+    skipped, so arccos never leaves [-1, 1]; the rest get half-widths
+    arccos(1 - |j| delta) and centers 2 pi alpha j (mod 2 pi).  alpha must
+    lie in [0, 1) and delta be finite and at least _MIN_DELTA (ValueError
+    otherwise)."""
+    if not (math.isfinite(delta) and delta >= _MIN_DELTA):
+        raise ValueError(f"delta must be finite and at least {_MIN_DELTA:g}, got {delta}")
+    _check_domain(alpha, delta)  # alpha in [0, 1)
     jmax = int(math.floor(2.0 / delta))
     js = np.arange(-jmax, jmax + 1)
     js = js[js != 0]
@@ -200,9 +204,9 @@ def greedy_transversal(intervals) -> list[float]:
 
 
 def arc_dimension(alpha: float, delta: float) -> int:
-    """The dimension the paper's arc construction certifies at delta > 0:
-    the forced eigenvalue at angle 0 plus the greedy stabs of the minimal
-    intervals.  Never above certify_single(alpha, delta).d_min."""
+    """The dimension the paper's arc construction certifies at delta >=
+    _MIN_DELTA: the forced eigenvalue at angle 0 plus the greedy stabs of the
+    minimal intervals.  Never above certify_single(alpha, delta).d_min."""
     return 1 + len(greedy_transversal(minimal_intervals(alpha, delta)))
 
 

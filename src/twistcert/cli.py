@@ -302,7 +302,7 @@ def cmd_certify(args) -> int:
         model = _model_from_manifest(args.manifest)
         spec = model.spec
         manifest = RunManifest.build(
-            "certify", {"manifest": json.loads(spec.to_json())}, seed=spec.seed
+            "certify", {"manifest": asdict(spec)}, seed=spec.seed
         )
         if spec.kind == "tensor-double":
             payload = double_pipeline(model)
@@ -350,7 +350,7 @@ def cmd_restrict(args) -> int:
     spec, band = model.spec, model.band
     res = restrict_pair(model.u, model.v, band, model.alpha)
     payload = {
-        "model": json.loads(spec.to_json()),
+        "model": asdict(spec),
         "band": {"dim": band.dim, "rank": band.rank, "gap": band.gap,
                  "width": band.width},
         "restriction": {
@@ -389,7 +389,7 @@ def cmd_eigshare(args) -> int:
     general = shared_approx_eigenvector(h, u, seed)
     normal = shared_approx_eigenvector_normal(h, u, seed)
     payload = {
-        "model": json.loads(spec.to_json()),
+        "model": asdict(spec),
         "seed_eigenvalue": general.eigenvalue_a,
         "general": _eigshare_table(general),
         "normal_variant": _eigshare_table(normal),

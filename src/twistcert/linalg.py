@@ -181,19 +181,26 @@ def _widenings():
     yield NORM_WIDENING_MAX
 
 
-def _negated_gram(y: np.ndarray, trans: int) -> np.ndarray:
-    """-y y^dag (trans 0) or -y^dag y (trans 2) by BLAS zherk, with the lower
-    triangle filled in by blocks so that the result is the whole Hermitian
-    matrix; negation is exact, and zherk reads and writes one buffer."""
-    import scipy.linalg
-
-    c = scipy.linalg.blas.zherk(-1.0, y, trans=trans)
+def _mirror_upper(c: np.ndarray) -> None:
+    """Overwrite the strict lower triangle of the square c with the conjugate
+    transpose of its strict upper one, by blocks of 64 columns.  Run on c.T,
+    it restores the upper triangle from the lower one."""
     d = c.shape[0]
     for j in range(0, d, 64):
         e = min(j + 64, d)
         block = c[j:e, j:e]
         block[...] = np.triu(block) + np.triu(block, 1).conj().T
         c[e:, j:e] = c[j:e, e:].conj().T
+
+
+def _negated_gram(y: np.ndarray, trans: int) -> np.ndarray:
+    """-y y^dag (trans 0) or -y^dag y (trans 2) by BLAS zherk, with the lower
+    triangle filled in so that the result is the whole Hermitian matrix;
+    negation is exact, and zherk reads and writes one buffer."""
+    import scipy.linalg
+
+    c = scipy.linalg.blas.zherk(-1.0, y, trans=trans)
+    _mirror_upper(c)
     return c
 
 
@@ -218,6 +225,9 @@ def norm_upper(x) -> float:
     sigma_1^2 when d < config.NORM_SVD_BELOW.  Each estimate is tried with
     the widenings eta from config.NORM_WIDENING to config.NORM_WIDENING_MAX,
     and a Lanczos estimate that none of them proves falls back to the SVD's.
+    potrf leaves the strict lower triangle, a conjugate copy of the upper
+    one, untouched, so a failed attempt copies it back in O(d^2) and the
+    Gram is formed once per call (twice when X is rescaled).
     ArithmeticError when no proof succeeds: an unproven number is never
     returned.  X = 0 gives 0.0.  X is scaled by a power of two when its
     largest column norm leaves [2^-200, 2^200], so that neither the Gram
@@ -259,19 +269,16 @@ def norm_upper(x) -> float:
             yield _lanczos_max(c)  # before any proof overwrites c
         yield _svd_estimate(x)
 
-    dirty = False
     for estimate in estimates():
         # lambda_max(C) is at least its largest diagonal entry
         lam = max(estimate, float(np.max(cdiag)))
         for eta in _widenings():
-            if dirty:
-                c = _negated_gram(x.T, trans)
             s = lam * (1.0 + eta)
             shifted = s - cdiag
             c.flat[:: d + 1] = shifted
             _, info = scipy.linalg.lapack.zpotrf(c, lower=0, clean=0, overwrite_a=1)
-            dirty = True
             if info != 0:
+                _mirror_upper(c.T)  # the Gram's upper triangle, from the lower one
                 continue
             # s I - C = M - D with M the factored matrix and |D_ii| <= 2 u |M_ii|;
             # each term is evaluated to within a few ulps, which 1.01 covers

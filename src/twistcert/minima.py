@@ -208,7 +208,7 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x.real * y.real + x.imag * y.imag).sum(axis=(-2, -1)).sum(axis=0)
 
 
-def _descend(w: np.ndarray, alpha: float, iters: int) -> np.ndarray:
+def _descend(w: np.ndarray, alpha: float, iters: int) -> tuple[np.ndarray, np.ndarray]:
     """Riemannian gradient descent on the smooth Frobenius-squared objective
     ||u v - eta v u||_F^2 over pairs of unitaries, with a Cayley retraction,
     Barzilai-Borwein steps and a backtracking line search, run on every pair
@@ -229,65 +229,54 @@ def _descend(w: np.ndarray, alpha: float, iters: int) -> np.ndarray:
 
     Each restart keeps its own step, accepted-step count, value and
     gradient.  A round gives every active restart one trial: all trials of
-    the round share one batched solve, one commutator and one Armijo test.
-    A restart's first trial step is 0.25.  After its k-th accepted step the
-    next trial step is the Barzilai-Borwein step (IMA J. Numer. Anal. 8
-    (1988)) from S = X_k - X_(k-1) and Y = (u A_u, v A_v)_k - (u A_u, v
-    A_v)_(k-1), the ambient gradients, with inner products summed over the
-    pair: <S, S> / |<S, Y>| for odd k and |<S, Y>| / <Y, Y> for even k, as
-    Wen and Yin alternate them, clipped to [1e-10, 1e3]; a zero denominator
-    keeps the step.  A rejected trial halves the step.  A restart stops once
-    step * ||grad||^2 <= 2^-52 f, where the predicted decrease is below the
-    rounding of its value f; it also stops after `iters` accepted steps, at
-    a vanishing gradient, or once its step falls to 1e-14.  At a value that
-    is all rounding (a floor of 0) the halving ends on a step too small to
-    move the pair, which the Armijo test accepts; then S = Y = 0, the step
-    is kept and every later round repeats that trial, so the restart stops
-    there, on the pair that `iters` accepted steps would give.  Every slice
-    is computed on its own, so a restart follows the same path whichever
-    restarts share the stack.  Returns a new stack; the input is not
+    the round share one batched solve, one commutator and one Armijo test,
+    and the accepted trials share one gradient evaluation, so a gradient is
+    taken once per accepted point, in the round that accepts it (and once
+    on the starts).  A restart's first trial step is 0.25.  After its k-th
+    accepted step the next trial step is the Barzilai-Borwein step (IMA J.
+    Numer. Anal. 8 (1988)) from S = X_k - X_(k-1) and Y = (u A_u, v A_v)_k
+    - (u A_u, v A_v)_(k-1), the ambient gradients, with inner products
+    summed over the pair: <S, S> / |<S, Y>| for odd k and |<S, Y>| / <Y, Y>
+    for even k, as Wen and Yin alternate them, clipped to [1e-10, 1e3]; a
+    zero denominator keeps the step.  A rejected trial halves the step.  A
+    restart stops once step * ||grad||^2 <= 2^-52 f, where the predicted
+    decrease is below the rounding of its value f; it also stops after
+    `iters` accepted steps, at a vanishing gradient, or once its step falls
+    to 1e-14.  At a value that is all rounding (a floor of 0) the halving
+    ends on a step too small to move the pair, which the Armijo test
+    accepts; then S = Y = 0, and the restart stops there, on the pair that
+    `iters` accepted steps would give, since every later round would repeat
+    that trial.  Every slice is computed on its own, so a restart follows
+    the same path whichever restarts share the stack.  Returns new stacks
+    of the final pairs and of their twisted commutators; the input is not
     modified.
     """
     eta = np.exp(2j * np.pi * alpha)
+
+    def gradient(w, t):
+        """A = (skew(u^dag G_u), skew(v^dag G_v)) and the ambient gradient
+        (u A_u, v A_v) of the pairs w with twisted commutators t."""
+        uh, vh = _dagger(w)
+        gu = t @ vh - np.conj(eta) * (vh @ t)
+        gv = uh @ t - np.conj(eta) * (t @ uh)
+        a = np.stack((uh @ gu, vh @ gv))
+        a = 0.5 * (a - _dagger(a))
+        return a, w @ a
+
     w = w.copy()
-    restarts = w.shape[1]
     t = twisted_commutator(w[0], w[1], alpha)
     fval = _fro2(t)
-    step = np.full(restarts, 0.25)
-    taken = np.zeros(restarts, dtype=int)
-    a = np.empty_like(w)  # A_u, A_v
-    grad = np.zeros_like(w)  # u A_u, v A_v at the last accepted point
-    moved = np.zeros_like(w)  # S, the last accepted move
-    gnorm2 = np.zeros(restarts)
+    step = np.full(fval.size, 0.25)
+    taken = np.zeros(fval.size, dtype=int)
+    a, grad = gradient(w, t)
+    gnorm2 = _fro2(a).sum(axis=0)
+    active = gnorm2 >= 1e-30
     eye = np.eye(w.shape[-1])
-    active = np.ones(restarts, dtype=bool)
-    stale = active.copy()  # gradient out of date: the last trial was accepted
     while True:
-        active &= taken < iters
-        new = np.flatnonzero(active & stale)
-        if new.size:
-            tn, wn = t[new], w[:, new]
-            uh, vh = _dagger(wn)
-            gu = tn @ vh - np.conj(eta) * (vh @ tn)
-            gv = uh @ tn - np.conj(eta) * (tn @ uh)
-            an = np.stack((uh @ gu, vh @ gv))
-            an = 0.5 * (an - _dagger(an))
-            gn = wn @ an
-            sn, yn = moved[:, new], gn - grad[:, new]
-            ss, sy, yy = _inner(sn, sn), np.abs(_inner(sn, yn)), _inner(yn, yn)
-            k = taken[new]
-            num, den = np.where(k % 2 == 1, ss, sy), np.where(k % 2 == 1, sy, yy)
-            bb = (k > 0) & (den > 0)
-            step[new[bb]] = np.clip(num[bb] / den[bb], 1e-10, 1e3)
-            a[:, new], grad[:, new] = an, gn
-            gnorm2[new] = _fro2(an).sum(axis=0)
-            # a pair that an accepted step left unchanged repeats that step
-            stuck = (k > 0) & ~sn.any(axis=(0, -2, -1))
-            active[new] = (gnorm2[new] >= 1e-30) & ~stuck
-        active &= (step > 1e-14) & (step * gnorm2 > 2.0 ** -52 * fval)
+        active &= (taken < iters) & (step > 1e-14) & (step * gnorm2 > 2.0 ** -52 * fval)
         idx = np.flatnonzero(active)
         if not idx.size:
-            return w
+            return w, t
         wi = w[:, idx]
         ht = (0.5 * step[idx, None, None]) * a[:, idx].swapaxes(-1, -2)
         # Z = w (I + h)^-1 from the transposed system (I + h)^T Z^T = w^T
@@ -296,13 +285,23 @@ def _descend(w: np.ndarray, alpha: float, iters: int) -> np.ndarray:
         t2 = twisted_commutator(trial[0], trial[1], alpha)
         f2 = _fro2(t2)
         ok = f2 <= fval[idx] - 1e-4 * step[idx] * gnorm2[idx]
-        acc = idx[ok]
-        moved[:, acc] = trial[:, ok] - wi[:, ok]
-        w[:, acc], t[acc], fval[acc] = trial[:, ok], t2[ok], f2[ok]
         step[idx[~ok]] *= 0.5
-        taken[acc] += 1
-        stale[:] = False
-        stale[acc] = True
+        acc = idx[ok]
+        if not acc.size:
+            continue
+        wn, tn = trial[:, ok], t2[ok]
+        an, gn = gradient(wn, tn)
+        sn, yn = wn - wi[:, ok], gn - grad[:, acc]
+        ss, sy, yy = _inner(sn, sn), np.abs(_inner(sn, yn)), _inner(yn, yn)
+        k = taken[acc] + 1
+        num, den = np.where(k % 2 == 1, ss, sy), np.where(k % 2 == 1, sy, yy)
+        bb = den > 0
+        step[acc[bb]] = np.clip(num[bb] / den[bb], 1e-10, 1e3)
+        w[:, acc], t[acc], fval[acc], taken[acc] = wn, tn, f2[ok], k
+        a[:, acc], grad[:, acc] = an, gn
+        gnorm2[acc] = _fro2(an).sum(axis=0)
+        # a pair that an accepted step left unchanged repeats that step
+        active[acc] = (gnorm2[acc] >= 1e-30) & sn.any(axis=(0, -2, -1))
 
 
 def brute_min(g: int, alpha: float, spec: NormSpec = OPERATOR,
@@ -342,16 +341,15 @@ def brute_min(g: int, alpha: float, spec: NormSpec = OPERATOR,
     alpha = math.fmod(alpha, 1.0)
     normals = np.stack([np.random.default_rng([seed, r]).standard_normal((2, 2, g, g))
                         for r in range(restarts)])
-    w = _descend(_haar_from_normals(normals).swapaxes(0, 1), alpha, iters=iters)
+    w, t = _descend(_haar_from_normals(normals).swapaxes(0, 1), alpha, iters=iters)
     if not np.all(_fro2(_dagger(w) @ w - np.eye(g)) <= UNITARITY ** 2):
         raise ArithmeticError("descent left the unitary group")
-    u, v = w
-    sv = np.linalg.svd(twisted_commutator(u, v, alpha), compute_uv=False)
+    sv = np.linalg.svd(t, compute_uv=False)
     if math.isinf(spec.p):
         values = sv[:, 0]
     else:
         values = np.sum(sv[:, :spec.k] ** spec.p, axis=1) ** (1.0 / spec.p)
     best = float(values.min())
     if trace:
-        return best, list(zip(u, v))
+        return best, list(zip(*w))
     return best

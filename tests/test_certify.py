@@ -109,6 +109,20 @@ class TestBuildArcs:
         arcs = arc_objects(0.3, 1.0)
         assert all(abs(a.index) * 1.0 < 2.0 for a in arcs)
 
+    @pytest.mark.parametrize("alpha, delta, name", [
+        (math.nan, 0.5, "alpha"), (math.inf, 0.5, "alpha"), (1.0, 0.5, "alpha"),
+        (-0.25, 0.5, "alpha"), (0.3, math.nan, "delta"), (0.3, math.inf, "delta"),
+        (0.3, 0.0, "delta"), (0.3, -0.5, "delta"), (0.3, 1e-7, "delta"),
+    ])
+    def test_domain(self, alpha, delta, name):
+        """The sweep refuses what certify_single refuses, and delta = 0: a
+        non-finite alpha or one outside [0, 1), a non-finite delta or one
+        below _MIN_DELTA, which would sweep 4 / delta orbit powers."""
+        for sweep in (arc_dimension, minimal_intervals):
+            with pytest.raises(ValueError, match=f"^{name} must") as info:
+                sweep(alpha, delta)
+            assert "\n" not in str(info.value)
+
 
 class TestEigenvalueArc:
     def test_point_arc(self):

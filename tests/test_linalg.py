@@ -416,38 +416,42 @@ class TestNormUpper:
         self.assert_tight(with_singular_values(sv, m, n, seed=m + n), 1.5)
 
     def count_calls(self, monkeypatch, name, scale=1.0):
-        """Count the calls of one of norm_upper's estimates or of zpotrf,
-        with an estimate's result multiplied by scale."""
+        """Count the calls of one of norm_upper's estimates, of zpotrf or of
+        zherk, with an estimate's result multiplied by scale."""
         calls = []
-        owner = scipy.linalg.lapack if name == "zpotrf" else twistcert.linalg
+        owner = {"zpotrf": scipy.linalg.lapack,
+                 "zherk": scipy.linalg.blas}.get(name, twistcert.linalg)
         fn = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls.append(name)
             out = fn(*args, **kwargs)
-            return out if name == "zpotrf" else out * scale
+            return out * scale if owner is twistcert.linalg else out
         monkeypatch.setattr(owner, name, wrapper)
         return calls
 
     def test_low_estimate_is_widened(self, monkeypatch):
         """An estimate 5e-11 low fails its first proof and passes at the
-        next widening, with no SVD."""
+        next widening, with no SVD and the Gram formed once."""
         n = int(NORM_SVD_BELOW) + 20
         x = with_singular_values(np.linspace(2.0, 1.0, 10), n, n, seed=5)
         lanczos = self.count_calls(monkeypatch, "_lanczos_max", 1.0 - 5e-11)
         svd = self.count_calls(monkeypatch, "_svd_estimate")
         chol = self.count_calls(monkeypatch, "zpotrf")
+        gram = self.count_calls(monkeypatch, "zherk")
         self.assert_tight(x, 2.0)
-        assert (len(lanczos), len(svd), len(chol)) == (1, 0, 2)
+        assert (len(lanczos), len(svd), len(chol), len(gram)) == (1, 0, 2, 1)
 
     def test_low_lanczos_estimate_falls_back_to_the_svd(self, monkeypatch):
+        """Three failed proofs and the SVD's passing one share one Gram."""
         n = int(NORM_SVD_BELOW) + 20
         x = with_singular_values(np.linspace(2.0, 1.0, 10), n, n, seed=6)
         lanczos = self.count_calls(monkeypatch, "_lanczos_max", 0.5)
         svd = self.count_calls(monkeypatch, "_svd_estimate")
         chol = self.count_calls(monkeypatch, "zpotrf")
+        gram = self.count_calls(monkeypatch, "zherk")
         self.assert_tight(x, 2.0)
-        assert (len(lanczos), len(svd), len(chol)) == (1, 1, 4)
+        assert (len(lanczos), len(svd), len(chol), len(gram)) == (1, 1, 4, 1)
 
     @pytest.mark.parametrize("n", [20, int(NORM_SVD_BELOW) + 20])
     def test_no_proof_raises(self, monkeypatch, n):

@@ -374,8 +374,11 @@ class TestBatchedDescent:
         import twistcert.minima as minima_module
 
         descend = minima_module._descend
-        monkeypatch.setattr(minima_module, "_descend",
-                            lambda w, alpha, iters: descend(w, alpha, iters) * (1.0 + 1e-9))
+
+        def off_group(w, alpha, iters):
+            w, t = descend(w, alpha, iters)
+            return w * (1.0 + 1e-9), t
+        monkeypatch.setattr(minima_module, "_descend", off_group)
         with pytest.raises(ArithmeticError, match="unitary group"):
             brute_min(2, 0.3, OP, restarts=3, seed=0)
 
